@@ -13,6 +13,7 @@ import argparse
 import json
 import logging
 import math
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -107,19 +108,22 @@ def load_run_config(path: str | Path | None) -> RunConfig:
     unknown = set(payload) - _MATCH_CONFIG_KEYS
     if unknown:
         raise InvalidConfig(f"{path}: unknown config fields {sorted(unknown)}")
-    pcm = PcmConfig(
-        delta=float(payload.get("delta", 100.0)),
-        lambda0=float(payload.get("lambda0", 0.1)),
-        n_iter=int(payload.get("n_iter", 2)),
-        reject_threshold=(
-            None
-            if payload.get("reject_threshold") is None
-            else float(payload["reject_threshold"])
-        ),
-        smoothing_window=int(payload.get("smoothing_window", 9)),
-    )
-    weights = {k: float(payload.get(k, d)) for k, d in
-               (("lambda1", 1.0), ("lambda2", 1.0), ("lambda3", 0.01))}
+    try:
+        pcm = PcmConfig(
+            delta=float(payload.get("delta", 100.0)),
+            lambda0=float(payload.get("lambda0", 0.1)),
+            n_iter=int(payload.get("n_iter", 2)),
+            reject_threshold=(
+                None
+                if payload.get("reject_threshold") is None
+                else float(payload["reject_threshold"])
+            ),
+            smoothing_window=int(payload.get("smoothing_window", 9)),
+        )
+        weights = {k: float(payload.get(k, d)) for k, d in
+                   (("lambda1", 1.0), ("lambda2", 1.0), ("lambda3", 0.01))}
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidConfig(f"{path}: non-numeric config value: {exc}") from None
     if any(v < 0 for v in weights.values()):
         raise InvalidConfig("refinement weights must be >= 0")
     return RunConfig(pcm=pcm, **weights)
@@ -265,6 +269,10 @@ def cmd_match(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
+    def recorded(path) -> str:
+        # A relative stream path is stored relative to `out`, where `refine` resolves it.
+        return str(path) if os.path.isabs(path) else os.path.relpath(path, out)
+
     def run_camera(index_and_cam):
         index, (cam_path, cam) = index_and_cam
         tracks2d = resample_to_timeline(cam, lidar.frame_indices, lidar.frame_rate)
@@ -303,8 +311,8 @@ def cmd_match(args) -> int:
             run_config.pcm,
             args.mode,
             lidar.skeleton_hash,
-            str(args.lidar),
-            str(cam_path),
+            recorded(args.lidar),
+            recorded(cam_path),
             [t.person_id for t in lidar.tracks],
             [t.person_id for t in tracks2d],
             stats,
@@ -375,6 +383,7 @@ def cmd_refine(args) -> int:
     frames = len(lidar.frame_indices)
     refined_tracks = []
     refined_person_frames = 0
+    not_converged = 0
     for idx3, track in enumerate(lidar.tracks):
         matched = []
         for doc, intrinsics, tracks2d in views:
@@ -402,8 +411,10 @@ def cmd_refine(args) -> int:
                 lambda2=run_config.lambda2,
                 lambda3=run_config.lambda3,
             )
-            new_joints[t] = refine(problem).refined3d
+            result = refine(problem)
+            new_joints[t] = result.refined3d
             refined_person_frames += 1
+            not_converged += not result.converged
         refined_tracks.append(
             type(track)(track.person_id, new_joints, track.body_pose, track.valid)
         )
@@ -416,6 +427,9 @@ def cmd_refine(args) -> int:
         frame_rate=lidar.frame_rate,
         frame_indices=lidar.frame_indices,
     )
+    if not_converged:
+        logger.warning("%d of %d person-frame refinements hit the iteration cap while still "
+                       "improving", not_converged, refined_person_frames)
     logger.info("refined %d person-frames into %s", refined_person_frames, args.out)
     return EXIT_OK
 

@@ -190,6 +190,30 @@ def project_masked(projection: ProjectionMatrix, points: np.ndarray) -> tuple[np
     return uv, ok
 
 
+def pinhole(intrinsics: Intrinsics, cam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Project camera-frame points (n, 3) to (pixels (n, 2), in-front mask (n,)).
+
+    Pixels where the mask is False are finite but meaningless.
+    """
+    z = cam[:, 2]
+    front = z > DEPTH_EPS
+    zs = np.where(front, z, 1.0)
+    u = intrinsics.fx * cam[:, 0] / zs + intrinsics.cx
+    v = intrinsics.fy * cam[:, 1] / zs + intrinsics.cy
+    return np.stack([u, v], axis=1), front
+
+
+def pinhole_jacobian(intrinsics: Intrinsics, cam: np.ndarray, front: np.ndarray) -> np.ndarray:
+    """duv/dcam (n, 2, 3) of ``pinhole``; rows where ``front`` is False are meaningless."""
+    z = np.where(front, cam[:, 2], 1.0)
+    duv_dcam = np.zeros((cam.shape[0], 2, 3))
+    duv_dcam[:, 0, 0] = intrinsics.fx / z
+    duv_dcam[:, 0, 2] = -intrinsics.fx * cam[:, 0] / z**2
+    duv_dcam[:, 1, 1] = intrinsics.fy / z
+    duv_dcam[:, 1, 2] = -intrinsics.fy * cam[:, 1] / z**2
+    return duv_dcam
+
+
 def geodesic_rotation_error(rot_a: np.ndarray, rot_b: np.ndarray) -> float:
     """Angle in radians of the relative rotation between two rotation matrices."""
     ra = np.asarray(rot_a, dtype=float)
@@ -255,12 +279,8 @@ def solve_pnp(
     def residual_block(pose):
         rot, trans = pose
         cam = x3 @ rot.T + trans
-        z = cam[:, 2]
-        front = z > DEPTH_EPS
-        zs = np.where(front, z, 1.0)
-        u = intrinsics.fx * cam[:, 0] / zs + intrinsics.cx
-        v = intrinsics.fy * cam[:, 1] / zs + intrinsics.cy
-        res = np.stack([u - x2[:, 0], v - x2[:, 1]], axis=1)
+        uv, front = pinhole(intrinsics, cam)
+        res = uv - x2
         res[~front] = penalty  # constant penalty, no gradient
         return cam, front, res
 
@@ -271,12 +291,6 @@ def solve_pnp(
     def system(pose):
         rot, trans = pose
         cam, front, res = residual_block(pose)
-        z = np.where(front, cam[:, 2], 1.0)
-        duv_dcam = np.zeros((x3.shape[0], 2, 3))
-        duv_dcam[:, 0, 0] = intrinsics.fx / z
-        duv_dcam[:, 0, 2] = -intrinsics.fx * cam[:, 0] / z**2
-        duv_dcam[:, 1, 1] = intrinsics.fy / z
-        duv_dcam[:, 1, 2] = -intrinsics.fy * cam[:, 1] / z**2
         # Left-multiplicative rotation update: dcam/dw = -[cam - t]x, dcam/dt = I.
         rx = cam - trans
         dcam = np.zeros((x3.shape[0], 3, 6))
@@ -287,7 +301,7 @@ def solve_pnp(
         dcam[:, 2, 0] = rx[:, 1]
         dcam[:, 2, 1] = -rx[:, 0]
         dcam[:, :, 3:] = np.eye(3)
-        jac = np.einsum("nij,njk->nik", duv_dcam, dcam)
+        jac = np.einsum("nij,njk->nik", pinhole_jacobian(intrinsics, cam, front), dcam)
         jac[~front] = 0.0
         return jac.reshape(-1, 6), res.reshape(-1)
 

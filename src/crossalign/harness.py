@@ -2,9 +2,10 @@
 refinement improvement statistics, exported as a versioned CSV report.
 
 Accuracy numbers are deterministic for fixed seeds; wall-clock and FPS
-figures are measured on a dedicated serial pass and carry no determinism
-guarantee. Failures inside a sweep cell are recorded, never raised, so a
-large grid always completes.
+figures time the same pass that measures accuracy (every scene of a cell,
+matched once, across all threads) and carry no determinism guarantee.
+Failures inside a sweep cell are recorded, never raised, so a large grid
+always completes.
 """
 
 from __future__ import annotations
@@ -133,9 +134,10 @@ class MetricsReport:
 
 
 def run_bench(spec: BenchSpec, threads: int = 1) -> MetricsReport:
-    """Execute the sweep. Accuracy is computed per scene (optionally in a
-    thread pool; results merge in deterministic grid order); the timing pass
-    is always serial so FPS is not skewed by contention."""
+    """Execute the sweep. Each scene is matched once per mode, optionally in
+    a thread pool; results merge in deterministic grid order. A cell's wall
+    time spans all its scenes, and its FPS counts the frames of the scenes
+    that matched without error."""
     config = spec.match_config()
     cells = [
         (pc, noise, sync)
@@ -162,28 +164,21 @@ def run_bench(spec: BenchSpec, threads: int = 1) -> MetricsReport:
                 except CrossAlignError as exc:
                     return None, f"{mode}/pc{pc}/noise{noise}/sync{sync}: {exc}"
 
+            start = time.perf_counter()
             if threads > 1:
                 with ThreadPoolExecutor(max_workers=threads) as pool:
                     outcomes = list(pool.map(run_one, scenes))
-                timed_scenes = scenes[:1]
             else:
                 outcomes = [run_one(scene) for scene in scenes]
-                timed_scenes = scenes
+            wall = time.perf_counter() - start
 
             accuracies = [a for a, _ in outcomes if a is not None]
             failures.extend(err for _, err in outcomes if err is not None)
-
-            start = time.perf_counter()
-            timed_frames = 0
-            for scene in timed_scenes:
-                try:
-                    match_with_strategy(
-                        mode, scene.tracks3d, scene.tracks2d[0], scene.intrinsics, config
-                    )
-                    timed_frames += scene.config.duration_frames
-                except CrossAlignError:
-                    pass
-            wall = time.perf_counter() - start
+            timed_frames = sum(
+                scene.config.duration_frames
+                for scene, (acc, _) in zip(scenes, outcomes)
+                if acc is not None
+            )
             fps = timed_frames / wall if wall > 0 and timed_frames else 0.0
 
             rows.append(

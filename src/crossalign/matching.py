@@ -243,45 +243,42 @@ def flatten_body_pose(rotations: np.ndarray) -> np.ndarray:
     return rot[..., 1:, :, :].reshape(rot.shape[:-3] + (23 * 9,))
 
 
+def _pose_similarities(tracks3d, tracks2d, frames=slice(None)) -> np.ndarray:
+    """Mean cosine similarity (n3d, n2d) of flattened body poses over the
+    co-valid ``frames`` of each pair; NO_OVERLAP_SIMILARITY without one."""
+    shape = (len(tracks3d), len(tracks2d))
+    if 0 in shape:
+        return np.full(shape, NO_OVERLAP_SIMILARITY)
+
+    def unit_poses(tracks):
+        valid = np.array([t.valid[frames] for t in tracks])
+        flat = flatten_body_pose(np.array([t.body_pose[frames] for t in tracks]))
+        norm = np.linalg.norm(flat, axis=-1, keepdims=True)
+        return flat / np.where(valid[..., None], norm, 1.0), valid
+
+    a, valid3 = unit_poses(tracks3d)
+    b, valid2 = unit_poses(tracks2d)
+    common = valid3[:, None, :] & valid2[None, :, :]
+    cos = np.einsum("itk,jtk->ijt", a, b)
+    counts = common.sum(axis=-1)
+    sims = np.full(shape, NO_OVERLAP_SIMILARITY)
+    np.divide(np.where(common, cos, 0.0).sum(axis=-1), counts, out=sims, where=counts > 0)
+    return sims
+
+
 def pose_similarity(track3d: PersonTrack3D, track2d: PersonTrack2D) -> float:
     """Mean cosine similarity of flattened body poses over co-valid frames."""
-    common = track3d.valid & track2d.valid
-    if not common.any():
+    similarity = float(_pose_similarities([track3d], [track2d])[0, 0])
+    if similarity == NO_OVERLAP_SIMILARITY:
         raise NoCommonFrames(
             f"tracks {track3d.person_id!r} and {track2d.person_id!r} share no valid frame"
         )
-    a = flatten_body_pose(track3d.body_pose[common])
-    b = flatten_body_pose(track2d.body_pose[common])
-    cos = (a * b).sum(axis=1) / (np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1))
-    return float(cos.mean())
+    return similarity
 
 
 def pose_similarity_matrix(tracks3d, tracks2d) -> np.ndarray:
     """(n3d, n2d) similarity scores; non-overlapping pairs get the sentinel."""
-    sims = np.full((len(tracks3d), len(tracks2d)), NO_OVERLAP_SIMILARITY)
-    for i, t3 in enumerate(tracks3d):
-        for j, t2 in enumerate(tracks2d):
-            try:
-                sims[i, j] = pose_similarity(t3, t2)
-            except NoCommonFrames:
-                pass
-    return sims
-
-
-def frame_pose_similarity_matrix(tracks3d, tracks2d, frame: int) -> np.ndarray:
-    """Single-frame variant: cosine of the flattened poses at one frame."""
-    sims = np.full((len(tracks3d), len(tracks2d)), NO_OVERLAP_SIMILARITY)
-    for i, t3 in enumerate(tracks3d):
-        if not t3.valid[frame]:
-            continue
-        a = flatten_body_pose(t3.body_pose[frame])
-        na = np.linalg.norm(a)
-        for j, t2 in enumerate(tracks2d):
-            if not t2.valid[frame]:
-                continue
-            b = flatten_body_pose(t2.body_pose[frame])
-            sims[i, j] = float(a @ b / (na * np.linalg.norm(b)))
-    return sims
+    return _pose_similarities(tracks3d, tracks2d)
 
 
 # ---------------------------------------------------------------------------
@@ -353,31 +350,17 @@ def reprojection_cost(
     frame: int,
 ) -> float:
     """Confidence-weighted mean pixel distance between the projected 3D joints
-    and the observed 2D joints at one frame."""
+    and the observed 2D joints at one frame.
+
+    2D joints that are not finite carry no weight; 3D joints that are not
+    finite or lie behind the camera cost the image diagonal.
+    """
     if not (track3d.valid[frame] and track2d.valid[frame]):
         raise ValueError("both tracks must be valid at the frame")
-    return _pair_pixel_cost(
-        track3d.joints[frame],
-        track2d.joints[frame],
-        track2d.confidence[frame],
-        extrinsics,
-        intrinsics,
-    )
-
-
-def _pair_pixel_cost(joints3d, joints2d, confidence, extrinsics, intrinsics) -> float:
-    penalty = intrinsics.diagonal
-    pts = np.asarray(joints3d, dtype=float)
-    finite = np.isfinite(pts).all(axis=1)
-    proj = ProjectionMatrix.from_camera(intrinsics, extrinsics)
-    uv, front = project_masked(proj, np.where(finite[:, None], pts, 0.0))
-    ok = front & finite
-    dist = np.where(ok, np.linalg.norm(uv - joints2d, axis=1), penalty)
-    weights = np.asarray(confidence, dtype=float)
-    total = weights.sum()
-    if total <= 0:
-        return float(penalty)
-    return float((weights * dist).sum() / total)
+    joints3d, mask3d = _usable3d(track3d.joints[frame][None])
+    joints2d, conf2d = _usable2d(track2d.joints[frame][None], track2d.confidence[frame][None])
+    costs = _reprojection_matrix(joints3d, mask3d, joints2d, conf2d, extrinsics, intrinsics)
+    return float(costs[0, 0])
 
 
 def body_pose_cost(
@@ -396,15 +379,10 @@ def body_pose_cost(
     this camera.
     """
     skeleton = skeleton if skeleton is not None else default_skeleton()
-    root = np.asarray(root, dtype=float).reshape(3)
-    r3 = rotations_of(pose3d)
-    r2 = rotations_of(pose2d)
-    pts = fk_points(skeleton, np.stack([r3, r2]), np.stack([root, root]))
-    proj = ProjectionMatrix.from_camera(intrinsics, extrinsics)
-    uv, front = project_masked(proj, pts)
-    ok = front[0] & front[1]
-    dist = np.where(ok, np.linalg.norm(uv[0] - uv[1], axis=1), intrinsics.diagonal)
-    return float(dist.mean())
+    rotations = np.stack([rotations_of(pose3d), rotations_of(pose2d)])
+    fk = fk_points(skeleton, rotations, np.zeros((2, 3)))
+    roots = np.asarray(root, dtype=float).reshape(1, 3)
+    return float(_body_pose_matrix(roots, fk[:1], fk[1:], extrinsics, intrinsics)[0, 0])
 
 
 def weighted_cost(
@@ -456,82 +434,86 @@ class FrameData:
         return len(self.idx3d) > 0 and len(self.idx2d) > 0
 
 
+def _usable3d(joints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """3D joints (..., 24, 3) zero-filled where not finite, and the finite mask."""
+    finite = np.isfinite(joints).all(axis=-1)
+    return np.where(finite[..., None], joints, 0.0), finite
+
+
+def _usable2d(joints: np.ndarray, confidence: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """2D joints (..., 24, 2) zero-filled where not finite, and the confidences
+    (..., 24), zeroed there."""
+    finite = np.isfinite(joints).all(axis=-1)
+    return np.where(finite[..., None], joints, 0.0), np.where(finite, confidence, 0.0)
+
+
 def frame_slice(tracks3d, tracks2d, frame: int, min_joints: int = MIN_JOINT_OVERLAP) -> FrameData:
     """Collect the persons that can take part in this frame's costs.
 
     Persons with fewer than ``min_joints`` usable joints are excluded
     entirely (below the pose-estimation identifiability floor).
     """
-    idx3, j3, m3, p3 = [], [], [], []
-    for i, t in enumerate(tracks3d):
-        if not t.valid[frame]:
-            continue
-        joints = t.joints[frame]
-        finite = np.isfinite(joints).all(axis=1)
-        if finite.sum() < min_joints:
-            continue
-        idx3.append(i)
-        j3.append(np.where(finite[:, None], joints, 0.0))
-        m3.append(finite)
-        p3.append(t.body_pose[frame])
-    idx2, j2, c2, p2 = [], [], [], []
-    for j, t in enumerate(tracks2d):
-        if not t.valid[frame]:
-            continue
-        joints = t.joints[frame]
-        conf = t.confidence[frame].copy()
-        finite = np.isfinite(joints).all(axis=1)
-        conf[~finite] = 0.0
-        if (conf > 0).sum() < min_joints:
-            continue
-        idx2.append(j)
-        j2.append(np.where(finite[:, None], joints, 0.0))
-        c2.append(conf)
-        p2.append(t.body_pose[frame])
 
-    def stack(items, shape):
-        return np.stack(items) if items else np.zeros((0,) + shape)
+    def at_frame(tracks, name, shape):
+        values = [getattr(t, name)[frame] for t in tracks if t.valid[frame]]
+        return np.stack(values) if values else np.zeros((0,) + shape)
 
+    joints3d, mask3d = _usable3d(at_frame(tracks3d, "joints", (JOINTS, 3)))
+    joints2d, conf2d = _usable2d(
+        at_frame(tracks2d, "joints", (JOINTS, 2)), at_frame(tracks2d, "confidence", (JOINTS,))
+    )
+    keep3 = mask3d.sum(axis=1) >= min_joints
+    keep2 = (conf2d > 0).sum(axis=1) >= min_joints
     return FrameData(
         frame=frame,
         n3d=len(tracks3d),
         n2d=len(tracks2d),
-        idx3d=np.array(idx3, dtype=int),
-        joints3d=stack(j3, (JOINTS, 3)),
-        mask3d=stack(m3, (JOINTS,)).astype(bool),
-        pose3d=stack(p3, (JOINTS, 3, 3)),
-        idx2d=np.array(idx2, dtype=int),
-        joints2d=stack(j2, (JOINTS, 2)),
-        conf2d=stack(c2, (JOINTS,)),
-        pose2d=stack(p2, (JOINTS, 3, 3)),
+        idx3d=np.flatnonzero([t.valid[frame] for t in tracks3d])[keep3],
+        joints3d=joints3d[keep3],
+        mask3d=mask3d[keep3],
+        pose3d=at_frame(tracks3d, "body_pose", (JOINTS, 3, 3))[keep3],
+        idx2d=np.flatnonzero([t.valid[frame] for t in tracks2d])[keep2],
+        joints2d=joints2d[keep2],
+        conf2d=conf2d[keep2],
+        pose2d=at_frame(tracks2d, "body_pose", (JOINTS, 3, 3))[keep2],
     )
 
 
-def _reprojection_matrix(fd: FrameData, extrinsics: Extrinsics, intrinsics: Intrinsics) -> np.ndarray:
-    """(p3, p2) confidence-weighted mean pixel distances under one camera pose."""
+def _reprojection_matrix(
+    joints3d: np.ndarray,
+    mask3d: np.ndarray,
+    joints2d: np.ndarray,
+    conf2d: np.ndarray,
+    extrinsics: Extrinsics,
+    intrinsics: Intrinsics,
+) -> np.ndarray:
+    """(p3, p2) confidence-weighted mean pixel distances under one camera pose.
+
+    Inputs are zero-filled and masked as in FrameData. A 2D person with zero
+    total confidence costs the image diagonal.
+    """
     penalty = intrinsics.diagonal
     proj = ProjectionMatrix.from_camera(intrinsics, extrinsics)
-    uv, front = project_masked(proj, fd.joints3d)  # (p3, 24, 2), (p3, 24)
-    ok = front & fd.mask3d
-    dist = np.linalg.norm(uv[:, None, :, :] - fd.joints2d[None, :, :, :], axis=-1)
+    uv, front = project_masked(proj, joints3d)  # (p3, 24, 2), (p3, 24)
+    ok = front & mask3d
+    dist = np.linalg.norm(uv[:, None, :, :] - joints2d[None, :, :, :], axis=-1)
     dist = np.where(ok[:, None, :], dist, penalty)  # (p3, p2, 24)
-    weights = fd.conf2d[None, :, :]
-    totals = fd.conf2d.sum(axis=1)[None, :]
-    return (weights * dist).sum(axis=-1) / totals
+    weighted = (conf2d[None, :, :] * dist).sum(axis=-1)
+    totals = conf2d.sum(axis=1)
+    return np.where(totals > 0, weighted / np.where(totals > 0, totals, 1.0), penalty)
 
 
 def _body_pose_matrix(
-    fd: FrameData,
-    extrinsics: Extrinsics,
-    intrinsics: Intrinsics,
+    roots: np.ndarray,
     fk3_origin: np.ndarray,
     fk2_origin: np.ndarray,
+    extrinsics: Extrinsics,
+    intrinsics: Intrinsics,
 ) -> np.ndarray:
-    """(p3, p2) mean pixel distances between skeleton poses, each 2D-side pose
-    rooted at the paired 3D person's root joint."""
+    """(p3, p2) mean pixel distances between skeleton poses posed at the
+    origin, each pair rooted at the 3D person's root joint (roots (p3, 3))."""
     penalty = intrinsics.diagonal
     proj = ProjectionMatrix.from_camera(intrinsics, extrinsics)
-    roots = fd.joints3d[:, 0]  # (p3, 3)
     uv3, front3 = project_masked(proj, fk3_origin + roots[:, None, :])
     pts2 = fk2_origin[None, :, :, :] + roots[:, None, None, :]  # (p3, p2, 24, 3)
     uv2, front2 = project_masked(proj, pts2)
@@ -541,9 +523,12 @@ def _body_pose_matrix(
 
 
 def _weighted_matrix(fd, extrinsics, intrinsics, lambda0, fk3_origin, fk2_origin) -> np.ndarray:
-    costs = _reprojection_matrix(fd, extrinsics, intrinsics)
+    costs = _reprojection_matrix(
+        fd.joints3d, fd.mask3d, fd.joints2d, fd.conf2d, extrinsics, intrinsics
+    )
     if lambda0 != 0.0:
-        costs = costs + lambda0 * _body_pose_matrix(fd, extrinsics, intrinsics, fk3_origin, fk2_origin)
+        pose = _body_pose_matrix(fd.joints3d[:, 0], fk3_origin, fk2_origin, extrinsics, intrinsics)
+        costs = costs + lambda0 * pose
     return costs
 
 
@@ -569,19 +554,29 @@ class _FramePnp:
     def for_pairs(self, pairs) -> Extrinsics | None:
         key = tuple(sorted(pairs))
         if key not in self._cache:
-            fd = self.fd
-            pts3, pts2 = [], []
-            for a, b in key:
-                usable = fd.mask3d[a] & (fd.conf2d[b] > 0)
-                pts3.append(fd.joints3d[a][usable])
-                pts2.append(fd.joints2d[b][usable])
-            pts3 = np.concatenate(pts3) if pts3 else np.zeros((0, 3))
-            pts2 = np.concatenate(pts2) if pts2 else np.zeros((0, 2))
-            try:
-                self._cache[key] = solve_pnp(pts3, pts2, self.intrinsics).extrinsics
-            except GeometryError:
-                self._cache[key] = None
+            fd, rows, cols = self.fd, [a for a, _ in key], [b for _, b in key]
+            self._cache[key] = _pnp_or_none(
+                fd.joints3d[rows], fd.mask3d[rows], fd.joints2d[cols], fd.conf2d[cols],
+                self.intrinsics,
+            )
         return self._cache[key]
+
+
+def _pnp_or_none(joints3d, mask3d, joints2d, conf2d, intrinsics: Intrinsics) -> Extrinsics | None:
+    """Camera pose fit to the usable joints of k paired persons.
+
+    Arrays are (k, 24, ...), pair-aligned, zero-filled and masked as in
+    FrameData; a joint is usable where its 3D position is finite and its 2D
+    confidence positive. Returns None with fewer than MIN_JOINT_OVERLAP usable
+    joints or when the fit fails.
+    """
+    usable = mask3d & (conf2d > 0)
+    if usable.sum() < MIN_JOINT_OVERLAP:
+        return None
+    try:
+        return solve_pnp(joints3d[usable], joints2d[usable], intrinsics).extrinsics
+    except GeometryError:
+        return None
 
 
 def optimize_frame_match(
@@ -625,7 +620,9 @@ def optimize_frame_match(
             seed = pnp.for_pairs([(a, b)])
             if seed is None:
                 continue
-            scores = -_reprojection_matrix(fd, seed, intrinsics)
+            scores = -_reprojection_matrix(
+                fd.joints3d, fd.mask3d, fd.joints2d, fd.conf2d, seed, intrinsics
+            )
             proposal = hungarian(CostMatrix(scores, maximize=True)).pairs
             if proposal and proposal not in seen:
                 seen.add(proposal)
@@ -651,7 +648,9 @@ def optimize_frame_match(
     if best_pairs is None:
         raise NoViableProposal(f"frame {fd.frame}: no proposal produced a valid pose")
 
-    residual_matrix = _reprojection_matrix(fd, best_extr, intrinsics)
+    residual_matrix = _reprojection_matrix(
+        fd.joints3d, fd.mask3d, fd.joints2d, fd.conf2d, best_extr, intrinsics
+    )
     kept, residuals = [], []
     for a, b in best_pairs:
         res = float(residual_matrix[a, b])
@@ -675,28 +674,16 @@ def variance_of_translations(extrinsics) -> float:
 
 
 def _pnp_at_frame(tracks3d, tracks2d, pairs, intrinsics, frame) -> Extrinsics | None:
-    pts3, pts2 = [], []
-    for i, j in pairs:
-        t3, t2 = tracks3d[i], tracks2d[j]
-        if not (t3.valid[frame] and t2.valid[frame]):
-            continue
-        usable = (
-            np.isfinite(t3.joints[frame]).all(axis=1)
-            & np.isfinite(t2.joints[frame]).all(axis=1)
-            & (t2.confidence[frame] > 0)
-        )
-        pts3.append(t3.joints[frame][usable])
-        pts2.append(t2.joints[frame][usable])
-    if not pts3:
+    both = [(tracks3d[i], tracks2d[j]) for i, j in pairs]
+    both = [(t3, t2) for t3, t2 in both if t3.valid[frame] and t2.valid[frame]]
+    if not both:
         return None
-    pts3 = np.concatenate(pts3)
-    pts2 = np.concatenate(pts2)
-    if pts3.shape[0] < MIN_JOINT_OVERLAP:
-        return None
-    try:
-        return solve_pnp(pts3, pts2, intrinsics).extrinsics
-    except GeometryError:
-        return None
+    joints3d, mask3d = _usable3d(np.stack([t3.joints[frame] for t3, _ in both]))
+    joints2d, conf2d = _usable2d(
+        np.stack([t2.joints[frame] for _, t2 in both]),
+        np.stack([t2.confidence[frame] for _, t2 in both]),
+    )
+    return _pnp_or_none(joints3d, mask3d, joints2d, conf2d, intrinsics)
 
 
 def smooth_extrinsics(sequence, window: int):
@@ -793,24 +780,18 @@ def match_sequences(
             stats.gate_variance,
             config.delta,
         )
-        evidence = np.zeros((n3, n2))
-        for t in range(frames):
-            fd = frame_slice(tracks3d, tracks2d, t)
-            try:
-                result = optimize_frame_match(fd, intrinsics, config, skeleton)
-            except NoViableProposal as exc:
-                logger.debug("frame %d skipped: %s", t, exc)
-                stats.frames_failed += 1
-                continue
-            for i, j in result.match.pairs:
-                evidence[i, j] += result.score
-            stats.frames_accumulated += 1
-        if stats.frames_accumulated == 0:
+        c_final = _accumulated_match(
+            tracks3d,
+            tracks2d,
+            frames,
+            lambda fd: _search_frame(fd, intrinsics, config, skeleton),
+            stats,
+        )
+        if c_final is None:
             logger.warning("keypoint search failed on every frame; keeping pose-only match")
             stats.fallback_to_pose = True
             c_final, m_final = c_init, m_init
         else:
-            c_final = hungarian(CostMatrix(evidence, maximize=True))
             m_final = [
                 _pnp_at_frame(tracks3d, tracks2d, c_final.pairs, intrinsics, t)
                 for t in range(frames)
@@ -847,11 +828,7 @@ def _mean_pair_residual(track3d, track2d, extrinsics_seq, intrinsics) -> float:
     for t, extr in enumerate(extrinsics_seq):
         if extr is None or not (track3d.valid[t] and track2d.valid[t]):
             continue
-        values.append(
-            _pair_pixel_cost(
-                track3d.joints[t], track2d.joints[t], track2d.confidence[t], extr, intrinsics
-            )
-        )
+        values.append(reprojection_cost(track3d, track2d, extr, intrinsics, t))
     return float(np.mean(values)) if values else math.inf
 
 
@@ -892,7 +869,7 @@ def match_with_strategy(
     if strategy == "P&T":
         return hungarian(CostMatrix(pose_similarity_matrix(tracks3d, tracks2d), maximize=True))
     if strategy == "Pose":
-        sims = frame_pose_similarity_matrix(tracks3d, tracks2d, frames // 2)
+        sims = _pose_similarities(tracks3d, tracks2d, slice(frames // 2, frames // 2 + 1))
         return hungarian(CostMatrix(sims, maximize=True))
     if strategy == "P&K":
         fd = frame_slice(tracks3d, tracks2d, frames // 2)
@@ -900,46 +877,55 @@ def match_with_strategy(
             return optimize_frame_match(fd, intrinsics, config, skeleton).match
         except NoViableProposal:
             return MatchSet.empty(n3, n2)
-    if strategy == "KP":
-        return _accumulated_match(
-            tracks3d, tracks2d, intrinsics, config,
-            lambda fd, t: _kp_frame(fd, t, intrinsics, config, skeleton, seed),
-        )
-    return _accumulated_match(
-        tracks3d, tracks2d, intrinsics, config,
-        lambda fd, t: _kps_frame(fd, intrinsics, config, skeleton),
+    frame_fn = (
+        (lambda fd: _kp_frame(fd, intrinsics, config, skeleton, seed))
+        if strategy == "KP"
+        else (lambda fd: _kps_frame(fd, intrinsics, config, skeleton))
     )
+    match = _accumulated_match(tracks3d, tracks2d, frames, frame_fn, PcmStats())
+    return match if match is not None else MatchSet.empty(n3, n2)
 
 
-def _accumulated_match(tracks3d, tracks2d, intrinsics, config, frame_fn) -> MatchSet:
-    frames = _common_timeline(tracks3d, tracks2d)
-    n3, n2 = len(tracks3d), len(tracks2d)
-    evidence = np.zeros((n3, n2))
-    accumulated = 0
+def _accumulated_match(tracks3d, tracks2d, frames, frame_fn, stats: PcmStats) -> MatchSet | None:
+    """Assignment maximizing the evidence summed over frames.
+
+    ``frame_fn(fd)`` returns a frame's winning pairs (track indices) and score,
+    or None when the frame has no winner; the score accumulates onto each
+    winning pair. Frames are counted in ``stats``. Returns None when no frame
+    had a winner.
+    """
+    evidence = np.zeros((len(tracks3d), len(tracks2d)))
     for t in range(frames):
-        fd = frame_slice(tracks3d, tracks2d, t)
-        result = frame_fn(fd, t)
+        result = frame_fn(frame_slice(tracks3d, tracks2d, t))
         if result is None:
+            stats.frames_failed += 1
             continue
         pairs, score = result
         for i, j in pairs:
             evidence[i, j] += score
-        accumulated += 1
-    if accumulated == 0:
-        return MatchSet.empty(n3, n2)
+        stats.frames_accumulated += 1
+    if stats.frames_accumulated == 0:
+        return None
     return hungarian(CostMatrix(evidence, maximize=True))
 
 
-def _kp_frame(fd, t, intrinsics, config, skeleton, seed):
-    if not fd.usable:
-        return None
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, t])))
-    row = int(rng.integers(len(fd.idx3d)))
+def _search_frame(fd, intrinsics, config, skeleton, seed_rows=None):
+    """Winning pairs (track indices) and score of one frame's proposal
+    search, or None when the frame has no viable proposal."""
     try:
-        result = optimize_frame_match(fd, intrinsics, config, skeleton, seed_rows=[row])
-    except NoViableProposal:
+        result = optimize_frame_match(fd, intrinsics, config, skeleton, seed_rows)
+    except NoViableProposal as exc:
+        logger.debug("frame %d skipped: %s", fd.frame, exc)
         return None
     return result.match.pairs, result.score
+
+
+def _kp_frame(fd, intrinsics, config, skeleton, seed):
+    if not fd.usable:
+        return None
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, fd.frame])))
+    row = int(rng.integers(len(fd.idx3d)))
+    return _search_frame(fd, intrinsics, config, skeleton, seed_rows=[row])
 
 
 def _kps_frame(fd, intrinsics, config, skeleton, max_enumeration: int = 5040):

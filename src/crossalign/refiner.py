@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfig
-from .geometry import DEPTH_EPS, Extrinsics, Intrinsics
+from .geometry import Extrinsics, Intrinsics, pinhole, pinhole_jacobian
 from .leastsq import damped_least_squares
 from .skeleton import JOINT_COUNT
 
@@ -88,14 +88,9 @@ def _camera_terms(obs: CameraObservation, candidate: np.ndarray):
     Errors of behind-camera joints are zeroed; their penalty is added
     separately because they carry no gradient.
     """
-    k = obs.intrinsics
     cam = candidate @ obs.extrinsics.rotation.T + obs.extrinsics.translation
-    z = cam[:, 2]
-    front = z > DEPTH_EPS
-    zs = np.where(front, z, 1.0)
-    u = k.fx * cam[:, 0] / zs + k.cx
-    v = k.fy * cam[:, 1] / zs + k.cy
-    err = np.stack([u, v], axis=1) - obs.joints2d
+    uv, front = pinhole(obs.intrinsics, cam)
+    err = uv - obs.joints2d
     err[~front] = 0.0
     return err, front, cam
 
@@ -113,67 +108,51 @@ def objective(problem: RefineProblem, candidate3d: np.ndarray) -> float:
     return total
 
 
-def objective_gradient(problem: RefineProblem, candidate3d: np.ndarray) -> np.ndarray:
-    """Analytic gradient of the objective with respect to the (24, 3) joints."""
-    candidate = np.asarray(candidate3d, dtype=float).reshape(JOINT_COUNT, 3)
-    grad = 2.0 * problem.lambda1 * (candidate - problem.initial3d)
+def _system(problem: RefineProblem, candidate: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Jacobian (m, 72) and residual (m,) of the differentiable part of the
+    objective at the (24, 3) candidate: the solver's own linearization.
+
+    Rows are the anchor block, then per camera the confidence-weighted data
+    block and the regularizer block; each camera block couples a joint's two
+    pixel residuals only to that joint's three coordinates.
+    """
+    anchor = np.sqrt(problem.lambda1)
+    rows_j = [anchor * np.eye(3 * JOINT_COUNT)]
+    rows_r = [anchor * (candidate - problem.initial3d).reshape(-1)]
+    joints = np.arange(JOINT_COUNT)
     for obs in problem.observations:
         err, front, cam = _camera_terms(obs, candidate)
-        k = obs.intrinsics
-        z = np.where(front, cam[:, 2], 1.0)
-        duv_dcam = np.zeros((JOINT_COUNT, 2, 3))
-        duv_dcam[:, 0, 0] = k.fx / z
-        duv_dcam[:, 0, 2] = -k.fx * cam[:, 0] / z**2
-        duv_dcam[:, 1, 1] = k.fy / z
-        duv_dcam[:, 1, 2] = -k.fy * cam[:, 1] / z**2
         # Chain through cam = R x + t.
-        duv_dx = np.einsum("jab,bc->jac", duv_dcam, obs.extrinsics.rotation)
-        weights = problem.lambda2 * obs.confidence + problem.lambda3
-        contrib = 2.0 * weights[:, None] * np.einsum("jab,ja->jb", duv_dx, err)
-        contrib[~front] = 0.0
-        grad += contrib
-    return grad
+        duv_dx = np.einsum(
+            "jab,bc->jac", pinhole_jacobian(obs.intrinsics, cam, front), obs.extrinsics.rotation
+        )
+        duv_dx[~front] = 0.0
+        for weight_sq in (problem.lambda2 * obs.confidence, np.full(JOINT_COUNT, problem.lambda3)):
+            scale = np.sqrt(weight_sq)
+            jac = np.zeros((2 * JOINT_COUNT, 3 * JOINT_COUNT))
+            jac.reshape(JOINT_COUNT, 2, JOINT_COUNT, 3)[joints, :, joints, :] = (
+                scale[:, None, None] * duv_dx
+            )
+            rows_j.append(jac)
+            rows_r.append((scale[:, None] * err).reshape(-1))
+    return np.vstack(rows_j), np.concatenate(rows_r)
+
+
+def objective_gradient(problem: RefineProblem, candidate3d: np.ndarray) -> np.ndarray:
+    """Gradient 2·Jᵀr of the objective with respect to the (24, 3) joints,
+    taken from the same ``_system`` the solver steps with."""
+    candidate = np.asarray(candidate3d, dtype=float).reshape(JOINT_COUNT, 3)
+    jac, res = _system(problem, candidate)
+    return (2.0 * (jac.T @ res)).reshape(JOINT_COUNT, 3)
 
 
 def refine(problem: RefineProblem, max_iterations: int = REFINE_MAX_ITERATIONS) -> RefineResult:
     """Minimize the objective from the initial joints; accepted steps strictly
     decrease it, so the trace is non-increasing. Returns the best iterate with
     ``converged=False`` if the iteration cap was hit while still improving."""
-
-    def system(candidate):
-        rows_j, rows_r = [], []
-        anchor = np.sqrt(problem.lambda1)
-        # Anchor block: diagonal, one residual per coordinate.
-        jac_anchor = anchor * np.eye(3 * JOINT_COUNT)
-        res_anchor = anchor * (candidate - problem.initial3d).reshape(-1)
-        rows_j.append(jac_anchor)
-        rows_r.append(res_anchor)
-        for obs in problem.observations:
-            err, front, cam = _camera_terms(obs, candidate)
-            k = obs.intrinsics
-            z = np.where(front, cam[:, 2], 1.0)
-            duv_dcam = np.zeros((JOINT_COUNT, 2, 3))
-            duv_dcam[:, 0, 0] = k.fx / z
-            duv_dcam[:, 0, 2] = -k.fx * cam[:, 0] / z**2
-            duv_dcam[:, 1, 1] = k.fy / z
-            duv_dcam[:, 1, 2] = -k.fy * cam[:, 1] / z**2
-            duv_dx = np.einsum("jab,bc->jac", duv_dcam, obs.extrinsics.rotation)
-            duv_dx[~front] = 0.0
-            for weight_sq in (
-                problem.lambda2 * obs.confidence,
-                np.full(JOINT_COUNT, problem.lambda3),
-            ):
-                scale = np.sqrt(weight_sq)
-                jac = np.zeros((2 * JOINT_COUNT, 3 * JOINT_COUNT))
-                for j in range(JOINT_COUNT):
-                    jac[2 * j : 2 * j + 2, 3 * j : 3 * j + 3] = scale[j] * duv_dx[j]
-                rows_j.append(jac)
-                rows_r.append((scale[:, None] * err).reshape(-1))
-        return np.vstack(rows_j), np.concatenate(rows_r)
-
     fit = damped_least_squares(
         problem.initial3d.copy(),
-        system,
+        lambda x: _system(problem, x),
         lambda x, delta: x + delta.reshape(JOINT_COUNT, 3),
         lambda x: objective(problem, x),
         max_iterations=max_iterations,

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from crossalign import cli
 from crossalign.cli import main
+from crossalign.refiner import RefineResult
 from crossalign.streams import load_match_output, parse_stream
 
 
@@ -197,6 +199,39 @@ class TestMatch:
         )
         assert code == 2
 
+    def test_nan_joint_without_confidence_keeps_every_pair(self, scene_dir, tmp_path):
+        camera = scene_dir / "camera_00.jsonl"
+        lines = camera.read_text().splitlines()
+        edited = [lines[0]]
+        for line in lines[1:]:
+            record = json.loads(line)
+            for person in record["persons"]:
+                if person["id"] == "cam0_t00":
+                    person["joints"][5] = [float("nan"), float("nan")]
+                    person["confidence"][5] = 0.0
+            edited.append(json.dumps(record))
+        camera.write_text("\n".join(edited) + "\n")
+        out = tmp_path / "match"
+        assert run_cli(
+            "match", "--lidar", str(scene_dir / "lidar.jsonl"), "--camera", str(camera),
+            "--out", str(out),
+        ) == 0
+        doc = load_match_output(sorted(out.iterdir())[0])
+        truth_header = json.loads((scene_dir / "truth.jsonl").read_text().splitlines()[0])
+        assert set(doc.pairs) == {tuple(pair) for pair in truth_header["correspondence"][0]}
+        assert len(doc.pairs) == 3
+
+    @pytest.mark.parametrize("field, value", [("n_iter", "two"), ("delta", "x")])
+    def test_non_numeric_config_value_exits_2(self, scene_dir, tmp_path, field, value):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({field: value}))
+        code = run_cli(
+            "match", "--lidar", str(scene_dir / "lidar.jsonl"),
+            "--camera", str(scene_dir / "camera_00.jsonl"),
+            "--config", str(config), "--out", str(tmp_path / "x"),
+        )
+        assert code == 2
+
 
 class TestRefine:
     @pytest.fixture()
@@ -294,6 +329,45 @@ class TestRefine:
             str(tmp_path / "never.jsonl"),
         )
         assert code == 2
+
+
+    def test_refine_after_match_with_relative_paths(self, noisy_scene, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        args = ["match", "--lidar", "scene/lidar.jsonl", "--camera", "scene/camera_00.jsonl"]
+        assert run_cli(*args, "--out", "m2") == 0
+        doc = load_match_output("m2/match_00_camera_00.json")
+        assert doc.camera_stream == "../scene/camera_00.jsonl"
+        assert doc.lidar_stream == "../scene/lidar.jsonl"
+        assert run_cli(
+            "refine", "--lidar", "scene/lidar.jsonl", "--match", "m2/match_00_camera_00.json",
+            "--out", "refined.jsonl",
+        ) == 0
+        # Absolute paths are recorded exactly as given.
+        camera = str(tmp_path / "scene" / "camera_00.jsonl")
+        assert run_cli("match", "--lidar", "scene/lidar.jsonl", "--camera", camera, "--out", "m3") == 0
+        assert load_match_output("m3/match_00_camera_00.json").camera_stream == camera
+
+    def test_non_converged_refinements_are_counted(self, noisy_scene, tmp_path, monkeypatch, caplog):
+        matches = self._run_match(noisy_scene, tmp_path / "match")
+        args = ["refine", "--lidar", str(noisy_scene / "lidar.jsonl")]
+        for m in matches:
+            args += ["--match", str(m)]
+        assert run_cli(*args, "--out", str(tmp_path / "converged.jsonl")) == 0
+        real = cli.refine
+        calls = []
+
+        def capped(problem):
+            result = real(problem)
+            calls.append(result)
+            return RefineResult(result.refined3d, result.objective_trace, False)
+
+        monkeypatch.setattr(cli, "refine", capped)
+        caplog.clear()
+        assert run_cli(*args, "--out", str(tmp_path / "capped.jsonl")) == 0
+        warnings = [r for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == 1
+        assert warnings[0].getMessage().startswith(f"{len(calls)} of {len(calls)} ")
+        assert (tmp_path / "capped.jsonl").read_bytes() == (tmp_path / "converged.jsonl").read_bytes()
 
 
 class TestBench:

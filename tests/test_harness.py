@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from crossalign import harness
 from crossalign.errors import InvalidSpec, IoFailure
 from crossalign.harness import (
     BenchRow,
@@ -77,6 +78,25 @@ class TestRunBench:
         for a, b in zip(serial.rows, threaded.rows):
             assert a.accuracy_mean == b.accuracy_mean
             assert a.accuracy_std == b.accuracy_std
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_each_scene_is_matched_once_per_mode(self, monkeypatch, threads):
+        calls = []
+        real = harness.match_with_strategy
+
+        def counting(mode, tracks3d, *args, **kwargs):
+            calls.append((mode, len(tracks3d)))
+            return real(mode, tracks3d, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "match_with_strategy", counting)
+        spec = tiny_spec(modes=("Pose", "P&T"), person_counts=(2, 3), seeds=(1, 2), repetitions=2)
+        report = run_bench(spec, threads=threads)
+        scenes_per_cell = len(spec.seeds) * spec.repetitions
+        assert sorted(calls) == sorted(
+            (mode, pc) for mode in spec.modes for pc in spec.person_counts
+            for _ in range(scenes_per_cell)
+        )
+        assert all(row.fps > 0 for row in report.rows)
 
     def test_refinement_stats_report_improvement(self):
         report = run_bench(tiny_spec(refine_trials=5))

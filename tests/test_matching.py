@@ -297,6 +297,22 @@ class TestReprojectionCost:
         t2z = PersonTrack2D("b", t2.joints, np.zeros((1, JOINTS)), t2.body_pose, t2.valid)
         assert reprojection_cost(t3, t2z, extr, k, 0) == k.diagonal
 
+    def test_nan_joint_without_confidence_is_ignored(self):
+        rng = np.random.default_rng(14)
+        t3, t2, extr, k = exact_scene_pair(rng)
+        noisy = t2.joints + rng.normal(0.0, 5.0, size=t2.joints.shape)
+        conf = rng.uniform(0.1, 1.0, size=(1, JOINTS))
+        noisy[0, 5] = np.nan
+        conf[0, 5] = 0.0
+        t2n = PersonTrack2D("b", noisy, conf, t2.body_pose, t2.valid)
+        proj = projection_for(k, extr)
+        others = [j for j in range(JOINTS) if j != 5]
+        dists = [np.linalg.norm(project(proj, t3.joints[0, j]) - noisy[0, j]) for j in others]
+        expected = np.dot(conf[0, others], dists) / conf[0, others].sum()
+        cost = reprojection_cost(t3, t2n, extr, k, 0)
+        assert math.isfinite(cost)
+        assert cost == pytest.approx(expected, abs=1e-10)
+
 
 class TestBodyPoseCost:
     def test_identical_poses_cost_zero(self):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from crossalign import refiner
 from crossalign.matching import JOINTS
 from crossalign.geometry import project
 from crossalign.refiner import (
@@ -107,6 +108,30 @@ class TestGradient:
             scale = np.maximum(np.abs(numeric), 1.0)
             rel = np.abs(grad.reshape(-1) - numeric) / scale
             assert rel.max() < 1e-4
+
+
+    def test_equals_twice_jt_r_of_the_solver_system(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        joints = person_joints(rng)
+        conf = rng.uniform(0.1, 1.0, size=JOINTS)
+        problem = RefineProblem(
+            joints,
+            (observation_of(joints, rng, noise=4.0, conf=conf), observation_of(joints, rng, noise=4.0)),
+        )
+        captured = []
+        solver = refiner.damped_least_squares
+
+        def capturing(x0, system, *args, **kwargs):
+            captured.append(system)
+            return solver(x0, system, *args, **kwargs)
+
+        monkeypatch.setattr(refiner, "damped_least_squares", capturing)
+        result = refine(problem)
+        assert len(captured) == 1
+        for candidate in (joints, joints + rng.normal(0.0, 0.08, size=joints.shape), result.refined3d):
+            jac, res = captured[0](candidate)
+            expected = (2.0 * (jac.T @ res)).reshape(JOINTS, 3)
+            assert np.array_equal(objective_gradient(problem, candidate), expected)
 
 
 class TestRefine:
