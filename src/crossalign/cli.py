@@ -15,6 +15,7 @@ import logging
 import math
 import os
 import sys
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -158,13 +159,32 @@ def load_bench_spec(path: str | Path) -> BenchSpec:
     unknown = set(payload) - fields
     if unknown:
         raise InvalidSpec(f"{path}: unknown bench fields {sorted(unknown)}")
-    for key in ("modes", "person_counts", "pixel_noise_sigmas", "synchronized", "seeds"):
-        if key in payload:
+    for key, kind in typing.get_type_hints(BenchSpec).items():
+        if key in payload and not _has_json_type(payload[key], kind):
+            raise InvalidSpec(f"{path}: {key} must be {_type_label(kind)}, got {payload[key]!r}")
+        if key in payload and typing.get_origin(kind) is tuple:
             payload[key] = tuple(payload[key])
     try:
         return BenchSpec(**payload)
     except TypeError as exc:
         raise InvalidSpec(f"{path}: {exc}") from None
+
+
+def _has_json_type(value, kind) -> bool:
+    """Whether a parsed JSON value fits a field of type ``kind``: bool, int,
+    float (an int is accepted), str, or tuple[X, ...] (a JSON list)."""
+    if typing.get_origin(kind) is tuple:
+        element = typing.get_args(kind)[0]
+        return isinstance(value, list) and all(_has_json_type(v, element) for v in value)
+    if kind is bool or isinstance(value, bool):
+        return kind is bool and isinstance(value, bool)
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _type_label(kind) -> str:
+    if typing.get_origin(kind) is tuple:
+        return f"a list of {typing.get_args(kind)[0].__name__}"
+    return f"a JSON {kind.__name__}"
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +309,8 @@ def cmd_match(args) -> int:
                 "frames_accumulated": result.stats.frames_accumulated,
                 "frames_failed": result.stats.frames_failed,
                 "fallback_to_pose": result.stats.fallback_to_pose,
+                "pnp_attempted": result.stats.pnp_attempted,
+                "pnp_failed": dict(result.stats.pnp_failed),
             }
         else:
             raw = match_with_strategy(

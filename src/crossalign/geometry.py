@@ -19,15 +19,18 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
 from .errors import (
     DegenerateConfiguration,
+    GeometryError,
     InsufficientCorrespondences,
     NoConvergence,
     NonPositiveDepth,
 )
-from .leastsq import damped_least_squares
+
+# ``damped_least_squares`` stays bound here for perfbench's tracer, which
+# wraps it at this module as well as at the refiner.
+from .leastsq import damped_least_squares, damped_least_squares_batch  # noqa: F401
 
 # Points closer to the camera plane than this (meters) count as behind it.
 DEPTH_EPS = 1e-6
@@ -45,6 +48,13 @@ MIN_CORRESPONDENCES_PLANAR = 8
 PNP_MAX_ITERATIONS = 100
 PNP_REL_TOL = 1e-10
 
+# Most padded points one Gauss-Newton evaluation of a pose batch covers; bounds
+# the solver's working memory (a few hundred bytes per point).
+PNP_BATCH_POINTS = 4096
+
+# Problems per stacked DLT decomposition.
+DLT_CHUNK = 32
+
 
 def check_rotation(matrix: np.ndarray, atol: float = ROTATION_ATOL) -> np.ndarray:
     """Validate a 3x3 rotation (orthonormal, det +1) and return it as float64."""
@@ -61,12 +71,12 @@ def check_rotation(matrix: np.ndarray, atol: float = ROTATION_ATOL) -> np.ndarra
 
 
 def orthonormalize(matrix: np.ndarray) -> np.ndarray:
-    """Project a near-rotation onto the closest proper rotation (polar factor)."""
+    """Project near-rotations (..., 3, 3) onto the closest proper rotations
+    (polar factor)."""
     u, _, vt = np.linalg.svd(np.asarray(matrix, dtype=float))
-    r = u @ vt
-    if np.linalg.det(r) < 0:
-        r = u @ np.diag([1.0, 1.0, -1.0]) @ vt
-    return r
+    improper = np.linalg.det(u @ vt) < 0
+    u[..., :, 2] = np.where(improper[..., None], -u[..., :, 2], u[..., :, 2])
+    return u @ vt
 
 
 @dataclass(frozen=True)
@@ -191,26 +201,26 @@ def project_masked(projection: ProjectionMatrix, points: np.ndarray) -> tuple[np
 
 
 def pinhole(intrinsics: Intrinsics, cam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Project camera-frame points (n, 3) to (pixels (n, 2), in-front mask (n,)).
+    """Project camera-frame points (..., 3) to (pixels (..., 2), in-front mask (...,)).
 
     Pixels where the mask is False are finite but meaningless.
     """
-    z = cam[:, 2]
+    z = cam[..., 2]
     front = z > DEPTH_EPS
     zs = np.where(front, z, 1.0)
-    u = intrinsics.fx * cam[:, 0] / zs + intrinsics.cx
-    v = intrinsics.fy * cam[:, 1] / zs + intrinsics.cy
-    return np.stack([u, v], axis=1), front
+    u = intrinsics.fx * cam[..., 0] / zs + intrinsics.cx
+    v = intrinsics.fy * cam[..., 1] / zs + intrinsics.cy
+    return np.stack([u, v], axis=-1), front
 
 
 def pinhole_jacobian(intrinsics: Intrinsics, cam: np.ndarray, front: np.ndarray) -> np.ndarray:
-    """duv/dcam (n, 2, 3) of ``pinhole``; rows where ``front`` is False are meaningless."""
-    z = np.where(front, cam[:, 2], 1.0)
-    duv_dcam = np.zeros((cam.shape[0], 2, 3))
-    duv_dcam[:, 0, 0] = intrinsics.fx / z
-    duv_dcam[:, 0, 2] = -intrinsics.fx * cam[:, 0] / z**2
-    duv_dcam[:, 1, 1] = intrinsics.fy / z
-    duv_dcam[:, 1, 2] = -intrinsics.fy * cam[:, 1] / z**2
+    """duv/dcam (..., 2, 3) of ``pinhole``; rows where ``front`` is False are meaningless."""
+    z = np.where(front, cam[..., 2], 1.0)
+    duv_dcam = np.zeros(cam.shape[:-1] + (2, 3))
+    duv_dcam[..., 0, 0] = intrinsics.fx / z
+    duv_dcam[..., 0, 2] = -intrinsics.fx * cam[..., 0] / z**2
+    duv_dcam[..., 1, 1] = intrinsics.fy / z
+    duv_dcam[..., 1, 2] = -intrinsics.fy * cam[..., 1] / z**2
     return duv_dcam
 
 
@@ -245,144 +255,292 @@ def solve_pnp(
     homography-based variant when the 3D points are coplanar) followed by
     damped Gauss-Newton on the 6-DoF pose, minimizing summed squared pixel
     reprojection error. Needs >= 6 pairs in general position, >= 8 if the
-    points are coplanar.
+    points are coplanar. The one-problem case of ``solve_pnp_batch``.
     """
-    x3 = np.asarray(points3d, dtype=float).reshape(-1, 3)
-    x2 = np.asarray(points2d, dtype=float).reshape(-1, 2)
-    if x3.shape[0] != x2.shape[0]:
-        raise ValueError("points3d and points2d must pair up one-to-one")
-    keep = np.isfinite(x3).all(axis=1) & np.isfinite(x2).all(axis=1)
-    x3, x2 = x3[keep], x2[keep]
-    n = x3.shape[0]
-    if n < MIN_CORRESPONDENCES:
-        raise InsufficientCorrespondences(f"{n} valid pairs, need >= {MIN_CORRESPONDENCES}")
+    outcome = solve_pnp_batch(
+        [(points3d, points2d)], intrinsics, max_iterations=max_iterations, rel_tol=rel_tol
+    )[0]
+    if isinstance(outcome, GeometryError):
+        raise outcome
+    return outcome
 
-    centered = x3 - x3.mean(axis=0)
-    spread = np.linalg.svd(centered, compute_uv=False)
-    if spread[0] <= 0 or spread[1] < PLANARITY_RTOL * spread[0]:
-        raise DegenerateConfiguration("3D points are collinear")
-    coplanar = spread[2] < PLANARITY_RTOL * spread[0]
-    if coplanar and n < MIN_CORRESPONDENCES_PLANAR:
-        raise DegenerateConfiguration(
-            f"coplanar points need >= {MIN_CORRESPONDENCES_PLANAR} pairs, got {n}"
+
+def solve_pnp_batch(
+    problems,
+    intrinsics: Intrinsics,
+    *,
+    max_iterations: int = PNP_MAX_ITERATIONS,
+    rel_tol: float = PNP_REL_TOL,
+) -> list:
+    """Solve independent pose problems ``(points3d, points2d)`` under one camera.
+
+    Returns, per problem and in order, its PnpResult or the GeometryError that
+    ``solve_pnp`` raises for it. No problem's outcome depends on the rest of
+    the batch: linear initialization stacks problems of equal point count,
+    and Gauss-Newton pads problems to a common point count with masked rows,
+    summing over points in order so that padding adds exact zeros last.
+    ``problems`` may be any iterable; its points are copied once.
+    """
+    outcomes: list = []
+    kept = []  # (index, points3d, points2d) of the problems with enough finite pairs
+    for index, (points3d, points2d) in enumerate(problems):
+        x3 = np.asarray(points3d, dtype=float).reshape(-1, 3)
+        x2 = np.asarray(points2d, dtype=float).reshape(-1, 2)
+        if x3.shape[0] != x2.shape[0]:
+            raise ValueError("points3d and points2d must pair up one-to-one")
+        keep = np.isfinite(x3).all(axis=1) & np.isfinite(x2).all(axis=1)
+        n = int(keep.sum())
+        if n < MIN_CORRESPONDENCES:
+            outcomes.append(InsufficientCorrespondences(
+                f"{n} valid pairs, need >= {MIN_CORRESPONDENCES}"
+            ))
+            continue
+        outcomes.append(None)
+        kept.append((index, x3[keep], x2[keep]) if n < len(keep) else (index, x3, x2))
+    if not kept:
+        return outcomes
+
+    # One copy of all points; problems address it by offset and count.
+    indices = [index for index, _, _ in kept]
+    counts = np.array([len(x3) for _, x3, _ in kept])
+    offsets = np.cumsum(counts) - counts
+    points3d = np.concatenate([x3 for _, x3, _ in kept])
+    points2d = np.concatenate([x2 for _, _, x2 in kept])
+    del kept
+
+    by_count: dict[int, list] = {}
+    for k, n in enumerate(counts.tolist()):
+        by_count.setdefault(n, []).append(k)
+    starts = []  # (problem, initial rotation, initial translation)
+    for n, group in by_count.items():
+        for lo in range(0, len(group), DLT_CHUNK):
+            chunk = group[lo : lo + DLT_CHUNK]
+            rows = offsets[chunk, None] + np.arange(n)
+            for k, init in zip(chunk, _initial_poses(points3d[rows], points2d[rows], intrinsics)):
+                if isinstance(init, GeometryError):
+                    outcomes[indices[k]] = init
+                else:
+                    starts.append((k,) + init)
+    if starts:
+        # Similar point counts run side by side, so little of a run is padding.
+        starts.sort(key=lambda start: (counts[start[0]], start[0]))
+        order = np.array([k for k, _, _ in starts])
+        pose0 = np.stack([np.column_stack([rot, trans]) for _, rot, trans in starts])
+        fits = _refine_poses(
+            points3d, points2d, offsets[order], counts[order], pose0, intrinsics,
+            max_iterations, rel_tol,
         )
+        for k, outcome in zip(order, fits):
+            outcomes[indices[k]] = outcome
+    return outcomes
 
+
+def _initial_poses(x3: np.ndarray, x2: np.ndarray, intrinsics: Intrinsics) -> list:
+    """Linear pose estimates (rotation, translation) or GeometryError for k
+    problems of n finite points each, x3 (k, n, 3) and x2 (k, n, 2)."""
+    k, n = x3.shape[:2]
+    centered = x3 - x3.mean(axis=1, keepdims=True)
+    spread = np.linalg.svd(centered, compute_uv=False)
+    collinear = (spread[:, 0] <= 0) | (spread[:, 1] < PLANARITY_RTOL * spread[:, 0])
+    coplanar = ~collinear & (spread[:, 2] < PLANARITY_RTOL * spread[:, 0])
     # Normalized image coordinates (intrinsics removed).
     xn = (x2 - [intrinsics.cx, intrinsics.cy]) / [intrinsics.fx, intrinsics.fy]
-    if coplanar:
-        r0, t0 = _init_planar(x3, xn)
-    else:
-        r0, t0 = _init_dlt(x3, xn)
 
+    out: list = [None] * k
+    general = np.flatnonzero(~collinear & ~coplanar)
+    if len(general):
+        rotations, translations, full_rank = _init_dlt(x3[general], xn[general])
+        for i, rot, trans, ok in zip(general, rotations, translations, full_rank):
+            out[i] = (rot, trans) if ok else DegenerateConfiguration(
+                "rank-deficient normal equations in DLT"
+            )
+    for i in np.flatnonzero(collinear):
+        out[i] = DegenerateConfiguration("3D points are collinear")
+    for i in np.flatnonzero(coplanar):
+        if n < MIN_CORRESPONDENCES_PLANAR:
+            out[i] = DegenerateConfiguration(
+                f"coplanar points need >= {MIN_CORRESPONDENCES_PLANAR} pairs, got {n}"
+            )
+            continue
+        try:
+            out[i] = _init_planar(x3[i], xn[i])
+        except DegenerateConfiguration as exc:
+            out[i] = exc
+    return out
+
+
+def _refine_poses(
+    points3d, points2d, offsets, counts, pose0, intrinsics: Intrinsics, max_iterations, rel_tol
+) -> list:
+    """Damped Gauss-Newton on the 6-DoF poses [R | t] ``pose0`` (k, 3, 4) of
+    a batch of problems, each minimizing its summed squared pixel
+    reprojection error; PnpResult or NoConvergence per problem.
+
+    Problem i owns the ``counts[i]`` points from ``offsets[i]`` on; counts
+    ascend. Each evaluation pads the problems it covers to their largest
+    count, in runs of at most PNP_BATCH_POINTS padded points, point-major:
+    arrays are (point, problem, ...), so sums over points run in point order
+    and the padding adds exact zeros last.
+    """
     penalty = intrinsics.diagonal
 
-    def residual_block(pose):
-        rot, trans = pose
-        cam = x3 @ rot.T + trans
+    def padded(kernel):
+        """Apply ``kernel(x3, x2, valid, pose)`` to the padded points of runs
+        of the (ascending) ``rows``."""
+
+        def run(pose, rows):
+            step = max(1, PNP_BATCH_POINTS // counts[rows[-1]])
+            pieces = []
+            for lo in range(0, len(rows), step):
+                run_rows = rows[lo : lo + step]
+                width = np.arange(counts[run_rows[-1]])[:, None]
+                valid = width < counts[run_rows]
+                index = np.where(valid, offsets[run_rows] + width, 0)
+                pieces.append(kernel(points3d[index], points2d[index], valid, pose[lo : lo + step]))
+            return tuple(np.concatenate(arrays) for arrays in zip(*pieces))
+
+        return run
+
+    def residual_block(x3, x2, valid, pose):
+        cam = pose[..., 3] + x3[..., 0, None] * pose[..., 0]
+        cam += x3[..., 1, None] * pose[..., 1]
+        cam += x3[..., 2, None] * pose[..., 2]
         uv, front = pinhole(intrinsics, cam)
         res = uv - x2
-        res[~front] = penalty  # constant penalty, no gradient
-        return cam, front, res
+        res[~valid] = 0.0  # padding
+        res[valid & ~front] = penalty  # constant penalty, no gradient
+        return cam, valid & front, res
 
-    def objective(pose):
-        _, _, res = residual_block(pose)
-        return float((res**2).sum())
+    @padded
+    def objective(x3, x2, valid, pose):
+        res = residual_block(x3, x2, valid, pose)[2]
+        return ((res * res).sum(axis=0).sum(axis=1),)
 
-    def system(pose):
-        rot, trans = pose
-        cam, front, res = residual_block(pose)
-        # Left-multiplicative rotation update: dcam/dw = -[cam - t]x, dcam/dt = I.
-        rx = cam - trans
-        dcam = np.zeros((x3.shape[0], 3, 6))
-        dcam[:, 0, 1] = rx[:, 2]
-        dcam[:, 0, 2] = -rx[:, 1]
-        dcam[:, 1, 0] = -rx[:, 2]
-        dcam[:, 1, 2] = rx[:, 0]
-        dcam[:, 2, 0] = rx[:, 1]
-        dcam[:, 2, 1] = -rx[:, 0]
-        dcam[:, :, 3:] = np.eye(3)
-        jac = np.einsum("nij,njk->nik", pinhole_jacobian(intrinsics, cam, front), dcam)
-        jac[~front] = 0.0
-        return jac.reshape(-1, 6), res.reshape(-1)
+    @padded
+    def system(x3, x2, valid, pose):
+        cam, live, res = residual_block(x3, x2, valid, pose)
+        # Left-multiplicative rotation update: dcam/dw = -[cam - t]x and
+        # dcam/dt = I, so a pixel row's rotation part is (cam - t) x duv/dcam.
+        duv = pinhole_jacobian(intrinsics, cam, live)
+        r = (cam - pose[..., 3])[..., None, :]
+        jac = np.empty(duv.shape[:-1] + (6,))  # (point, problem, pixel axis, 6)
+        jac[..., 0] = r[..., 1] * duv[..., 2] - r[..., 2] * duv[..., 1]
+        jac[..., 1] = r[..., 2] * duv[..., 0] - r[..., 0] * duv[..., 2]
+        jac[..., 2] = r[..., 0] * duv[..., 1] - r[..., 1] * duv[..., 0]
+        jac[..., 3:] = duv
+        jac[~live] = 0.0
+        # One column at a time keeps the temporaries at the size of ``jac``.
+        hess = np.stack([(jac[..., i : i + 1] * jac).sum(axis=0) for i in range(6)], axis=1)
+        grad = (jac * res[..., None]).sum(axis=0)
+        return hess.sum(axis=2), grad.sum(axis=1)
 
-    def apply_step(pose, delta):
-        rot, trans = pose
-        return Rotation.from_rotvec(delta[:3]).as_matrix() @ rot, trans + delta[3:]
+    def apply_step(pose, delta, rows):
+        stepped = np.empty_like(pose)
+        stepped[..., :3] = _rotvec_matrices(delta[:, :3]) @ pose[..., :3]
+        stepped[..., 3] = pose[..., 3] + delta[:, 3:]
+        return stepped
 
-    fit = damped_least_squares(
-        (r0, t0),
+    fits = damped_least_squares_batch(
+        pose0,
         system,
         apply_step,
-        objective,
+        lambda pose, rows: objective(pose, rows)[0],
         max_iterations=max_iterations,
         rel_tol=rel_tol,
     )
-    if not fit.converged:
-        raise NoConvergence(f"pose refinement still improving after {fit.iterations} iterations")
+    rotations = orthonormalize(np.stack([fit.x[:, :3] for fit in fits]))
+    out = []
+    for fit, rot, n in zip(fits, rotations, counts):
+        if not fit.converged:
+            out.append(NoConvergence(
+                f"pose refinement still improving after {fit.iterations} iterations"
+            ))
+            continue
+        rms = float(np.sqrt(fit.objective_trace[-1] / n))
+        out.append(PnpResult(
+            Extrinsics(rot, fit.x[:, 3]), rms, fit.iterations, fit.converged, fit.objective_trace
+        ))
+    return out
 
-    rot, trans = fit.x
-    extr = Extrinsics(orthonormalize(rot), trans)
-    rms = float(np.sqrt(fit.objective_trace[-1] / n))
-    return PnpResult(extr, rms, fit.iterations, fit.converged, fit.objective_trace)
+
+def _rotvec_matrices(rotvecs: np.ndarray) -> np.ndarray:
+    """Rotation matrices (k, 3, 3) of rotation vectors (k, 3), by Rodrigues'
+    formula R = I + sin(a)/a K + 2 sin^2(a/2)/a^2 K^2 with a = |w|, K = [w]x."""
+    angle = np.sqrt((rotvecs**2).sum(axis=-1))
+    nonzero = angle > 0
+    safe = np.where(nonzero, angle, 1.0)
+    sinc = np.where(nonzero, np.sin(safe) / safe, 1.0)
+    half = np.sin(0.5 * safe) / (0.5 * safe)
+    cosc = np.where(nonzero, 0.5 * half * half, 0.5)
+    wx, wy, wz = rotvecs[:, 0], rotvecs[:, 1], rotvecs[:, 2]
+    zero = np.zeros_like(wx)
+    skew = np.stack([zero, -wz, wy, wz, zero, -wx, -wy, wx, zero], axis=-1).reshape(-1, 3, 3)
+    return np.eye(3) + sinc[:, None, None] * skew + cosc[:, None, None] * (skew @ skew)
 
 
 def _hartley_normalization(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Translate centroid to origin and scale RMS radius to sqrt(d).
+    """Translate each point set (..., n, d) to its centroid and scale its RMS
+    radius to sqrt(d).
 
-    Returns the normalized points and the (d+1, d+1) homogeneous transform
-    applied to them.
+    Returns the normalized points and the (..., d+1, d+1) homogeneous
+    transforms applied to them.
     """
     pts = np.asarray(points, dtype=float)
-    d = pts.shape[1]
-    centroid = pts.mean(axis=0)
-    rms = np.sqrt(((pts - centroid) ** 2).sum(axis=1).mean())
-    scale = np.sqrt(d) / rms if rms > 0 else 1.0
-    transform = np.eye(d + 1)
-    transform[:d, :d] *= scale
-    transform[:d, d] = -scale * centroid
-    return (pts - centroid) * scale, transform
+    d = pts.shape[-1]
+    centroid = pts.mean(axis=-2, keepdims=True)
+    rms = np.sqrt(((pts - centroid) ** 2).sum(axis=-1).mean(axis=-1))
+    scale = np.where(rms > 0, np.sqrt(d) / np.where(rms > 0, rms, 1.0), 1.0)
+    transform = np.zeros(pts.shape[:-2] + (d + 1, d + 1))
+    transform[..., :d, :d] = np.eye(d) * scale[..., None, None]
+    transform[..., :d, d] = -scale[..., None] * centroid[..., 0, :]
+    transform[..., d, d] = 1.0
+    return (pts - centroid) * scale[..., None, None], transform
 
 
-def _init_dlt(x3: np.ndarray, xn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Direct linear transform for a calibrated 3x4 pose, general position."""
-    n = x3.shape[0]
+def _init_dlt(x3: np.ndarray, xn: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Direct linear transform for the calibrated 3x4 poses of k problems in
+    general position, x3 (k, n, 3) and xn (k, n, 2).
+
+    Returns rotations (k, 3, 3), translations (k, 3) and the mask of problems
+    whose system has rank 11; the others are degenerate.
+    """
+    k, n = x3.shape[:2]
     p3, t3 = _hartley_normalization(x3)
     p2, t2 = _hartley_normalization(xn)
 
-    xh = np.hstack([p3, np.ones((n, 1))])
-    a = np.zeros((2 * n, 12))
-    a[0::2, 0:4] = xh
-    a[0::2, 8:12] = -p2[:, 0:1] * xh
-    a[1::2, 4:8] = xh
-    a[1::2, 8:12] = -p2[:, 1:2] * xh
+    xh = np.concatenate([p3, np.ones((k, n, 1))], axis=-1)
+    a = np.zeros((k, 2 * n, 12))
+    a[:, 0::2, 0:4] = xh
+    a[:, 0::2, 8:12] = -p2[..., 0:1] * xh
+    a[:, 1::2, 4:8] = xh
+    a[:, 1::2, 8:12] = -p2[..., 1:2] * xh
 
-    _, s, vt = np.linalg.svd(a)
+    _, s, vt = np.linalg.svd(a, full_matrices=False)
     # The system must determine the pose up to scale: rank 11. A smaller rank
     # means multiple consistent poses (degenerate geometry).
-    if s[10] < 1e-10 * s[0]:
-        raise DegenerateConfiguration("rank-deficient normal equations in DLT")
-    p_hat = vt[-1].reshape(3, 4)
+    full_rank = ~(s[:, 10] < 1e-10 * s[:, 0])
+    p_hat = vt[:, -1].reshape(k, 3, 4)
     p = np.linalg.inv(t2) @ p_hat @ t3
-    return _factor_calibrated(p)
+    rot, trans = _factor_calibrated(p)
+    return rot, trans, full_rank
 
 
 def _factor_calibrated(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split a normalized-coordinate 3x4 matrix p ~ s[R | t] into (R, t)."""
-    b = p[:, :3]
-    u, s, vt = np.linalg.svd(b)
+    """Split normalized-coordinate matrices p ~ s[R | t] (..., 3, 4) into (R, t)."""
+    u, s, vt = np.linalg.svd(p[..., :3])
     rot = u @ vt
-    scale = s.mean()
-    if np.linalg.det(rot) < 0:
-        rot = -rot
-        scale = -scale
-    return rot, p[:, 3] / scale
+    scale = s.mean(axis=-1)
+    improper = np.linalg.det(rot) < 0
+    rot = np.where(improper[..., None, None], -rot, rot)
+    scale = np.where(improper, -scale, scale)
+    return rot, p[..., 3] / scale[..., None]
 
 
 def _init_planar(x3: np.ndarray, xn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Homography-based initialization for coplanar 3D points."""
     n = x3.shape[0]
     centroid = x3.mean(axis=0)
-    _, _, vt = np.linalg.svd(x3 - centroid)
+    _, _, vt = np.linalg.svd(x3 - centroid, full_matrices=False)
     e1, e2 = vt[0], vt[1]
     plane = np.stack([(x3 - centroid) @ e1, (x3 - centroid) @ e2], axis=1)
 
@@ -394,7 +552,7 @@ def _init_planar(x3: np.ndarray, xn: np.ndarray) -> tuple[np.ndarray, np.ndarray
     a[0::2, 6:9] = -p2[:, 0:1] * ph
     a[1::2, 3:6] = ph
     a[1::2, 6:9] = -p2[:, 1:2] * ph
-    _, s, vt9 = np.linalg.svd(a)
+    _, s, vt9 = np.linalg.svd(a, full_matrices=False)
     if s[7] < 1e-10 * s[0]:
         raise DegenerateConfiguration("rank-deficient homography system")
     h = np.linalg.inv(t2) @ vt9[-1].reshape(3, 3) @ tp

@@ -4,6 +4,9 @@ Both refiners use the same acceptance schedule: a trial step is accepted only
 if it strictly decreases the objective, damping shrinks by 10x on acceptance
 and grows by 10x on rejection. This guarantees a non-increasing objective
 trace, which downstream invariants rely on.
+
+The schedule is written once, over a batch of independent problems that each
+keep their own damping; ``damped_least_squares`` is its one-problem case.
 """
 
 from __future__ import annotations
@@ -51,49 +54,124 @@ def damped_least_squares(
     Returns ``converged=False`` only if the iteration cap was hit while steps
     were still making progress.
     """
-    f = float(objective(x0))
-    trace = [f]
-    x = x0
-    if not np.isfinite(f):
-        return LeastSquaresResult(x, trace, False, 0)
-    if f == 0.0:
-        return LeastSquaresResult(x, trace, True, 0)
 
-    mu = MU_INITIAL
-    iterations = 0
-    converged = False
-    for _ in range(max_iterations):
-        iterations += 1
-        jac, res = system(x)
-        hess = jac.T @ jac
-        grad = jac.T @ res
-        k = hess.shape[0]
-        eye = np.eye(k)
+    def one(value):
+        holder = np.empty(1, dtype=object)
+        holder[0] = value
+        return holder
 
-        rel_decrease = None
-        while True:
-            try:
-                delta = np.linalg.solve(hess + mu * eye, -grad)
-            except np.linalg.LinAlgError:
-                delta = None
-            if delta is not None:
-                x_new = apply_step(x, delta)
-                f_new = float(objective(x_new))
-            if delta is None or not f_new < f:
-                mu *= MU_GROWTH
-                if mu > MU_CEILING:
-                    # No strictly decreasing step exists: the relative
-                    # decrease is zero, which meets any positive tolerance.
-                    return LeastSquaresResult(x, trace, True, iterations)
-                continue
-            rel_decrease = (f - f_new) / f
-            x, f = x_new, f_new
-            trace.append(f)
-            mu = max(mu * MU_SHRINK, MU_FLOOR)
+    def normal_equations(x, rows):
+        jac, res = system(x[0])
+        return (jac.T @ jac)[None], (jac.T @ res)[None]
+
+    return damped_least_squares_batch(
+        one(x0),
+        normal_equations,
+        lambda x, delta, rows: one(apply_step(x[0], delta[0])),
+        lambda x, rows: np.array([float(objective(x[0]))]),
+        max_iterations=max_iterations,
+        rel_tol=rel_tol,
+    )[0]
+
+
+def damped_least_squares_batch(
+    x0: np.ndarray,
+    system: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
+    apply_step: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+    objective: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    *,
+    max_iterations: int,
+    rel_tol: float = REL_TOL_DEFAULT,
+) -> list[LeastSquaresResult]:
+    """Run the damped Gauss-Newton schedule on independent problems at once.
+
+    ``x0`` stacks one parameter block per problem along axis 0. Every callback
+    receives the parameters ``x`` of a subset of the problems and ``rows``,
+    their indices into the batch: ``system(x, rows)`` returns the normal
+    equations ``JᵀJ`` (k, d, d) and ``Jᵀr`` (k, d), ``apply_step(x, delta,
+    rows)`` retracts the steps ``delta`` (k, d), and ``objective(x, rows)``
+    returns (k,) values.
+
+    Each problem follows the one-problem schedule exactly, with its own
+    damping and stopping rule; a round re-linearizes only the problems whose
+    last step was accepted. Returns one result per problem, in batch order.
+    """
+    x = x0.copy()
+    count = len(x)
+    f = np.asarray(objective(x, np.arange(count)), dtype=float)
+    trace = np.full((count, max_iterations + 1), np.nan)
+    trace[:, 0] = f
+    accepted = np.zeros(count, dtype=int)
+    iterations = np.zeros(count, dtype=int)
+    mu = np.full(count, MU_INITIAL)
+    converged = f == 0.0
+    active = np.isfinite(f) & ~converged
+    stale = np.ones(count, dtype=bool)  # needs a new linearization
+    hess = grad = eye = None
+
+    while True:
+        relinearize = np.flatnonzero(active & stale)
+        capped = iterations[relinearize] >= max_iterations
+        active[relinearize[capped]] = False  # still improving at the cap
+        relinearize = relinearize[~capped]
+        if len(relinearize):
+            iterations[relinearize] += 1
+            h, g = system(x[relinearize], relinearize)
+            if hess is None:
+                hess, grad = np.zeros((count,) + h.shape[1:]), np.zeros((count,) + g.shape[1:])
+                eye = np.eye(h.shape[-1])
+            hess[relinearize], grad[relinearize] = h, g
+            stale[relinearize] = False
+
+        rows = np.flatnonzero(active)
+        if not len(rows):
             break
+        delta, solved = _solve(hess[rows] + mu[rows, None, None] * eye, -grad[rows])
+        trial = rows[solved]
+        refused = [rows[~solved]]
+        if len(trial):
+            x_new = apply_step(x[trial], delta[solved], trial)
+            f_new = np.asarray(objective(x_new, trial), dtype=float)
+            better = f_new < f[trial]
+            refused.append(trial[~better])
+            took = trial[better]
+            rel_decrease = (f[took] - f_new[better]) / f[took]
+            x[took] = x_new[better]
+            f[took] = f_new[better]
+            accepted[took] += 1
+            trace[took, accepted[took]] = f[took]
+            mu[took] = np.maximum(mu[took] * MU_SHRINK, MU_FLOOR)
+            stale[took] = True
+            done = took[(f[took] == 0.0) | (rel_decrease < rel_tol)]
+            converged[done] = True
+            active[done] = False
 
-        if f == 0.0 or rel_decrease < rel_tol:
-            converged = True
-            break
+        refused = np.concatenate(refused)
+        mu[refused] *= MU_GROWTH
+        # No strictly decreasing step exists: the relative decrease is zero,
+        # which meets any positive tolerance.
+        ceiling = refused[mu[refused] > MU_CEILING]
+        converged[ceiling] = True
+        active[ceiling] = False
 
-    return LeastSquaresResult(x, trace, converged, iterations)
+    return [
+        LeastSquaresResult(x[i], trace[i, : accepted[i] + 1].tolist(), bool(converged[i]),
+                           int(iterations[i]))
+        for i in range(count)
+    ]
+
+
+def _solve(matrices: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solutions (k, d) of the systems and a mask of those that were solvable."""
+    try:
+        return np.linalg.solve(matrices, rhs[..., None])[..., 0], np.ones(len(rhs), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    out = np.zeros_like(rhs)
+    solved = np.ones(len(rhs), dtype=bool)
+    for k in range(len(rhs)):
+        try:
+            out[k] = np.linalg.solve(matrices[k], rhs[k])
+        except np.linalg.LinAlgError:
+            solved[k] = False
+    return out, solved

@@ -28,17 +28,24 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import (
+    DegenerateConfiguration,
     GeometryError,
+    InsufficientCorrespondences,
     InvalidConfig,
     NoCommonFrames,
+    NoConvergence,
     NoViableProposal,
 )
-from .geometry import (
+
+# ``solve_pnp`` stays bound here for perfbench's tracer, which wraps it at
+# this module as well as at geometry; the matcher fits through the batch.
+from .geometry import (  # noqa: F401
     Extrinsics,
     Intrinsics,
     ProjectionMatrix,
     project_masked,
     solve_pnp,
+    solve_pnp_batch,
 )
 from .rotations import batch_quat_wxyz_from_matrices, matrix_from_quat_wxyz
 from .skeleton import CanonicalSkeleton, default_skeleton, fk_points, rotations_of
@@ -54,6 +61,11 @@ NO_OVERLAP_SIMILARITY = -2.0
 # Minimum jointly-valid joints for a person to take part in a frame's costs
 # (the pose-estimation identifiability floor).
 MIN_JOINT_OVERLAP = 6
+
+# Pose-fit failures counted in PcmStats.pnp_failed.
+PNP_FAILURE_KINDS = tuple(
+    e.__name__ for e in (InsufficientCorrespondences, DegenerateConfiguration, NoConvergence)
+)
 
 # Relative tolerance under which two assignment totals count as tied.
 ASSIGNMENT_TIE_RTOL = 1e-9
@@ -544,39 +556,59 @@ class FrameMatchResult:
 
 
 class _FramePnp:
-    """Pose-estimation cache keyed by the (local) pair set it was fit to."""
+    """Pose-estimation cache of one frame, keyed by the (local) pair set each
+    pose was fit to; ``_fit_pairs`` fills it."""
 
-    def __init__(self, fd: FrameData, intrinsics: Intrinsics):
+    def __init__(self, fd: FrameData):
         self.fd = fd
-        self.intrinsics = intrinsics
-        self._cache: dict[tuple, Extrinsics | None] = {}
+        self.poses: dict[tuple, Extrinsics | None] = {}
 
-    def for_pairs(self, pairs) -> Extrinsics | None:
+    def __getitem__(self, pairs) -> Extrinsics | None:
+        return self.poses[tuple(sorted(pairs))]
+
+
+def _fit_pairs(requests, intrinsics: Intrinsics, stats: PcmStats | None = None) -> None:
+    """Fit, in one batch, every requested ``(cache, pairs)`` pose that is not
+    yet in its frame's cache."""
+    pending: dict = {}
+    for cache, pairs in requests:
         key = tuple(sorted(pairs))
-        if key not in self._cache:
-            fd, rows, cols = self.fd, [a for a, _ in key], [b for _, b in key]
-            self._cache[key] = _pnp_or_none(
-                fd.joints3d[rows], fd.mask3d[rows], fd.joints2d[cols], fd.conf2d[cols],
-                self.intrinsics,
-            )
-        return self._cache[key]
+        if key not in cache.poses:
+            pending.setdefault((id(cache), key), (cache, key))
+
+    def correspondences(cache, key):
+        fd, rows, cols = cache.fd, [a for a, _ in key], [b for _, b in key]
+        return fd.joints3d[rows], fd.mask3d[rows], fd.joints2d[cols], fd.conf2d[cols]
+
+    sets = (correspondences(cache, key) for cache, key in pending.values())
+    for (cache, key), pose in zip(pending.values(), _fit_poses(sets, intrinsics, stats)):
+        cache.poses[key] = pose
 
 
-def _pnp_or_none(joints3d, mask3d, joints2d, conf2d, intrinsics: Intrinsics) -> Extrinsics | None:
-    """Camera pose fit to the usable joints of k paired persons.
+def _fit_poses(correspondences, intrinsics: Intrinsics, stats: PcmStats | None = None) -> list:
+    """Camera poses fit, in one batch, to the usable joints of each of an
+    iterable of sets of k paired persons.
 
-    Arrays are (k, 24, ...), pair-aligned, zero-filled and masked as in
-    FrameData; a joint is usable where its 3D position is finite and its 2D
-    confidence positive. Returns None with fewer than MIN_JOINT_OVERLAP usable
-    joints or when the fit fails.
+    Each set is ``(joints3d, mask3d, joints2d, conf2d)``, arrays (k, 24, ...),
+    pair-aligned, zero-filled and masked as in FrameData; a joint is usable
+    where its 3D position is finite and its 2D confidence positive. A set whose
+    fit fails gets None; one with fewer than MIN_JOINT_OVERLAP usable joints
+    fails as InsufficientCorrespondences. ``stats`` counts the fits and their
+    failures by kind.
     """
-    usable = mask3d & (conf2d > 0)
-    if usable.sum() < MIN_JOINT_OVERLAP:
-        return None
-    try:
-        return solve_pnp(joints3d[usable], joints2d[usable], intrinsics).extrinsics
-    except GeometryError:
-        return None
+
+    def usable_pairs():
+        for joints3d, mask3d, joints2d, conf2d in correspondences:
+            usable = mask3d & (conf2d > 0)
+            yield joints3d[usable], joints2d[usable]
+
+    outcomes = solve_pnp_batch(usable_pairs(), intrinsics)
+    failures = [type(o).__name__ for o in outcomes if isinstance(o, GeometryError)]
+    if stats is not None:
+        stats.pnp_attempted += len(outcomes)
+        for kind in failures:
+            stats.pnp_failed[kind] = stats.pnp_failed.get(kind, 0) + 1
+    return [None if isinstance(o, GeometryError) else o.extrinsics for o in outcomes]
 
 
 def optimize_frame_match(
@@ -599,66 +631,106 @@ def optimize_frame_match(
 
     ``seed_rows`` restricts which 3D persons may seed proposals (used by the
     single-seed benchmark strategy); the refinement always considers everyone.
+    The one-frame case of ``_search_frames``.
+    """
+    outcome = _search_frames([fd], intrinsics, config, skeleton, seed_rows)[0]
+    if isinstance(outcome, NoViableProposal):
+        raise outcome
+    return outcome
+
+
+def _search_frames(fds, intrinsics, config, skeleton=None, seed_rows=None, stats=None) -> list:
+    """The proposal search of ``optimize_frame_match`` over many frames at once.
+
+    Every frame's seed fits go into one batch, then each refinement sweep's
+    re-fits of all frames into one more; the winner is picked in proposal
+    order, so every frame gets the result it gets alone. Returns per frame a
+    FrameMatchResult or the NoViableProposal that ended its search.
     """
     skeleton = skeleton if skeleton is not None else default_skeleton()
-    p3, p2 = len(fd.idx3d), len(fd.idx2d)
-    if p3 == 0 or p2 == 0:
-        raise NoViableProposal(f"frame {fd.frame}: no usable person on one side")
     threshold = config.resolved_reject_threshold(intrinsics)
-    pnp = _FramePnp(fd, intrinsics)
-    fk3 = fk_points(skeleton, fd.pose3d, np.zeros((p3, 3)))
-    fk2 = fk_points(skeleton, fd.pose2d, np.zeros((p2, 3)))
+    outcomes: list = [None] * len(fds)
+    searches = []  # (position in fds, pose cache, seed pair sets)
+    for k, fd in enumerate(fds):
+        p3, p2 = len(fd.idx3d), len(fd.idx2d)
+        if p3 == 0 or p2 == 0:
+            outcomes[k] = NoViableProposal(f"frame {fd.frame}: no usable person on one side")
+            continue
+        rows = range(p3) if seed_rows is None else seed_rows
+        seeds = [
+            ((a, b),)
+            for a in rows
+            for b in range(p2)
+            if (fd.mask3d[a] & (fd.conf2d[b] > 0)).sum() >= MIN_JOINT_OVERLAP
+        ]
+        searches.append((k, _FramePnp(fd), seeds))
+    _fit_pairs([(pnp, seed) for _, pnp, seeds in searches for seed in seeds], intrinsics, stats)
 
-    rows = range(p3) if seed_rows is None else seed_rows
-    proposals: list[tuple[tuple[int, int], ...]] = []
-    seen = set()
-    for a in rows:
-        for b in range(p2):
-            overlap = fd.mask3d[a] & (fd.conf2d[b] > 0)
-            if overlap.sum() < MIN_JOINT_OVERLAP:
-                continue
-            seed = pnp.for_pairs([(a, b)])
-            if seed is None:
+    live = []  # (search, proposal, current pairs) of the proposals still refining
+    fk = {}
+    for s, (k, pnp, seeds) in enumerate(searches):
+        fd = pnp.fd
+        proposals: list[tuple[tuple[int, int], ...]] = []
+        seen = set()
+        for seed in seeds:
+            extr = pnp[seed]
+            if extr is None:
                 continue
             scores = -_reprojection_matrix(
-                fd.joints3d, fd.mask3d, fd.joints2d, fd.conf2d, seed, intrinsics
+                fd.joints3d, fd.mask3d, fd.joints2d, fd.conf2d, extr, intrinsics
             )
             proposal = hungarian(CostMatrix(scores, maximize=True)).pairs
             if proposal and proposal not in seen:
                 seen.add(proposal)
                 proposals.append(proposal)
-    if not proposals:
-        raise NoViableProposal(f"frame {fd.frame}: every seed pose estimate failed")
+        if not proposals:
+            outcomes[k] = NoViableProposal(f"frame {fd.frame}: every seed pose estimate failed")
+            continue
+        fk[s] = (
+            fk_points(skeleton, fd.pose3d, np.zeros((len(fd.idx3d), 3))),
+            fk_points(skeleton, fd.pose2d, np.zeros((len(fd.idx2d), 3))),
+        )
+        live += [(s, q, proposal) for q, proposal in enumerate(proposals)]
 
-    best_score = -math.inf
-    best_pairs: tuple[tuple[int, int], ...] | None = None
-    best_extr: Extrinsics | None = None
-    for proposal in proposals:
-        pairs = proposal
-        for _ in range(config.n_iter):
-            extr = pnp.for_pairs(pairs)
+    scored: list[list] = [[] for _ in searches]  # (proposal, sweep, score, pairs, extr)
+    for sweep in range(config.n_iter):
+        _fit_pairs([(searches[s][1], pairs) for s, _, pairs in live], intrinsics, stats)
+        following = []
+        for s, q, pairs in live:
+            pnp = searches[s][1]
+            extr = pnp[pairs]
             if extr is None:
-                break
-            costs = _weighted_matrix(fd, extr, intrinsics, config.lambda0, fk3, fk2)
+                continue
+            costs = _weighted_matrix(pnp.fd, extr, intrinsics, config.lambda0, *fk[s])
             matched_mean = float(np.mean([costs[a, b] for a, b in pairs]))
-            score = math.exp(-matched_mean / threshold)
+            scored[s].append((q, sweep, math.exp(-matched_mean / threshold), pairs, extr))
+            if sweep + 1 < config.n_iter:
+                following.append((s, q, hungarian(CostMatrix(-costs, maximize=True)).pairs))
+        live = following
+
+    for s, (k, pnp, _) in enumerate(searches):
+        if outcomes[k] is not None:
+            continue
+        fd = pnp.fd
+        best_score, best_pairs, best_extr = -math.inf, None, None
+        for _, _, score, pairs, extr in sorted(scored[s], key=lambda entry: entry[:2]):
             if score > best_score:
                 best_score, best_pairs, best_extr = score, pairs, extr
-            pairs = hungarian(CostMatrix(-costs, maximize=True)).pairs
-    if best_pairs is None:
-        raise NoViableProposal(f"frame {fd.frame}: no proposal produced a valid pose")
-
-    residual_matrix = _reprojection_matrix(
-        fd.joints3d, fd.mask3d, fd.joints2d, fd.conf2d, best_extr, intrinsics
-    )
-    kept, residuals = [], []
-    for a, b in best_pairs:
-        res = float(residual_matrix[a, b])
-        if res <= threshold:
-            kept.append((int(fd.idx3d[a]), int(fd.idx2d[b])))
-            residuals.append(res)
-    match = build_match_set(kept, residuals, fd.n3d, fd.n2d)
-    return FrameMatchResult(match, best_extr, best_score)
+        if best_pairs is None:
+            outcomes[k] = NoViableProposal(f"frame {fd.frame}: no proposal produced a valid pose")
+            continue
+        residual_matrix = _reprojection_matrix(
+            fd.joints3d, fd.mask3d, fd.joints2d, fd.conf2d, best_extr, intrinsics
+        )
+        kept, residuals = [], []
+        for a, b in best_pairs:
+            res = float(residual_matrix[a, b])
+            if res <= threshold:
+                kept.append((int(fd.idx3d[a]), int(fd.idx2d[b])))
+                residuals.append(res)
+        match = build_match_set(kept, residuals, fd.n3d, fd.n2d)
+        outcomes[k] = FrameMatchResult(match, best_extr, best_score)
+    return outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -673,17 +745,26 @@ def variance_of_translations(extrinsics) -> float:
     return float(ts.var(axis=0, ddof=1).sum())
 
 
-def _pnp_at_frame(tracks3d, tracks2d, pairs, intrinsics, frame) -> Extrinsics | None:
-    both = [(tracks3d[i], tracks2d[j]) for i, j in pairs]
-    both = [(t3, t2) for t3, t2 in both if t3.valid[frame] and t2.valid[frame]]
-    if not both:
-        return None
-    joints3d, mask3d = _usable3d(np.stack([t3.joints[frame] for t3, _ in both]))
-    joints2d, conf2d = _usable2d(
-        np.stack([t2.joints[frame] for _, t2 in both]),
-        np.stack([t2.confidence[frame] for _, t2 in both]),
-    )
-    return _pnp_or_none(joints3d, mask3d, joints2d, conf2d, intrinsics)
+def _poses_for_pairs(tracks3d, tracks2d, pairs, intrinsics, frames, stats=None) -> list:
+    """Per-frame camera poses fit, in one batch, to the pairs valid at each
+    frame; None where no pair is valid or the fit fails."""
+    sets, slots = [], []
+    for t in range(frames):
+        both = [(tracks3d[i], tracks2d[j]) for i, j in pairs]
+        both = [(t3, t2) for t3, t2 in both if t3.valid[t] and t2.valid[t]]
+        if not both:
+            continue
+        joints3d, mask3d = _usable3d(np.stack([t3.joints[t] for t3, _ in both]))
+        joints2d, conf2d = _usable2d(
+            np.stack([t2.joints[t] for _, t2 in both]),
+            np.stack([t2.confidence[t] for _, t2 in both]),
+        )
+        sets.append((joints3d, mask3d, joints2d, conf2d))
+        slots.append(t)
+    poses = [None] * frames
+    for t, pose in zip(slots, _fit_poses(sets, intrinsics, stats)):
+        poses[t] = pose
+    return poses
 
 
 def smooth_extrinsics(sequence, window: int):
@@ -710,7 +791,12 @@ def smooth_extrinsics(sequence, window: int):
 
 @dataclass
 class PcmStats:
-    """Instrumentation counters for gate / fallback behavior."""
+    """Instrumentation counters for gate / fallback behavior and pose fits.
+
+    ``pnp_attempted`` counts the pose fits tried and ``pnp_failed`` their
+    failures by kind; a fit with fewer than MIN_JOINT_OVERLAP usable joints
+    fails as InsufficientCorrespondences.
+    """
 
     gate_variance: float = math.nan
     keypoint_path: bool = False
@@ -718,6 +804,8 @@ class PcmStats:
     frames_accumulated: int = 0
     frames_failed: int = 0
     fallback_to_pose: bool = False
+    pnp_attempted: int = 0
+    pnp_failed: dict = field(default_factory=lambda: dict.fromkeys(PNP_FAILURE_KINDS, 0))
 
 
 @dataclass
@@ -766,9 +854,7 @@ def match_sequences(
 
     similarity = pose_similarity_matrix(tracks3d, tracks2d)
     c_init = hungarian(CostMatrix(similarity, maximize=True))
-    m_init = [
-        _pnp_at_frame(tracks3d, tracks2d, c_init.pairs, intrinsics, t) for t in range(frames)
-    ]
+    m_init = _poses_for_pairs(tracks3d, tracks2d, c_init.pairs, intrinsics, frames, stats)
     available = [e for e in m_init if e is not None]
     stats.gate_variance = variance_of_translations(available) if available else math.inf
 
@@ -784,7 +870,10 @@ def match_sequences(
             tracks3d,
             tracks2d,
             frames,
-            lambda fd: _search_frame(fd, intrinsics, config, skeleton),
+            lambda fds: [
+                _frame_winner(outcome)
+                for outcome in _search_frames(fds, intrinsics, config, skeleton, stats=stats)
+            ],
             stats,
         )
         if c_final is None:
@@ -792,10 +881,9 @@ def match_sequences(
             stats.fallback_to_pose = True
             c_final, m_final = c_init, m_init
         else:
-            m_final = [
-                _pnp_at_frame(tracks3d, tracks2d, c_final.pairs, intrinsics, t)
-                for t in range(frames)
-            ]
+            m_final = _poses_for_pairs(
+                tracks3d, tracks2d, c_final.pairs, intrinsics, frames, stats
+            )
     else:
         c_final, m_final = c_init, m_init
 
@@ -815,7 +903,7 @@ def extrinsics_for_match(tracks3d, tracks2d, pairs, intrinsics, smoothing_window
     """Per-frame smoothed extrinsics implied by a fixed pairing, with each
     pair's mean reprojection residual under them."""
     frames = _common_timeline(tracks3d, tracks2d)
-    raw = [_pnp_at_frame(tracks3d, tracks2d, pairs, intrinsics, t) for t in range(frames)]
+    raw = _poses_for_pairs(tracks3d, tracks2d, pairs, intrinsics, frames)
     smoothed = smooth_extrinsics(raw, smoothing_window)
     residuals = [
         _mean_pair_residual(tracks3d[i], tracks2d[j], smoothed, intrinsics) for i, j in pairs
@@ -882,21 +970,23 @@ def match_with_strategy(
         if strategy == "KP"
         else (lambda fd: _kps_frame(fd, intrinsics, config, skeleton))
     )
-    match = _accumulated_match(tracks3d, tracks2d, frames, frame_fn, PcmStats())
+    match = _accumulated_match(
+        tracks3d, tracks2d, frames, lambda fds: [frame_fn(fd) for fd in fds], PcmStats()
+    )
     return match if match is not None else MatchSet.empty(n3, n2)
 
 
-def _accumulated_match(tracks3d, tracks2d, frames, frame_fn, stats: PcmStats) -> MatchSet | None:
+def _accumulated_match(tracks3d, tracks2d, frames, frames_fn, stats: PcmStats) -> MatchSet | None:
     """Assignment maximizing the evidence summed over frames.
 
-    ``frame_fn(fd)`` returns a frame's winning pairs (track indices) and score,
-    or None when the frame has no winner; the score accumulates onto each
-    winning pair. Frames are counted in ``stats``. Returns None when no frame
-    had a winner.
+    ``frames_fn(fds)`` returns, per frame of ``fds``, the frame's winning pairs
+    (track indices) and score, or None when the frame has no winner; the
+    score accumulates onto each winning pair. Frames are counted in
+    ``stats``. Returns None when no frame had a winner.
     """
     evidence = np.zeros((len(tracks3d), len(tracks2d)))
-    for t in range(frames):
-        result = frame_fn(frame_slice(tracks3d, tracks2d, t))
+    fds = [frame_slice(tracks3d, tracks2d, t) for t in range(frames)]
+    for result in frames_fn(fds):
         if result is None:
             stats.frames_failed += 1
             continue
@@ -909,15 +999,13 @@ def _accumulated_match(tracks3d, tracks2d, frames, frame_fn, stats: PcmStats) ->
     return hungarian(CostMatrix(evidence, maximize=True))
 
 
-def _search_frame(fd, intrinsics, config, skeleton, seed_rows=None):
+def _frame_winner(outcome):
     """Winning pairs (track indices) and score of one frame's proposal
-    search, or None when the frame has no viable proposal."""
-    try:
-        result = optimize_frame_match(fd, intrinsics, config, skeleton, seed_rows)
-    except NoViableProposal as exc:
-        logger.debug("frame %d skipped: %s", fd.frame, exc)
+    search, or None when the frame had no viable proposal."""
+    if isinstance(outcome, NoViableProposal):
+        logger.debug("frame skipped: %s", outcome)
         return None
-    return result.match.pairs, result.score
+    return outcome.match.pairs, outcome.score
 
 
 def _kp_frame(fd, intrinsics, config, skeleton, seed):
@@ -925,7 +1013,7 @@ def _kp_frame(fd, intrinsics, config, skeleton, seed):
         return None
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, fd.frame])))
     row = int(rng.integers(len(fd.idx3d)))
-    return _search_frame(fd, intrinsics, config, skeleton, seed_rows=[row])
+    return _frame_winner(_search_frames([fd], intrinsics, config, skeleton, [row])[0])
 
 
 def _kps_frame(fd, intrinsics, config, skeleton, max_enumeration: int = 5040):
@@ -939,18 +1027,19 @@ def _kps_frame(fd, intrinsics, config, skeleton, max_enumeration: int = 5040):
         raise InvalidConfig(
             f"exhaustive strategy would enumerate {count} pairings; reduce the person count"
         )
-    pnp = _FramePnp(fd, intrinsics)
+    pnp = _FramePnp(fd)
     fk3 = fk_points(skeleton, fd.pose3d, np.zeros((p3, 3)))
     fk2 = fk_points(skeleton, fd.pose2d, np.zeros((p2, 3)))
     threshold = config.resolved_reject_threshold(intrinsics)
 
     if p3 <= p2:
-        candidates = (tuple(zip(range(p3), cols)) for cols in itertools.permutations(range(p2), p3))
+        candidates = [tuple(zip(range(p3), cols)) for cols in itertools.permutations(range(p2), p3)]
     else:
-        candidates = (tuple(zip(rows, range(p2))) for rows in itertools.permutations(range(p3), p2))
+        candidates = [tuple(zip(rows, range(p2))) for rows in itertools.permutations(range(p3), p2)]
+    _fit_pairs([(pnp, pairs) for pairs in candidates], intrinsics)
     best_cost, best_pairs = math.inf, None
     for pairs in candidates:
-        extr = pnp.for_pairs(pairs)
+        extr = pnp[pairs]
         if extr is None:
             continue
         costs = _weighted_matrix(fd, extr, intrinsics, config.lambda0, fk3, fk2)

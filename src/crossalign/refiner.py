@@ -13,7 +13,9 @@ estimate where cameras are silent; with zero cameras refinement is the
 identity. Units are mixed by design: the weights absorb the scale.
 
 Joints behind a camera contribute that camera's squared image diagonal as a
-fixed penalty (no gradient), keeping the objective finite everywhere.
+fixed penalty (no gradient), keeping the objective finite everywhere. A 2D
+joint that is not finite was not observed: it carries no weight in the data,
+regularizer or penalty terms of its camera.
 """
 
 from __future__ import annotations
@@ -84,15 +86,17 @@ class RefineResult:
 def _camera_terms(obs: CameraObservation, candidate: np.ndarray):
     """Projection errors of the candidate in one camera.
 
-    Returns (errors (24, 2), in-front mask (24,), cam-frame points (24, 3)).
-    Errors of behind-camera joints are zeroed; their penalty is added
-    separately because they carry no gradient.
+    Returns (errors (24, 2), in-front mask (24,), cam-frame points (24, 3),
+    observed mask (24,)). Errors of behind-camera and unobserved (non-finite)
+    joints are zeroed; the behind-camera penalty is added separately because
+    it carries no gradient.
     """
     cam = candidate @ obs.extrinsics.rotation.T + obs.extrinsics.translation
     uv, front = pinhole(obs.intrinsics, cam)
-    err = uv - obs.joints2d
+    seen = np.isfinite(obs.joints2d).all(axis=1)
+    err = np.where(seen[:, None], uv - obs.joints2d, 0.0)
     err[~front] = 0.0
-    return err, front, cam
+    return err, front, cam, seen
 
 
 def objective(problem: RefineProblem, candidate3d: np.ndarray) -> float:
@@ -100,10 +104,10 @@ def objective(problem: RefineProblem, candidate3d: np.ndarray) -> float:
     candidate = np.asarray(candidate3d, dtype=float).reshape(JOINT_COUNT, 3)
     total = problem.lambda1 * float(((candidate - problem.initial3d) ** 2).sum())
     for obs in problem.observations:
-        err, front, _ = _camera_terms(obs, candidate)
+        err, front, _, seen = _camera_terms(obs, candidate)
         sq = (err**2).sum(axis=1)
-        sq[~front] = obs.intrinsics.diagonal**2
-        total += problem.lambda2 * float((obs.confidence * sq).sum())
+        sq[~front & seen] = obs.intrinsics.diagonal**2
+        total += problem.lambda2 * float((np.where(seen, obs.confidence, 0.0) * sq).sum())
         total += problem.lambda3 * float(sq.sum())
     return total
 
@@ -121,13 +125,16 @@ def _system(problem: RefineProblem, candidate: np.ndarray) -> tuple[np.ndarray, 
     rows_r = [anchor * (candidate - problem.initial3d).reshape(-1)]
     joints = np.arange(JOINT_COUNT)
     for obs in problem.observations:
-        err, front, cam = _camera_terms(obs, candidate)
+        err, front, cam, seen = _camera_terms(obs, candidate)
         # Chain through cam = R x + t.
         duv_dx = np.einsum(
             "jab,bc->jac", pinhole_jacobian(obs.intrinsics, cam, front), obs.extrinsics.rotation
         )
         duv_dx[~front] = 0.0
-        for weight_sq in (problem.lambda2 * obs.confidence, np.full(JOINT_COUNT, problem.lambda3)):
+        for weight_sq in (
+            problem.lambda2 * np.where(seen, obs.confidence, 0.0),
+            np.where(seen, problem.lambda3, 0.0),
+        ):
             scale = np.sqrt(weight_sq)
             jac = np.zeros((2 * JOINT_COUNT, 3 * JOINT_COUNT))
             jac.reshape(JOINT_COUNT, 2, JOINT_COUNT, 3)[joints, :, joints, :] = (

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -156,7 +157,11 @@ def parse_stream(path: str | Path) -> ParsedStream:
         raise MalformedHeader(
             f"unsupported stream_format_version {header.get('stream_format_version')!r}", 1
         )
-    frame_rate = float(header.get("frame_rate", 10.0))
+    frame_rate = _finite_number(header.get("frame_rate", 10.0))
+    if frame_rate is None:
+        raise MalformedHeader(
+            f"frame_rate must be a finite number, got {header.get('frame_rate')!r}", 1
+        )
     skeleton_hash = str(header.get("skeleton_hash", ""))
     intrinsics = None
     if kind == KIND_2D:
@@ -176,7 +181,9 @@ def parse_stream(path: str | Path) -> ParsedStream:
         if not isinstance(record, dict) or "frame" not in record:
             raise StreamFormatError("record must be an object with a 'frame' field", offset)
         _warn_unknown(record, _RECORD_FIELDS, offset)
-        frame = int(record["frame"])
+        frame = record["frame"]
+        if isinstance(frame, bool) or not isinstance(frame, int):
+            raise StreamFormatError(f"frame must be an integer, got {frame!r}", offset)
         if frame_indices and frame <= frame_indices[-1]:
             raise FrameOrderViolation(
                 f"frame {frame} follows frame {frame_indices[-1]}", offset
@@ -187,6 +194,17 @@ def parse_stream(path: str | Path) -> ParsedStream:
 
     tracks = _tracks_from_records(kind, records, len(frame_indices), intrinsics)
     return ParsedStream(kind, frame_rate, skeleton_hash, intrinsics, frame_indices, tracks)
+
+
+def _finite_number(value) -> float | None:
+    """``value`` as a float if it is a finite JSON number, else None."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        number = float(value)
+    except OverflowError:
+        return None
+    return number if math.isfinite(number) else None
 
 
 def _warn_unknown(obj: dict, known: set, line_number: int) -> None:
@@ -204,9 +222,15 @@ def _tracks_from_records(kind, records, frames, intrinsics):
         persons = record.get("persons", [])
         if not isinstance(persons, list):
             raise StreamFormatError("'persons' must be a list", line)
+        in_record = set()
         for person in persons:
+            if not isinstance(person, dict) or "id" not in person:
+                raise StreamFormatError("person record must be an object with an 'id' field", line)
             _warn_unknown(person, _PERSON_FIELDS, line)
-            pid = str(person.get("id"))
+            pid = str(person["id"])
+            if pid in in_record:
+                raise StreamFormatError(f"person {pid!r} appears twice in one frame", line)
+            in_record.add(pid)
             if pid not in slots:
                 slots[pid] = len(ids)
                 ids.append(pid)

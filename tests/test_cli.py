@@ -221,6 +221,52 @@ class TestMatch:
         assert set(doc.pairs) == {tuple(pair) for pair in truth_header["correspondence"][0]}
         assert len(doc.pairs) == 3
 
+    def test_stats_block_counts_pose_fits(self, scene_dir, tmp_path):
+        out = tmp_path / "match"
+        assert run_cli(
+            "match", "--lidar", str(scene_dir / "lidar.jsonl"),
+            "--camera", str(scene_dir / "camera_00.jsonl"), "--out", str(out),
+        ) == 0
+        stats = json.loads(sorted(out.iterdir())[0].read_text())["stats"]
+        assert stats["pnp_attempted"] >= stats["frames_total"]
+        assert set(stats["pnp_failed"]) == {
+            "InsufficientCorrespondences", "DegenerateConfiguration", "NoConvergence"
+        }
+        assert all(isinstance(count, int) for count in stats["pnp_failed"].values())
+
+    @staticmethod
+    def _bad_frame_rate(lines):
+        header = json.loads(lines[0])
+        header["frame_rate"] = "abc"
+        return [json.dumps(header)] + lines[1:]
+
+    @staticmethod
+    def _bad_frame(lines):
+        record = json.loads(lines[2])
+        record["frame"] = "x"
+        return lines[:2] + [json.dumps(record)] + lines[3:]
+
+    @staticmethod
+    def _missing_ids(lines):
+        records = [json.loads(line) for line in lines[1:]]
+        for record in records:
+            for person in record["persons"]:
+                if person["id"] != "cam0_t02":
+                    del person["id"]
+        return lines[:1] + [json.dumps(record) for record in records]
+
+    @pytest.mark.parametrize("edit", ["_bad_frame_rate", "_bad_frame", "_missing_ids"])
+    def test_malformed_camera_stream_exits_2(self, scene_dir, tmp_path, edit, caplog):
+        camera = scene_dir / "camera_00.jsonl"
+        lines = camera.read_text().splitlines()
+        camera.write_text("\n".join(getattr(self, edit)(lines)) + "\n")
+        code = run_cli(
+            "match", "--lidar", str(scene_dir / "lidar.jsonl"), "--camera", str(camera),
+            "--out", str(tmp_path / "match"),
+        )
+        assert code == 2
+        assert any(r.levelname == "ERROR" and "line" in r.getMessage() for r in caplog.records)
+
     @pytest.mark.parametrize("field, value", [("n_iter", "two"), ("delta", "x")])
     def test_non_numeric_config_value_exits_2(self, scene_dir, tmp_path, field, value):
         config = tmp_path / "run.json"
@@ -390,6 +436,17 @@ class TestBench:
         assert out.exists()
         text = out.read_text()
         assert text.startswith("# crossalign-bench-report")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("duration_frames", "x"), ("person_counts", ["2"]), ("synchronized", [1]), ("delta", None)],
+    )
+    def test_mistyped_field_exits_2(self, tmp_path, field, value):
+        payload = {"modes": ["P&T"], "person_counts": [2], "seeds": [1], "duration_frames": 4}
+        payload[field] = value
+        spec = tmp_path / "bench.json"
+        spec.write_text(json.dumps(payload))
+        assert run_cli("bench", "--spec", str(spec), "--out", str(tmp_path / "r.csv")) == 2
 
     def test_empty_modes_exit_2(self, tmp_path):
         spec = tmp_path / "bench.json"

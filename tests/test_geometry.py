@@ -1,18 +1,22 @@
 import numpy as np
 import pytest
 
+from crossalign import geometry
 from crossalign.errors import (
     DegenerateConfiguration,
+    GeometryError,
     InsufficientCorrespondences,
     NonPositiveDepth,
 )
 from crossalign.geometry import (
     Extrinsics,
     Intrinsics,
+    PnpResult,
     ProjectionMatrix,
     geodesic_rotation_error,
     project,
     solve_pnp,
+    solve_pnp_batch,
 )
 
 from helpers import (
@@ -217,3 +221,97 @@ class TestSolvePnp:
         obs[:3] = np.nan  # only 21 usable pairs remain
         result = solve_pnp(pts, obs, k)
         assert geodesic_rotation_error(result.extrinsics.rotation, extr.rotation) < 1e-4
+
+
+class TestSolvePnpBatch:
+    """The batch solver gives every problem the outcome it gets alone."""
+
+    @staticmethod
+    def mixed_problems():
+        rng = np.random.default_rng(61)
+        k = make_intrinsics()
+        problems = []
+
+        def observed(extr, pts, noise=0.0):
+            obs = project(projection_for(k, extr), pts)
+            return obs + rng.normal(0.0, noise, size=obs.shape) if noise else obs
+
+        for _ in range(3):  # general position, with and without noise
+            extr = random_camera(rng, distance=rng.uniform(6.0, 14.0))
+            pts = scene_points(rng, n=int(rng.integers(6, 60)))
+            problems.append((pts, observed(extr, pts, noise=2.0)))
+        extr = random_camera(rng)
+        pts = scene_points(rng, n=24)
+        problems.append((pts, observed(extr, pts)))
+        for n in (12, 7):  # coplanar with enough and with too few pairs
+            extr = random_camera(rng)
+            flat = scene_points(rng, n=n)
+            flat[:, 2] = 0.3
+            problems.append((flat, observed(extr, flat, noise=1.0)))
+        line = np.outer(np.linspace(-1.0, 1.0, 10), np.array([1.0, 0.5, 0.2]))
+        problems.append((line, observed(random_camera(rng), line)))
+        pts = scene_points(rng, n=5)
+        problems.append((pts, observed(random_camera(rng), pts)))
+        extr = random_camera(rng)
+        pts = scene_points(rng, n=30)
+        obs = observed(extr, pts, noise=1.0)
+        obs[:4] = np.nan  # filtered pairs
+        pts[4, 1] = np.inf
+        problems.append((pts, obs))
+        # A camera inside the point cloud: some points lie behind it.
+        extr = random_camera(rng, distance=1.0)
+        pts = scene_points(rng, n=40, spread=3.0)
+        cam = extr.transform(pts)
+        front = cam[:, 2] > 0.5
+        obs = np.full((40, 2), 500.0)
+        obs[front] = observed(extr, pts[front], noise=1.0)
+        problems.append((pts, obs))
+        return problems, k
+
+    @staticmethod
+    def outcome_key(outcome):
+        if isinstance(outcome, Exception):
+            return (type(outcome).__name__,)
+        extr = outcome.extrinsics
+        return ("PnpResult", outcome.iterations, tuple(outcome.objective_trace),
+                extr.rotation.tobytes(), extr.translation.tobytes())
+
+    @pytest.mark.parametrize("max_iterations", [100, 1])
+    def test_each_problem_matches_solve_pnp(self, max_iterations):
+        problems, k = self.mixed_problems()
+        batch = solve_pnp_batch(problems, k, max_iterations=max_iterations)
+        kinds = set()
+        for (pts, obs), outcome in zip(problems, batch):
+            try:
+                alone = solve_pnp(pts, obs, k, max_iterations=max_iterations)
+            except GeometryError as exc:
+                alone = exc
+            assert type(outcome) is type(alone)
+            kinds.add(type(alone).__name__)
+            if isinstance(alone, PnpResult):
+                # Each problem keeps its own damping: the same steps, bit for bit.
+                assert outcome.objective_trace == alone.objective_trace
+                assert np.abs(outcome.extrinsics.rotation - alone.extrinsics.rotation).max() <= 1e-9
+                assert np.abs(outcome.extrinsics.translation - alone.extrinsics.translation).max() <= 1e-9
+        # One Gauss-Newton iteration leaves every solvable problem still improving.
+        solved = "PnpResult" if max_iterations > 1 else "NoConvergence"
+        assert kinds == {solved, "DegenerateConfiguration", "InsufficientCorrespondences"}
+
+    def test_order_and_split_change_no_outcome(self, monkeypatch):
+        problems, k = self.mixed_problems()
+        reference = [self.outcome_key(o) for o in solve_pnp_batch(problems, k)]
+        order = np.random.default_rng(67).permutation(len(problems))
+        shuffled = solve_pnp_batch([problems[i] for i in order], k)
+        assert [self.outcome_key(o) for o in shuffled] == [reference[i] for i in order]
+        # A point cap below every problem's size splits the batch into single
+        # problems; one-problem DLT stacks do the same for the linear step.
+        monkeypatch.setattr(geometry, "PNP_BATCH_POINTS", 8)
+        monkeypatch.setattr(geometry, "DLT_CHUNK", 1)
+        split = solve_pnp_batch(problems, k)
+        assert [self.outcome_key(o) for o in split] == reference
+
+    def test_trace_is_non_increasing_per_problem(self):
+        problems, k = self.mixed_problems()
+        for outcome in solve_pnp_batch(problems, k):
+            if isinstance(outcome, PnpResult):
+                assert np.all(np.diff(outcome.objective_trace) <= 0.0)

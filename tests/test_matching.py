@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crossalign import matching
 from crossalign.errors import GeometryError, InvalidConfig, NoCommonFrames, NoViableProposal
 from crossalign.geometry import Extrinsics, project, solve_pnp
 from crossalign.matching import (
@@ -608,6 +609,36 @@ class TestMatchSequences:
         )
         assert result.stats.keypoint_path
         assert result.stats.frames_accumulated > 0
+
+    def test_pose_fit_counters(self, monkeypatch):
+        scene = generate(SceneConfig(person_count=3, duration_frames=6, seed=9, pixel_noise_sigma=1.0))
+        # At frame 0 every 2D person shows one joint: too few for a fit, even together.
+        tracks2d = []
+        for track in scene.tracks2d[0]:
+            confidence = track.confidence.copy()
+            confidence[0, 1:] = 0.0
+            tracks2d.append(
+                PersonTrack2D(track.person_id, track.joints, confidence, track.body_pose, track.valid)
+            )
+        outcomes = []
+        solve = matching.solve_pnp_batch
+
+        def recording(problems, intrinsics, **kwargs):
+            result = solve(problems, intrinsics, **kwargs)
+            outcomes.extend(type(o).__name__ for o in result)
+            return result
+
+        monkeypatch.setattr(matching, "solve_pnp_batch", recording)
+        config = PcmConfig(delta=0.0)
+        stats = match_sequences(scene.tracks3d, tracks2d, scene.intrinsics, config).stats
+        assert stats.pnp_attempted == len(outcomes)
+        assert stats.pnp_failed == {
+            kind: outcomes.count(kind)
+            for kind in ("InsufficientCorrespondences", "DegenerateConfiguration", "NoConvergence")
+        }
+        # Frame 0 of the initial and of the final pairing.
+        assert stats.pnp_failed["InsufficientCorrespondences"] >= 2
+        assert match_sequences(scene.tracks3d, tracks2d, scene.intrinsics, config).stats == stats
 
     def test_infinite_gate_returns_pose_only_match(self):
         scene = generate(

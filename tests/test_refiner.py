@@ -214,3 +214,27 @@ class TestRefine:
             if err3 <= err2 + 1e-6:
                 wins += 1
         assert wins >= int(0.95 * trials)
+
+    def test_unobserved_joint_keeps_refinement_working(self):
+        # A NaN 2D joint with confidence 0 in every view carries no weight.
+        rng = np.random.default_rng(901)
+        truth = person_joints(rng)
+        noisy = truth + rng.normal(0.0, 0.05, size=truth.shape)
+        observations = []
+        for _ in range(2):
+            obs = observation_of(truth, rng)
+            pixels, conf = obs.joints2d.copy(), obs.confidence.copy()
+            pixels[5] = np.nan
+            conf[5] = 0.0
+            observations.append(CameraObservation(obs.intrinsics, obs.extrinsics, pixels, conf))
+        problem = RefineProblem(noisy, tuple(observations))
+        assert np.isfinite(objective(problem, noisy))
+        assert np.all(np.isfinite(objective_gradient(problem, noisy)))
+        result = refine(problem)
+        assert result.converged
+        assert np.all(np.isfinite(result.objective_trace))
+        before = np.linalg.norm(noisy - truth, axis=1).mean()
+        after = np.linalg.norm(result.refined3d - truth, axis=1).mean()
+        assert after < before
+        # Only the anchor holds the unobserved joint, so it stays where it was.
+        assert np.allclose(result.refined3d[5], noisy[5])

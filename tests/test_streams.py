@@ -128,6 +128,43 @@ class TestParseErrors:
             parse_stream(path)
         assert err.value.line_number == 3
 
+    @pytest.mark.parametrize("rate", ["abc", None, [10], float("nan")])
+    def test_non_numeric_frame_rate_is_a_header_error(self, tmp_path, rate):
+        header = json.loads(self._header())
+        header["frame_rate"] = rate
+        path = tmp_path / "s.jsonl"
+        path.write_text(json.dumps(header) + "\n")
+        with pytest.raises(MalformedHeader) as err:
+            parse_stream(path)
+        assert err.value.line_number == 1
+
+    @pytest.mark.parametrize("frame", ["x", "3", 2.5, None, True])
+    def test_non_integer_frame_names_line(self, tmp_path, frame):
+        path = tmp_path / "s.jsonl"
+        records = [self._header(), json.dumps({"frame": 0, "persons": []}),
+                   json.dumps({"frame": frame, "persons": []})]
+        path.write_text("\n".join(records) + "\n")
+        with pytest.raises(StreamFormatError) as err:
+            parse_stream(path)
+        assert err.value.line_number == 3
+
+    def test_person_without_id_names_line(self, tmp_path):
+        person = self._person()
+        del person["id"]
+        path = tmp_path / "s.jsonl"
+        path.write_text("\n".join([self._header(), json.dumps({"frame": 0, "persons": [person]})]) + "\n")
+        with pytest.raises(StreamFormatError) as err:
+            parse_stream(path)
+        assert err.value.line_number == 2
+
+    def test_repeated_id_in_one_frame_is_rejected(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        record = {"frame": 0, "persons": [self._person(), self._person()]}
+        path.write_text("\n".join([self._header(), json.dumps(record)]) + "\n")
+        with pytest.raises(StreamFormatError) as err:
+            parse_stream(path)
+        assert err.value.line_number == 2
+
     def test_joint_arity_mismatch(self, tmp_path):
         path = tmp_path / "s.jsonl"
         records = [
