@@ -16,9 +16,10 @@ import math
 import os
 import sys
 import typing
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .errors import (
@@ -293,8 +294,7 @@ def cmd_match(args) -> int:
         # A relative stream path is stored relative to `out`, where `refine` resolves it.
         return str(path) if os.path.isabs(path) else os.path.relpath(path, out)
 
-    def run_camera(index_and_cam):
-        index, (cam_path, cam) = index_and_cam
+    def match_payload(cam_path, cam) -> dict:
         tracks2d = resample_to_timeline(cam, lidar.frame_indices, lidar.frame_rate)
         if not tracks2d:
             logger.warning("%s: no persons in camera stream; writing empty match", cam_path)
@@ -327,7 +327,7 @@ def cmd_match(args) -> int:
                 raw.pairs, residuals, len(lidar.tracks), len(tracks2d)
             )
             stats = {"strategy": args.mode}
-        payload = match_output_payload(
+        return match_output_payload(
             match,
             extrinsics,
             run_config.pcm,
@@ -339,42 +339,20 @@ def cmd_match(args) -> int:
             [t.person_id for t in tracks2d],
             stats,
         )
-        target = out / f"match_{index:02d}_{Path(cam_path).stem}.json"
-        return target, payload
 
-    jobs = list(enumerate(cameras))
-    errors: list[Exception] = []
-    outputs = []
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            futures = [pool.submit(run_camera, job) for job in jobs]
-            for future in futures:
-                try:
-                    outputs.append(future.result())
-                except CrossAlignError as exc:
-                    errors.append(exc)
-                    outputs.append(None)
-    else:
-        for job in jobs:
-            try:
-                outputs.append(run_camera(job))
-            except CrossAlignError as exc:
-                errors.append(exc)
-                outputs.append(None)
-
-    # Writes are serialized here, in camera order, regardless of threads.
     written = 0
-    for output in outputs:
-        if output is None:
+    first_error = None
+    for index, (cam_path, cam) in enumerate(cameras):
+        try:
+            payload = match_payload(cam_path, cam)
+        except CrossAlignError as exc:
+            logger.error("camera failed: %s", exc)
+            first_error = first_error or exc
             continue
-        target, payload = output
-        write_match_output(target, payload)
+        write_match_output(out / f"match_{index:02d}_{Path(cam_path).stem}.json", payload)
         written += 1
-    for exc in errors:
-        logger.error("camera failed: %s", exc)
-    if written == 0 and errors:
-        first = errors[0]
-        return EXIT_DATA if isinstance(first, _DATA_ERRORS) else EXIT_NUMERICAL
+    if written == 0 and first_error is not None:
+        return EXIT_DATA if isinstance(first_error, _DATA_ERRORS) else EXIT_NUMERICAL
     return EXIT_OK
 
 
@@ -387,6 +365,15 @@ def cmd_refine(args) -> int:
     lidar = parse_stream(args.lidar)
     if lidar.kind != KIND_3D:
         raise StreamFormatError(f"{args.lidar}: expected a {KIND_3D} stream, got {lidar.kind}")
+    # Refinement starts from, and writes back, every valid 3D joint: all must be finite.
+    for track in lidar.tracks:
+        bad = track.valid & ~np.isfinite(track.joints).all(axis=(1, 2))
+        if bad.any():
+            frame = lidar.frame_indices[int(np.argmax(bad))]
+            raise StreamFormatError(
+                f"{args.lidar}: person {track.person_id!r} has a non-finite 3D joint in "
+                f"frame {frame}; refine needs finite joints"
+            )
 
     views = []  # (doc, intrinsics, resampled 2D tracks)
     for match_path in args.match:
@@ -462,7 +449,7 @@ def cmd_refine(args) -> int:
 
 def cmd_bench(args) -> int:
     spec = load_bench_spec(args.spec)
-    report = run_bench(spec, threads=args.threads)
+    report = run_bench(spec)
     export_report(report, args.out)
     logger.info("wrote %d rows to %s", len(report.rows), args.out)
     return EXIT_OK
@@ -488,7 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--config", required=True, help="scene config JSON")
     p_sim.add_argument("--out", required=True, help="output directory")
     p_sim.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p_sim.add_argument("--threads", type=int, default=1)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_match = sub.add_parser("match", help="match a lidar stream against camera streams")
@@ -498,7 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_match.add_argument("--mode", default="P&T&K", help="matching strategy")
     p_match.add_argument("--out", required=True, help="output directory")
     p_match.add_argument("--seed", type=int, default=0)
-    p_match.add_argument("--threads", type=int, default=1)
     p_match.set_defaults(func=cmd_match)
 
     p_refine = sub.add_parser("refine", help="refine 3D joints using matched camera streams")
@@ -511,7 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="run an accuracy/throughput sweep")
     p_bench.add_argument("--spec", required=True, help="bench spec JSON")
     p_bench.add_argument("--out", required=True, help="report CSV path")
-    p_bench.add_argument("--threads", type=int, default=1)
     p_bench.set_defaults(func=cmd_bench)
 
     p_version = sub.add_parser("version", help="print version and skeleton hash")

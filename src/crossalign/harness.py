@@ -3,7 +3,7 @@ refinement improvement statistics, exported as a versioned CSV report.
 
 Accuracy numbers are deterministic for fixed seeds; wall-clock and FPS
 figures time the same pass that measures accuracy (every scene of a cell,
-matched once, across all threads) and carry no determinism guarantee.
+matched once) and carry no determinism guarantee.
 Failures inside a sweep cell are recorded, never raised, so a large grid
 always completes.
 """
@@ -17,7 +17,6 @@ import logging
 import math
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -133,11 +132,10 @@ class MetricsReport:
     failures: list[str] = field(default_factory=list)
 
 
-def run_bench(spec: BenchSpec, threads: int = 1) -> MetricsReport:
-    """Execute the sweep. Each scene is matched once per mode, optionally in
-    a thread pool; results merge in deterministic grid order. A cell's wall
-    time spans all its scenes, and its FPS counts the frames of the scenes
-    that matched without error."""
+def run_bench(spec: BenchSpec) -> MetricsReport:
+    """Execute the sweep in grid order. Each scene is matched once per mode;
+    a cell's wall time spans all its scenes, and its FPS counts the frames of
+    the scenes that matched without error."""
     config = spec.match_config()
     cells = [
         (pc, noise, sync)
@@ -154,31 +152,20 @@ def run_bench(spec: BenchSpec, threads: int = 1) -> MetricsReport:
                 for seed in spec.seeds
                 for rep in range(spec.repetitions)
             ]
-
-            def run_one(scene):
+            accuracies = []
+            timed_frames = 0
+            start = time.perf_counter()
+            for scene in scenes:
                 try:
                     match = match_with_strategy(
                         mode, scene.tracks3d, scene.tracks2d[0], scene.intrinsics, config
                     )
-                    return accuracy(match, scene.truth, 0), None
                 except CrossAlignError as exc:
-                    return None, f"{mode}/pc{pc}/noise{noise}/sync{sync}: {exc}"
-
-            start = time.perf_counter()
-            if threads > 1:
-                with ThreadPoolExecutor(max_workers=threads) as pool:
-                    outcomes = list(pool.map(run_one, scenes))
-            else:
-                outcomes = [run_one(scene) for scene in scenes]
+                    failures.append(f"{mode}/pc{pc}/noise{noise}/sync{sync}: {exc}")
+                    continue
+                accuracies.append(accuracy(match, scene.truth, 0))
+                timed_frames += scene.config.duration_frames
             wall = time.perf_counter() - start
-
-            accuracies = [a for a, _ in outcomes if a is not None]
-            failures.extend(err for _, err in outcomes if err is not None)
-            timed_frames = sum(
-                scene.config.duration_frames
-                for scene, (acc, _) in zip(scenes, outcomes)
-                if acc is not None
-            )
             fps = timed_frames / wall if wall > 0 and timed_frames else 0.0
 
             rows.append(

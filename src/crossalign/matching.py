@@ -72,6 +72,9 @@ ASSIGNMENT_TIE_RTOL = 1e-9
 
 STRATEGIES = ("KPs", "KP", "Pose", "P&K", "P&T", "P&T&K")
 
+# Most pairings the exhaustive KPs strategy enumerates per frame (7!).
+KPS_MAX_PAIRINGS = 5040
+
 
 # ---------------------------------------------------------------------------
 # Track and configuration types
@@ -459,10 +462,10 @@ def _usable2d(joints: np.ndarray, confidence: np.ndarray) -> tuple[np.ndarray, n
     return np.where(finite[..., None], joints, 0.0), np.where(finite, confidence, 0.0)
 
 
-def frame_slice(tracks3d, tracks2d, frame: int, min_joints: int = MIN_JOINT_OVERLAP) -> FrameData:
+def frame_slice(tracks3d, tracks2d, frame: int) -> FrameData:
     """Collect the persons that can take part in this frame's costs.
 
-    Persons with fewer than ``min_joints`` usable joints are excluded
+    Persons with fewer than MIN_JOINT_OVERLAP usable joints are excluded
     entirely (below the pose-estimation identifiability floor).
     """
 
@@ -474,8 +477,8 @@ def frame_slice(tracks3d, tracks2d, frame: int, min_joints: int = MIN_JOINT_OVER
     joints2d, conf2d = _usable2d(
         at_frame(tracks2d, "joints", (JOINTS, 2)), at_frame(tracks2d, "confidence", (JOINTS,))
     )
-    keep3 = mask3d.sum(axis=1) >= min_joints
-    keep2 = (conf2d > 0).sum(axis=1) >= min_joints
+    keep3 = mask3d.sum(axis=1) >= MIN_JOINT_OVERLAP
+    keep2 = (conf2d > 0).sum(axis=1) >= MIN_JOINT_OVERLAP
     return FrameData(
         frame=frame,
         n3d=len(tracks3d),
@@ -1016,14 +1019,14 @@ def _kp_frame(fd, intrinsics, config, skeleton, seed):
     return _frame_winner(_search_frames([fd], intrinsics, config, skeleton, [row])[0])
 
 
-def _kps_frame(fd, intrinsics, config, skeleton, max_enumeration: int = 5040):
+def _kps_frame(fd, intrinsics, config, skeleton):
     """Exhaustive per-frame search: every injective full-size pairing gets its
     own pose fit and combined cost; the cheapest pairing wins the frame."""
     if not fd.usable:
         return None
     p3, p2 = len(fd.idx3d), len(fd.idx2d)
     count = math.perm(max(p3, p2), min(p3, p2))
-    if count > max_enumeration:
+    if count > KPS_MAX_PAIRINGS:
         raise InvalidConfig(
             f"exhaustive strategy would enumerate {count} pairings; reduce the person count"
         )

@@ -245,12 +245,18 @@ def _tracks_from_records(kind, records, frames, intrinsics):
         conf = np.zeros((frames, JOINTS))
         valid = np.zeros(frames, dtype=bool)
         for slot, line, person in per_person[pid]:
-            j = np.asarray(person.get("joints", []), dtype=float)
+            try:
+                j = np.asarray(person.get("joints", []), dtype=float)
+                quats = np.asarray(person.get("body_pose", []), dtype=float)
+                if kind == KIND_2D:
+                    c = np.asarray(person.get("confidence", []), dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise StreamFormatError(f"person {pid!r} carries non-numeric data: {exc}",
+                                        line) from None
             if j.shape != (JOINTS, 3 if kind == KIND_3D else 2):
                 raise JointArityMismatch(
                     f"person {pid!r} carries joint array of shape {j.shape}", line
                 )
-            quats = np.asarray(person.get("body_pose", []), dtype=float)
             if quats.shape != (JOINTS, 4):
                 raise JointArityMismatch(
                     f"person {pid!r} carries {quats.shape} body-pose quaternions", line
@@ -260,7 +266,6 @@ def _tracks_from_records(kind, records, frames, intrinsics):
             except ValueError as exc:
                 raise StreamFormatError(str(exc), line) from None
             if kind == KIND_2D:
-                c = np.asarray(person.get("confidence", []), dtype=float)
                 if c.shape != (JOINTS,):
                     raise JointArityMismatch(
                         f"person {pid!r} carries confidence array of shape {c.shape}", line
@@ -407,20 +412,28 @@ def load_match_output(path: str | Path) -> MatchDocument:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise StreamFormatError(f"match output is not valid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise StreamFormatError(f"{path}: match output must be a JSON object")
     if payload.get("match_format_version") != MATCH_FORMAT_VERSION:
         raise StreamFormatError("unsupported match_format_version")
-    pairs = [(int(p["idx3d"]), int(p["idx2d"])) for p in payload.get("pairs", [])]
+    try:
+        entries = payload.get("pairs", [])
+        pairs = [(_index(p["idx3d"]), _index(p["idx2d"])) for p in entries]
+        residuals = [float(p["residual_px"]) for p in entries]
+        extrinsics = {}
+        for entry in payload.get("extrinsics", []):
+            quat = np.asarray(entry["quat_wxyz"], dtype=float)
+            if abs(np.linalg.norm(quat) - 1.0) > 1e-9:
+                raise StreamFormatError(f"non-unit quaternion in frame {entry.get('frame')}")
+            extrinsics[_index(entry["frame"])] = Extrinsics(
+                matrix_from_quat_wxyz(quat), np.asarray(entry["translation_m"], dtype=float)
+            )
+    except KeyError as exc:
+        raise StreamFormatError(f"{path}: match output entry lacks field {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise StreamFormatError(f"{path}: malformed match output: {exc}") from None
     if len({i for i, _ in pairs}) != len(pairs) or len({j for _, j in pairs}) != len(pairs):
         raise StreamFormatError("match pairs are not injective")
-    residuals = [float(p["residual_px"]) for p in payload.get("pairs", [])]
-    extrinsics = {}
-    for entry in payload.get("extrinsics", []):
-        quat = np.asarray(entry["quat_wxyz"], dtype=float)
-        if abs(np.linalg.norm(quat) - 1.0) > 1e-9:
-            raise StreamFormatError(f"non-unit quaternion in frame {entry.get('frame')}")
-        extrinsics[int(entry["frame"])] = Extrinsics(
-            matrix_from_quat_wxyz(quat), np.asarray(entry["translation_m"], dtype=float)
-        )
     return MatchDocument(
         payload=payload,
         pairs=pairs,
@@ -430,6 +443,13 @@ def load_match_output(path: str | Path) -> MatchDocument:
         lidar_stream=str(payload.get("lidar_stream", "")),
         camera_stream=str(payload.get("camera_stream", "")),
     )
+
+
+def _index(value) -> int:
+    """A person or frame index of a match output: a non-negative JSON integer."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"index must be a non-negative integer, got {value!r}")
+    return value
 
 
 def require_same_hash(*hashes: str) -> None:

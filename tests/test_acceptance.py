@@ -259,8 +259,7 @@ def test_criterion_08_sensor_expandability():
 
 
 def test_criterion_09_cli_determinism(tmp_path):
-    """simulate and match produce byte-identical outputs across runs and
-    across --threads settings."""
+    """simulate and match produce byte-identical outputs across runs."""
     import json
 
     from crossalign.cli import main
@@ -279,18 +278,18 @@ def test_criterion_09_cli_determinism(tmp_path):
         )
     )
     identical = True
-    # Two simulate runs (serial and threaded) must agree byte for byte.
+    # Two simulate runs must agree byte for byte.
     scene_a, scene_b = tmp_path / "scene_a", tmp_path / "scene_b"
-    assert main(["simulate", "--config", str(config), "--out", str(scene_a), "--threads", "1"]) == 0
-    assert main(["simulate", "--config", str(config), "--out", str(scene_b), "--threads", "4"]) == 0
+    assert main(["simulate", "--config", str(config), "--out", str(scene_a)]) == 0
+    assert main(["simulate", "--config", str(config), "--out", str(scene_b)]) == 0
     for name in sorted(p.name for p in scene_a.iterdir()):
         identical &= (scene_a / name).read_bytes() == (scene_b / name).read_bytes()
 
-    # Three match runs over the same inputs: repeat run and thread sweep.
+    # Three match runs over the same inputs.
     match_dirs = []
-    for run, threads in (("r1", "1"), ("r2", "1"), ("r3", "4")):
+    for run in ("r1", "r2", "r3"):
         match_out = tmp_path / f"match_{run}"
-        args = ["match", "--lidar", str(scene_a / "lidar.jsonl"), "--out", str(match_out), "--threads", threads]
+        args = ["match", "--lidar", str(scene_a / "lidar.jsonl"), "--out", str(match_out)]
         for cam in sorted(scene_a.glob("camera_*.jsonl")):
             args += ["--camera", str(cam)]
         assert main(args) == 0
@@ -300,7 +299,7 @@ def test_criterion_09_cli_determinism(tmp_path):
         assert sorted(p.name for p in other.iterdir()) == names
         for name in names:
             identical &= (match_dirs[0] / name).read_bytes() == (other / name).read_bytes()
-    report(9, identical, "simulate + match byte-identical across runs and --threads 1 vs 4")
+    report(9, identical, "simulate x2 + match x3 byte-identical across runs")
     assert identical
 
 

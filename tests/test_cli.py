@@ -41,9 +41,7 @@ class TestSimulate:
         config.write_text(json.dumps(scene_config_payload(camera_count=2, pixel_noise_sigma=1.5)))
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert run_cli("simulate", "--config", str(config), "--out", str(out1)) == 0
-        assert run_cli(
-            "simulate", "--config", str(config), "--out", str(out2), "--threads", "4"
-        ) == 0
+        assert run_cli("simulate", "--config", str(config), "--out", str(out2)) == 0
         for name in ("lidar.jsonl", "camera_00.jsonl", "camera_01.jsonl", "truth.jsonl"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
@@ -109,7 +107,7 @@ class TestMatch:
         assert doc.payload["config"]["delta"] == 100.0
         assert doc.payload["strategy"] == "P&T&K"
 
-    def test_match_is_deterministic_across_threads(self, tmp_path):
+    def test_match_is_deterministic_across_runs(self, tmp_path):
         config = tmp_path / "scene.json"
         config.write_text(
             json.dumps(
@@ -123,8 +121,8 @@ class TestMatch:
         for cam in cameras:
             args += ["--camera", cam]
         out1, out2 = tmp_path / "m1", tmp_path / "m2"
-        assert run_cli(*args, "--out", str(out1), "--threads", "1") == 0
-        assert run_cli(*args, "--out", str(out2), "--threads", "3") == 0
+        assert run_cli(*args, "--out", str(out1)) == 0
+        assert run_cli(*args, "--out", str(out2)) == 0
         files1 = sorted(out1.iterdir())
         files2 = sorted(out2.iterdir())
         assert [f.name for f in files1] == [f.name for f in files2]
@@ -377,6 +375,38 @@ class TestRefine:
         assert code == 2
 
 
+    def test_malformed_match_document_exits_2(self, noisy_scene, tmp_path):
+        matches = self._run_match(noisy_scene, tmp_path / "match")
+        doc = json.loads(matches[0].read_text())
+        del doc["pairs"][0]["idx2d"]
+        matches[0].write_text(json.dumps(doc))
+        out = tmp_path / "never.jsonl"
+        code = run_cli(
+            "refine", "--lidar", str(noisy_scene / "lidar.jsonl"), "--match", str(matches[0]),
+            "--out", str(out),
+        )
+        assert code == 2
+        assert not out.exists()
+
+    def test_non_finite_lidar_joint_exits_2_before_writing(self, noisy_scene, tmp_path, caplog):
+        lidar = noisy_scene / "lidar.jsonl"
+        lines = lidar.read_text().splitlines()
+        record = json.loads(lines[3])
+        person = record["persons"][0]
+        person["joints"][4][1] = float("nan")
+        lidar.write_text("\n".join(lines[:3] + [json.dumps(record)] + lines[4:]) + "\n")
+        matches = self._run_match(noisy_scene, tmp_path / "match")
+        out = tmp_path / "never.jsonl"
+        args = ["refine", "--lidar", str(lidar), "--out", str(out)]
+        for m in matches:
+            args += ["--match", str(m)]
+        caplog.clear()
+        assert run_cli(*args) == 2
+        assert not out.exists()
+        message = " ".join(r.getMessage() for r in caplog.records if r.levelname == "ERROR")
+        assert f"person {person['id']!r}" in message
+        assert f"frame {record['frame']}" in message
+
     def test_refine_after_match_with_relative_paths(self, noisy_scene, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         args = ["match", "--lidar", "scene/lidar.jsonl", "--camera", "scene/camera_00.jsonl"]
@@ -462,6 +492,19 @@ class TestUsage:
 
     def test_missing_subcommand_is_usage_error(self):
         assert run_cli() == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--config", "missing.json", "--out", "out"],
+            ["match", "--lidar", "missing.jsonl", "--camera", "missing.jsonl", "--out", "out"],
+            ["bench", "--spec", "missing.json", "--out", "report.csv"],
+        ],
+    )
+    def test_retired_threads_flag_is_usage_error(self, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*argv) == 2  # the inputs are missing: a data error
+        assert run_cli(*argv, "--threads", "2") == 1
 
     def test_unknown_flag_is_usage_error(self):
         assert run_cli("simulate", "--nope") == 1

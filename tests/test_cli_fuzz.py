@@ -1,0 +1,106 @@
+"""Fuzzing the CLI's file inputs: an edited stream record or match document
+ends in exit code 0, 2 (data) or 3 (numerical), never in an exception."""
+
+import copy
+import json
+import math
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from crossalign.cli import main
+
+# Values an edit puts in place of a field: wrong types, non-finite and out-of-range numbers.
+VALUES = [None, True, "x", -1, 0, 0.5, 1e9, math.nan, math.inf, [], {}, [0.0], {"x": 1}]
+
+# An edit goes one level deeper into the document with probability 3/4.
+DESCEND = st.integers(0, 3).map(bool)
+
+FUZZ = settings(max_examples=30, deadline=None)
+
+
+@pytest.fixture(scope="module")
+def scene(tmp_path_factory):
+    """A seed-5 scene (3 persons, 8 frames, 1 camera) and its match document."""
+    base = tmp_path_factory.mktemp("fuzz")
+    config = base / "scene.json"
+    config.write_text(json.dumps({
+        "person_count": 3, "duration_frames": 8, "camera_count": 1,
+        "pixel_noise_sigma": 0.0, "dropout_rate": 0.0, "seed": 5,
+    }))
+    assert main(["simulate", "--config", str(config), "--out", str(base / "scene")]) == 0
+    assert main(["match", "--lidar", str(base / "scene" / "lidar.jsonl"),
+                 "--camera", str(base / "scene" / "camera_00.jsonl"),
+                 "--out", str(base / "match")]) == 0
+    return base
+
+
+def _edited(data, root):
+    """``root`` with one drawn edit applied somewhere inside it: a field dropped,
+    replaced by one of VALUES, or a list shortened or lengthened."""
+    holder = {"root": root}
+    parent, key = holder, "root"
+    while isinstance(parent[key], (dict, list)) and parent[key] and data.draw(DESCEND):
+        node = parent[key]
+        parent = node
+        key = data.draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+    node = parent[key]
+    op = data.draw(st.sampled_from(["drop", "replace", "resize"]))
+    if op == "drop":
+        del parent[key]
+    elif op == "replace" or not isinstance(node, list):
+        parent[key] = copy.deepcopy(data.draw(st.sampled_from(VALUES)))
+    elif node and data.draw(st.booleans()):
+        node.pop()
+    else:
+        node.append(node[-1] if node else 0.0)
+    return holder.get("root")
+
+
+def _edit_times(data, root):
+    for _ in range(data.draw(st.integers(1, 3))):
+        root = _edited(data, root)
+    return root
+
+
+def _refine_args(lidar, matches, out):
+    args = ["refine", "--lidar", str(lidar), "--out", str(out)]
+    for match in matches:
+        args += ["--match", str(match)]
+    return args
+
+
+@FUZZ
+@given(data=st.data())
+def test_edited_stream_record_never_raises(scene, data):
+    name = data.draw(st.sampled_from(["lidar.jsonl", "camera_00.jsonl"]))
+    lines = (scene / "scene" / name).read_text().splitlines()
+    index = data.draw(st.integers(0, len(lines) - 1))
+    lines[index] = json.dumps(_edit_times(data, json.loads(lines[index])))
+    with tempfile.TemporaryDirectory(dir=scene) as work:
+        work = Path(work)
+        for stream in ("lidar.jsonl", "camera_00.jsonl"):
+            text = (scene / "scene" / stream).read_text()
+            (work / stream).write_text("\n".join(lines) + "\n" if stream == name else text)
+        code = main(["match", "--lidar", str(work / "lidar.jsonl"),
+                     "--camera", str(work / "camera_00.jsonl"), "--out", str(work / "match")])
+        assert code in (0, 2, 3)
+        matches = sorted((work / "match").glob("*.json")) if code == 0 else []
+        if matches:
+            assert main(_refine_args(work / "lidar.jsonl", matches, work / "r.jsonl")) in (0, 2, 3)
+
+
+@FUZZ
+@given(data=st.data())
+def test_edited_match_document_never_raises(scene, data):
+    (original,) = sorted((scene / "match").glob("*.json"))
+    doc = _edit_times(data, json.loads(original.read_text()))
+    with tempfile.NamedTemporaryFile("w", suffix=".json", dir=scene / "match") as edited:
+        edited.write(json.dumps(doc))
+        edited.flush()
+        refined = Path(edited.name).with_suffix(".jsonl")
+        code = main(_refine_args(scene / "scene" / "lidar.jsonl", [edited.name], refined))
+    assert code in (0, 2, 3)

@@ -71,16 +71,15 @@ class TestRunBench:
         keys = {(r.mode, r.person_count) for r in report.rows}
         assert keys == {(m, p) for m in ("Pose", "P&T") for p in (2, 3, 4)}
 
-    def test_accuracy_deterministic_across_threads(self):
+    def test_accuracy_deterministic_across_runs(self):
         spec = tiny_spec(seeds=(3, 4), pixel_noise_sigmas=(2.0,), duration_frames=8)
-        serial = run_bench(spec, threads=1)
-        threaded = run_bench(spec, threads=4)
-        for a, b in zip(serial.rows, threaded.rows):
+        first = run_bench(spec)
+        second = run_bench(spec)
+        for a, b in zip(first.rows, second.rows):
             assert a.accuracy_mean == b.accuracy_mean
             assert a.accuracy_std == b.accuracy_std
 
-    @pytest.mark.parametrize("threads", [1, 4])
-    def test_each_scene_is_matched_once_per_mode(self, monkeypatch, threads):
+    def test_each_scene_is_matched_once_per_mode(self, monkeypatch):
         calls = []
         real = harness.match_with_strategy
 
@@ -90,7 +89,7 @@ class TestRunBench:
 
         monkeypatch.setattr(harness, "match_with_strategy", counting)
         spec = tiny_spec(modes=("Pose", "P&T"), person_counts=(2, 3), seeds=(1, 2), repetitions=2)
-        report = run_bench(spec, threads=threads)
+        report = run_bench(spec)
         scenes_per_cell = len(spec.seeds) * spec.repetitions
         assert sorted(calls) == sorted(
             (mode, pc) for mode in spec.modes for pc in spec.person_counts

@@ -188,6 +188,29 @@ class TestParseErrors:
         assert "vendor_extra" in caplog.text
         assert "note" in caplog.text
 
+    @pytest.mark.parametrize("field", ["joints", "confidence", "body_pose"])
+    def test_non_numeric_person_data_names_line(self, tmp_path, field):
+        header = json.loads(self._header(KIND_2D))
+        header["intrinsics"] = {
+            "fx": 500.0, "fy": 500.0, "cx": 320.0, "cy": 240.0, "width": 640, "height": 480
+        }
+        person = {
+            "id": "p",
+            "joints": [[100.0, 100.0] for _ in range(24)],
+            "confidence": [1.0] * 24,
+            "body_pose": [[1.0, 0.0, 0.0, 0.0] for _ in range(24)],
+        }
+        if field == "confidence":
+            person[field][3] = "x"
+        else:
+            person[field][3][0] = "x"
+        path = tmp_path / "s.jsonl"
+        record = {"frame": 0, "persons": [person]}
+        path.write_text(json.dumps(header) + "\n" + json.dumps(record) + "\n")
+        with pytest.raises(StreamFormatError) as err:
+            parse_stream(path)
+        assert err.value.line_number == 2
+
     def test_bad_quaternion_rejected(self, tmp_path):
         path = tmp_path / "s.jsonl"
         person = self._person()
@@ -247,7 +270,26 @@ class TestResample:
             assert not track.valid[8:].any()
 
 
+DROP = object()  # marks a key to delete in a document edit
+
+
 class TestMatchOutput:
+    @staticmethod
+    def _payload():
+        """A valid document: two pairs, extrinsics for frame 0."""
+        rng = np.random.default_rng(3)
+        return match_output_payload(
+            MatchSet(((0, 1), (1, 0)), (0.5, 0.75), (2,), ()),
+            [Extrinsics(random_rotation(rng), rng.normal(size=3)), None],
+            PcmConfig(),
+            "P&T&K",
+            "skhash",
+            "lidar.jsonl",
+            "cam.jsonl",
+            ["a", "b", "c"],
+            ["x", "y"],
+        )
+
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
         match = MatchSet(((0, 1), (1, 0)), (0.5, 0.75), (2,), ())
@@ -273,6 +315,42 @@ class TestMatchOutput:
         assert set(doc.extrinsics) == {0}
         assert np.allclose(doc.extrinsics[0].rotation, extr[0].rotation, atol=1e-12)
         assert doc.payload["config"]["delta"] == 100.0
+
+    @pytest.mark.parametrize(
+        "where, value",
+        [
+            ((), ["not", "an", "object"]),
+            (("pairs",), 5),
+            (("pairs", 0, "idx3d"), DROP),
+            (("pairs", 0, "idx2d"), DROP),
+            (("pairs", 0, "idx3d"), 0.5),
+            (("pairs", 0, "idx2d"), "1"),
+            (("pairs", 0, "idx2d"), None),
+            (("pairs", 0, "idx2d"), -1),
+            (("extrinsics", 0, "quat_wxyz"), DROP),
+            (("extrinsics", 0, "translation_m"), [0.0, 1.0]),
+            (("extrinsics", 0, "translation_m"), [0.0, "x", 1.0]),
+            (("extrinsics", 0, "translation_m"), [0.0, float("nan"), 1.0]),
+        ],
+    )
+    def test_malformed_document_is_a_format_error(self, tmp_path, where, value):
+        path = tmp_path / "match.json"
+        write_match_output(path, self._payload())
+        doc = load_match_output(path).payload  # the unedited document loads
+        if not where:
+            doc = value
+        else:
+            *parents, key = where
+            target = doc
+            for step in parents:
+                target = target[step]
+            if value is DROP:
+                del target[key]
+            else:
+                target[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(StreamFormatError):
+            load_match_output(path)
 
     def test_rejects_non_injective_pairs(self, tmp_path):
         path = tmp_path / "match.json"
