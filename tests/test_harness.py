@@ -79,7 +79,8 @@ class TestRunBench:
             assert a.accuracy_mean == b.accuracy_mean
             assert a.accuracy_std == b.accuracy_std
 
-    def test_each_scene_is_matched_once_per_mode(self, monkeypatch):
+    @pytest.mark.parametrize("repetitions", [1, 4])
+    def test_each_scene_is_matched_once_per_mode(self, monkeypatch, repetitions):
         calls = []
         real = harness.match_with_strategy
 
@@ -88,7 +89,8 @@ class TestRunBench:
             return real(mode, tracks3d, *args, **kwargs)
 
         monkeypatch.setattr(harness, "match_with_strategy", counting)
-        spec = tiny_spec(modes=("Pose", "P&T"), person_counts=(2, 3), seeds=(1, 2), repetitions=2)
+        spec = tiny_spec(modes=("Pose", "P&T"), person_counts=(2, 3), seeds=(1, 2),
+                         repetitions=repetitions)
         report = run_bench(spec)
         scenes_per_cell = len(spec.seeds) * spec.repetitions
         assert sorted(calls) == sorted(
