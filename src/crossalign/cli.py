@@ -16,7 +16,7 @@ import math
 import os
 import sys
 import typing
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +40,14 @@ from .matching import (
     match_sequences,
     match_with_strategy,
 )
-from .refiner import CameraObservation, RefineProblem, refine
+from .refiner import (
+    DEFAULT_LAMBDA1,
+    DEFAULT_LAMBDA2,
+    DEFAULT_LAMBDA3,
+    CameraObservation,
+    RefineProblem,
+    refine,
+)
 from .rotations import quat_wxyz_from_matrix
 from .simulator import SceneConfig, generate
 from .skeleton import default_skeleton
@@ -66,126 +73,95 @@ EXIT_NUMERICAL = 3
 _DATA_ERRORS = (StreamFormatError, HashMismatch, InvalidConfig, InvalidSpec, IoFailure)
 _NUMERICAL_ERRORS = (GeometryError, MatchingError)
 
-_MATCH_CONFIG_KEYS = {
-    "delta",
-    "lambda0",
-    "n_iter",
-    "reject_threshold",
-    "smoothing_window",
-    "lambda1",
-    "lambda2",
-    "lambda3",
-}
-
 
 @dataclass
 class RunConfig:
-    """Config-file contents: matcher tuning plus refinement weights.
+    """Config-file contents: matcher tuning plus refinement weights. The
+    defaults are the published operating point."""
 
-    Defaults are the published operating point: delta=100, lambda0=0.1,
-    n_iter=2, lambda1=1, lambda2=1, lambda3=0.01.
-    """
+    pcm: PcmConfig = field(default_factory=PcmConfig)
+    lambda1: float = DEFAULT_LAMBDA1
+    lambda2: float = DEFAULT_LAMBDA2
+    lambda3: float = DEFAULT_LAMBDA3
 
-    pcm: PcmConfig
-    lambda1: float = 1.0
-    lambda2: float = 1.0
-    lambda3: float = 0.01
+    def __post_init__(self):
+        if min(self.lambda1, self.lambda2, self.lambda3) < 0:
+            raise InvalidConfig("refinement weights must be >= 0")
 
 
-def _load_json(path: str | Path):
+def _load_json(path: str | Path, error: type[CrossAlignError]) -> dict:
+    """The JSON object in ``path``; a file that is not one raises ``error``."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
-        raise InvalidConfig(f"{path} is not valid JSON: {exc}") from None
+        raise error(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise error(f"{path}: must be a JSON object")
+    return payload
+
+
+def _from_json(cls, payload: dict, path, error: type[CrossAlignError], **given):
+    """A ``cls`` built from a parsed JSON object, typed by ``cls``'s field
+    annotations (see ``_json_value``); ``given`` sets the fields that do not
+    come from the object. An unknown field, a mistyped value or a value the
+    constructor refuses raises ``error``."""
+    hints = {k: v for k, v in typing.get_type_hints(cls).items() if k not in given}
+    unknown = set(payload) - set(hints)
+    if unknown:
+        raise error(f"{path}: unknown fields {sorted(unknown)}")
+    values = {}
+    for key, value in payload.items():
+        try:
+            values[key] = _json_value(value, hints[key])
+        except (ValueError, OverflowError) as exc:  # OverflowError: an int too large for a float
+            raise error(f"{path}: {key}: {exc}") from None
+    try:
+        return cls(**values, **given)
+    except (TypeError, ValueError) as exc:
+        raise error(f"{path}: {exc}") from None
+
+
+_JSON_TYPES = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string"}
+
+
+def _json_value(value, kind):
+    """``value`` as a field of type ``kind``: bool, int, float (an int is stored
+    as a float), str, tuple[X, ...] (a JSON list) or Optional (null). Numbers
+    must be finite; anything else raises ValueError."""
+    args = typing.get_args(kind)
+    if type(None) in args:
+        if value is None:
+            return None
+        (kind,) = set(args) - {type(None)}
+    if typing.get_origin(kind) is tuple:
+        if not isinstance(value, list):
+            raise ValueError(f"expected a list, got {value!r}")
+        return tuple(_json_value(v, typing.get_args(kind)[0]) for v in value)
+    numeric = (int, float) if kind is float else kind
+    fits = isinstance(value, bool) == (kind is bool) and isinstance(value, numeric)
+    if not fits or (kind is float and not math.isfinite(value)):
+        raise ValueError(f"expected {_JSON_TYPES[kind]}, got {value!r}")
+    return float(value) if kind is float else value
 
 
 def load_run_config(path: str | Path | None) -> RunConfig:
     if path is None:
-        return RunConfig(pcm=PcmConfig())
-    payload = _load_json(path)
-    if not isinstance(payload, dict):
-        raise InvalidConfig(f"{path}: config must be a JSON object")
-    unknown = set(payload) - _MATCH_CONFIG_KEYS
-    if unknown:
-        raise InvalidConfig(f"{path}: unknown config fields {sorted(unknown)}")
-    try:
-        pcm = PcmConfig(
-            delta=float(payload.get("delta", 100.0)),
-            lambda0=float(payload.get("lambda0", 0.1)),
-            n_iter=int(payload.get("n_iter", 2)),
-            reject_threshold=(
-                None
-                if payload.get("reject_threshold") is None
-                else float(payload["reject_threshold"])
-            ),
-            smoothing_window=int(payload.get("smoothing_window", 9)),
-        )
-        weights = {k: float(payload.get(k, d)) for k, d in
-                   (("lambda1", 1.0), ("lambda2", 1.0), ("lambda3", 0.01))}
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidConfig(f"{path}: non-numeric config value: {exc}") from None
-    if any(v < 0 for v in weights.values()):
-        raise InvalidConfig("refinement weights must be >= 0")
-    return RunConfig(pcm=pcm, **weights)
+        return RunConfig()
+    payload = _load_json(path, InvalidConfig)
+    pcm = {f.name: payload.pop(f.name) for f in fields(PcmConfig) if f.name in payload}
+    pcm_config = _from_json(PcmConfig, pcm, path, InvalidConfig)
+    return _from_json(RunConfig, payload, path, InvalidConfig, pcm=pcm_config)
 
 
 def load_scene_config(path: str | Path, seed_override: int | None) -> SceneConfig:
-    payload = _load_json(path)
-    if not isinstance(payload, dict):
-        raise InvalidConfig(f"{path}: scene config must be a JSON object")
-    fields = {f.name for f in SceneConfig.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-    unknown = set(payload) - fields
-    if unknown:
-        raise InvalidConfig(f"{path}: unknown scene fields {sorted(unknown)}")
-    if "synchronized_pose_groups" in payload and payload["synchronized_pose_groups"] is not None:
-        payload["synchronized_pose_groups"] = tuple(
-            tuple(g) for g in payload["synchronized_pose_groups"]
-        )
-    try:
-        config = SceneConfig(**payload)
-    except TypeError as exc:
-        raise InvalidConfig(f"{path}: {exc}") from None
-    if seed_override is not None:
-        config = SceneConfig(**{**payload, "seed": seed_override})
-    return config
+    config = _from_json(SceneConfig, _load_json(path, InvalidConfig), path, InvalidConfig)
+    return config if seed_override is None else replace(config, seed=seed_override)
 
 
 def load_bench_spec(path: str | Path) -> BenchSpec:
-    payload = _load_json(path)
-    if not isinstance(payload, dict):
-        raise InvalidSpec(f"{path}: bench spec must be a JSON object")
-    fields = {f.name for f in BenchSpec.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-    unknown = set(payload) - fields
-    if unknown:
-        raise InvalidSpec(f"{path}: unknown bench fields {sorted(unknown)}")
-    for key, kind in typing.get_type_hints(BenchSpec).items():
-        if key in payload and not _has_json_type(payload[key], kind):
-            raise InvalidSpec(f"{path}: {key} must be {_type_label(kind)}, got {payload[key]!r}")
-        if key in payload and typing.get_origin(kind) is tuple:
-            payload[key] = tuple(payload[key])
-    try:
-        return BenchSpec(**payload)
-    except TypeError as exc:
-        raise InvalidSpec(f"{path}: {exc}") from None
-
-
-def _has_json_type(value, kind) -> bool:
-    """Whether a parsed JSON value fits a field of type ``kind``: bool, int,
-    float (an int is accepted), str, or tuple[X, ...] (a JSON list)."""
-    if typing.get_origin(kind) is tuple:
-        element = typing.get_args(kind)[0]
-        return isinstance(value, list) and all(_has_json_type(v, element) for v in value)
-    if kind is bool or isinstance(value, bool):
-        return kind is bool and isinstance(value, bool)
-    return isinstance(value, (int, float) if kind is float else kind)
-
-
-def _type_label(kind) -> str:
-    if typing.get_origin(kind) is tuple:
-        return f"a list of {typing.get_args(kind)[0].__name__}"
-    return f"a JSON {kind.__name__}"
+    return _from_json(BenchSpec, _load_json(path, InvalidSpec), path, InvalidSpec)
 
 
 # ---------------------------------------------------------------------------
@@ -301,17 +277,9 @@ def cmd_match(args) -> int:
         if args.mode == "P&T&K":
             result = match_sequences(lidar.tracks, tracks2d, cam.intrinsics, run_config.pcm)
             match, extrinsics = result.match, result.extrinsics
-            variance = result.stats.gate_variance
-            stats = {
-                "gate_variance": variance if math.isfinite(variance) else None,
-                "keypoint_path": result.stats.keypoint_path,
-                "frames_total": result.stats.frames_total,
-                "frames_accumulated": result.stats.frames_accumulated,
-                "frames_failed": result.stats.frames_failed,
-                "fallback_to_pose": result.stats.fallback_to_pose,
-                "pnp_attempted": result.stats.pnp_attempted,
-                "pnp_failed": dict(result.stats.pnp_failed),
-            }
+            stats = asdict(result.stats)
+            if not math.isfinite(stats["gate_variance"]):
+                stats["gate_variance"] = None
         else:
             raw = match_with_strategy(
                 args.mode, lidar.tracks, tracks2d, cam.intrinsics, run_config.pcm, seed=args.seed or 0
@@ -323,8 +291,10 @@ def cmd_match(args) -> int:
                 cam.intrinsics,
                 run_config.pcm.smoothing_window,
             )
+            # A pair never measurable on a common frame has no finite residual: unmatched.
+            kept = [(pair, r) for pair, r in zip(raw.pairs, residuals) if math.isfinite(r)]
             match = build_match_set(
-                raw.pairs, residuals, len(lidar.tracks), len(tracks2d)
+                [pair for pair, _ in kept], [r for _, r in kept], len(lidar.tracks), len(tracks2d)
             )
             stats = {"strategy": args.mode}
         return match_output_payload(
@@ -387,6 +357,12 @@ def cmd_refine(args) -> int:
             raise StreamFormatError(f"{cam_file}: expected a {KIND_2D} stream")
         require_same_hash(lidar.skeleton_hash, cam.skeleton_hash)
         tracks2d = resample_to_timeline(cam, lidar.frame_indices, lidar.frame_rate)
+        for i, j in doc.pairs:
+            if i >= len(lidar.tracks) or j >= len(tracks2d):
+                raise StreamFormatError(
+                    f"{match_path}: pair ({i}, {j}) is out of range for {len(lidar.tracks)} "
+                    f"LiDAR and {len(tracks2d)} camera tracks"
+                )
         views.append((doc, cam.intrinsics, tracks2d))
 
     frames = len(lidar.frame_indices)
@@ -397,7 +373,7 @@ def cmd_refine(args) -> int:
         matched = []
         for doc, intrinsics, tracks2d in views:
             for i, j in doc.pairs:
-                if i == idx3 and j < len(tracks2d):
+                if i == idx3:
                     matched.append((doc, intrinsics, tracks2d[j]))
         new_joints = track.joints.copy()
         for t in range(frames):

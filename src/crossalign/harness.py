@@ -57,12 +57,12 @@ class BenchSpec:
     seeds: tuple[int, ...] = (0,)
     repetitions: int = 1
     duration_frames: int = 32
-    dropout_rate: float = 0.0
-    pose_noise_degrees: float = 0.0
-    fov_degrees: float = 70.0
-    delta: float = 100.0
-    lambda0: float = 0.1
-    n_iter: int = 2
+    dropout_rate: float = SceneConfig.dropout_rate
+    pose_noise_degrees: float = SceneConfig.pose_noise_degrees
+    fov_degrees: float = SceneConfig.fov_degrees
+    delta: float = PcmConfig.delta
+    lambda0: float = PcmConfig.lambda0
+    n_iter: int = PcmConfig.n_iter
     refine_trials: int = 0
     refine_noise_m: float = 0.05
     refine_cameras: int = 2

@@ -229,7 +229,7 @@ class PcmConfig:
     def __post_init__(self):
         if math.isnan(self.delta) or self.delta < 0:
             raise InvalidConfig("delta must be >= 0 (0 disables the variance gate)")
-        if self.lambda0 < 0:
+        if not self.lambda0 >= 0:
             raise InvalidConfig("lambda0 must be >= 0")
         if self.n_iter < 1:
             raise InvalidConfig("n_iter must be >= 1")
@@ -619,24 +619,21 @@ def optimize_frame_match(
     intrinsics: Intrinsics,
     config: PcmConfig,
     skeleton: CanonicalSkeleton | None = None,
-    seed_rows: np.ndarray | None = None,
 ) -> FrameMatchResult:
     """Best assignment for one frame by seeded proposal search.
 
     Every candidate pair (i, j) with enough jointly valid joints seeds a
-    camera pose fit to that single person; the full negated-reprojection
-    matrix under that pose is assigned to produce a proposal. Each distinct
+    camera pose fit to that single person; the full reprojection-cost matrix
+    under that pose is assigned to produce a proposal. Each distinct
     proposal is then refined ``n_iter`` times (re-fit pose on all its pairs,
     re-cost with the combined keypoint + body-pose matrix, re-assign) while
     the best-scoring assignment seen anywhere is tracked. Pairs of the winner
     whose reprojection residual exceeds the reject threshold are moved to the
     unmatched lists.
 
-    ``seed_rows`` restricts which 3D persons may seed proposals (used by the
-    single-seed benchmark strategy); the refinement always considers everyone.
     The one-frame case of ``_search_frames``.
     """
-    outcome = _search_frames([fd], intrinsics, config, skeleton, seed_rows)[0]
+    outcome = _search_frames([fd], intrinsics, config, skeleton)[0]
     if isinstance(outcome, NoViableProposal):
         raise outcome
     return outcome
@@ -649,6 +646,9 @@ def _search_frames(fds, intrinsics, config, skeleton=None, seed_rows=None, stats
     re-fits of all frames into one more; the winner is picked in proposal
     order, so every frame gets the result it gets alone. Returns per frame a
     FrameMatchResult or the NoViableProposal that ended its search.
+
+    ``seed_rows`` restricts which 3D persons may seed proposals (used by the
+    single-seed benchmark strategy); the refinement always considers everyone.
     """
     skeleton = skeleton if skeleton is not None else default_skeleton()
     threshold = config.resolved_reject_threshold(intrinsics)
@@ -679,10 +679,10 @@ def _search_frames(fds, intrinsics, config, skeleton=None, seed_rows=None, stats
             extr = pnp[seed]
             if extr is None:
                 continue
-            scores = -_reprojection_matrix(
+            costs = _reprojection_matrix(
                 fd.joints3d, fd.mask3d, fd.joints2d, fd.conf2d, extr, intrinsics
             )
-            proposal = hungarian(CostMatrix(scores, maximize=True)).pairs
+            proposal = hungarian(CostMatrix(costs)).pairs
             if proposal and proposal not in seen:
                 seen.add(proposal)
                 proposals.append(proposal)
@@ -708,7 +708,7 @@ def _search_frames(fds, intrinsics, config, skeleton=None, seed_rows=None, stats
             matched_mean = float(np.mean([costs[a, b] for a, b in pairs]))
             scored[s].append((q, sweep, math.exp(-matched_mean / threshold), pairs, extr))
             if sweep + 1 < config.n_iter:
-                following.append((s, q, hungarian(CostMatrix(-costs, maximize=True)).pairs))
+                following.append((s, q, hungarian(CostMatrix(costs)).pairs))
         live = following
 
     for s, (k, pnp, _) in enumerate(searches):

@@ -48,7 +48,7 @@ class SceneConfig:
     joint3d_noise_sigma: float = 0.0
     dropout_rate: float = 0.0
     fov_degrees: float = 70.0
-    synchronized_pose_groups: tuple[tuple[int, ...], ...] = ()
+    synchronized_pose_groups: tuple[tuple[int, ...], ...] | None = ()
     seed: int = 0
     pose_noise_degrees: float = 0.0
     frame_rate: float = 10.0

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -375,13 +375,7 @@ def match_output_payload(
         "camera_stream": camera_stream,
         "skeleton_hash": skeleton_hash,
         "strategy": strategy,
-        "config": {
-            "delta": config.delta,
-            "lambda0": config.lambda0,
-            "n_iter": config.n_iter,
-            "reject_threshold": config.reject_threshold,
-            "smoothing_window": config.smoothing_window,
-        },
+        "config": asdict(config),
         "pairs": pairs,
         "unmatched3d": list(match.unmatched3d),
         "unmatched2d": list(match.unmatched2d),

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -70,6 +71,14 @@ class TestSimulate:
     def test_unknown_field_exits_2(self, tmp_path):
         config = tmp_path / "scene.json"
         config.write_text(json.dumps(scene_config_payload(extra_field=1)))
+        assert run_cli("simulate", "--config", str(config), "--out", str(tmp_path / "x")) == 2
+
+    @pytest.mark.parametrize(
+        "field, value", [("person_count", 2.5), ("seed", 1.5), ("duration_frames", True)]
+    )
+    def test_mistyped_field_exits_2(self, tmp_path, field, value):
+        config = tmp_path / "scene.json"
+        config.write_text(json.dumps(scene_config_payload(**{field: value})))
         assert run_cli("simulate", "--config", str(config), "--out", str(tmp_path / "x")) == 2
 
     def test_seed_override_changes_output(self, tmp_path):
@@ -276,6 +285,55 @@ class TestMatch:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_iter", 2.7),
+            ("smoothing_window", True),
+            ("delta", "0.5"),
+            ("delta", math.inf),
+            ("lambda0", math.nan),
+        ],
+    )
+    def test_mistyped_or_non_finite_config_value_exits_2(self, scene_dir, tmp_path, field, value):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({field: value}))
+        code = run_cli(
+            "match", "--lidar", str(scene_dir / "lidar.jsonl"),
+            "--camera", str(scene_dir / "camera_00.jsonl"),
+            "--config", str(config), "--out", str(tmp_path / "x"),
+        )
+        assert code == 2
+
+    def test_integer_config_value_is_echoed_as_float(self, scene_dir, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"delta": 1}))
+        out = tmp_path / "match"
+        assert run_cli(
+            "match", "--lidar", str(scene_dir / "lidar.jsonl"),
+            "--camera", str(scene_dir / "camera_00.jsonl"),
+            "--config", str(config), "--out", str(out),
+        ) == 0
+        assert '"delta": 1.0,' in sorted(out.iterdir())[0].read_text()
+
+    def test_pose_mode_leaves_unmeasurable_pairs_unmatched(self, scene_dir, tmp_path):
+        camera = scene_dir / "camera_00.jsonl"
+        lines = camera.read_text().splitlines()
+        records = [json.loads(line) for line in lines[1:]]
+        for record in records:
+            for person in record["persons"]:
+                person["confidence"] = [0.0] * len(person["confidence"])
+        camera.write_text("\n".join(lines[:1] + [json.dumps(r) for r in records]) + "\n")
+        out = tmp_path / "match"
+        assert run_cli(
+            "match", "--lidar", str(scene_dir / "lidar.jsonl"), "--camera", str(camera),
+            "--mode", "Pose", "--out", str(out),
+        ) == 0
+        text = sorted(out.iterdir())[0].read_text()
+        doc = json.loads(text, parse_constant=lambda name: pytest.fail(f"document holds {name}"))
+        assert doc["pairs"] == []
+        assert doc["unmatched3d"] == [0, 1, 2]
+
 
 class TestRefine:
     @pytest.fixture()
@@ -406,6 +464,20 @@ class TestRefine:
         message = " ".join(r.getMessage() for r in caplog.records if r.levelname == "ERROR")
         assert f"person {person['id']!r}" in message
         assert f"frame {record['frame']}" in message
+
+    @pytest.mark.parametrize("field", ["idx3d", "idx2d"])
+    def test_out_of_range_pair_index_exits_2_before_writing(self, noisy_scene, tmp_path, field):
+        matches = self._run_match(noisy_scene, tmp_path / "match")
+        doc = json.loads(matches[0].read_text())
+        for pair in doc["pairs"]:
+            pair[field] += 10
+        matches[0].write_text(json.dumps(doc))
+        out = tmp_path / "never.jsonl"
+        args = ["refine", "--lidar", str(noisy_scene / "lidar.jsonl"), "--out", str(out)]
+        for m in matches:
+            args += ["--match", str(m)]
+        assert run_cli(*args) == 2
+        assert not out.exists()
 
     def test_refine_after_match_with_relative_paths(self, noisy_scene, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -567,6 +567,10 @@ class TestPcmConfig:
         with pytest.raises(InvalidConfig):
             PcmConfig(reject_threshold=0.0)
 
+    def test_nan_lambda0_is_rejected(self):
+        with pytest.raises(InvalidConfig):
+            PcmConfig(lambda0=math.nan)
+
     def test_reject_threshold_defaults_to_five_percent_diagonal(self):
         k = make_intrinsics()
         assert PcmConfig().resolved_reject_threshold(k) == pytest.approx(0.05 * k.diagonal)
