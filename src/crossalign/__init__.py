@@ -30,7 +30,7 @@ from .matching import (
     variance_of_translations,
     weighted_cost,
 )
-from .refiner import CameraObservation, RefineProblem, RefineResult, refine
+from .refiner import CameraObservation, RefineProblem, RefineResult, refine, refine_batch
 from .simulator import Scene, SceneConfig, SceneTruth, accuracy, generate
 from .skeleton import (
     BodyPose,
@@ -73,6 +73,7 @@ __all__ = [
     "RefineProblem",
     "RefineResult",
     "refine",
+    "refine_batch",
     "Scene",
     "SceneConfig",
     "SceneTruth",

@@ -46,7 +46,8 @@ from .refiner import (
     DEFAULT_LAMBDA3,
     CameraObservation,
     RefineProblem,
-    refine,
+    refine,  # noqa: F401  (bound for perfbench's tracer)
+    refine_batch,
 )
 from .rotations import quat_wxyz_from_matrix
 from .simulator import SceneConfig, generate
@@ -366,16 +367,13 @@ def cmd_refine(args) -> int:
         views.append((doc, cam.intrinsics, tracks2d))
 
     frames = len(lidar.frame_indices)
-    refined_tracks = []
-    refined_person_frames = 0
-    not_converged = 0
+    problems, slots = [], []  # every person-frame with a camera view, and its (track, frame)
     for idx3, track in enumerate(lidar.tracks):
         matched = []
         for doc, intrinsics, tracks2d in views:
             for i, j in doc.pairs:
                 if i == idx3:
                     matched.append((doc, intrinsics, tracks2d[j]))
-        new_joints = track.joints.copy()
         for t in range(frames):
             if not track.valid[t]:
                 continue
@@ -389,20 +387,24 @@ def cmd_refine(args) -> int:
                 )
             if not observations:
                 continue
-            problem = RefineProblem(
+            problems.append(RefineProblem(
                 track.joints[t],
                 tuple(observations),
                 lambda1=run_config.lambda1,
                 lambda2=run_config.lambda2,
                 lambda3=run_config.lambda3,
-            )
-            result = refine(problem)
-            new_joints[t] = result.refined3d
-            refined_person_frames += 1
-            not_converged += not result.converged
-        refined_tracks.append(
-            type(track)(track.person_id, new_joints, track.body_pose, track.valid)
-        )
+            ))
+            slots.append((idx3, t))
+
+    new_joints = [track.joints.copy() for track in lidar.tracks]
+    results = refine_batch(problems)
+    for (idx3, t), result in zip(slots, results):
+        new_joints[idx3][t] = result.refined3d
+    not_converged = sum(not result.converged for result in results)
+    refined_tracks = [
+        type(track)(track.person_id, joints, track.body_pose, track.valid)
+        for track, joints in zip(lidar.tracks, new_joints)
+    ]
 
     write_stream(
         Path(args.out),
@@ -414,8 +416,8 @@ def cmd_refine(args) -> int:
     )
     if not_converged:
         logger.warning("%d of %d person-frame refinements hit the iteration cap while still "
-                       "improving", not_converged, refined_person_frames)
-    logger.info("refined %d person-frames into %s", refined_person_frames, args.out)
+                       "improving", not_converged, len(results))
+    logger.info("refined %d person-frames into %s", len(results), args.out)
     return EXIT_OK
 
 

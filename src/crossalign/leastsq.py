@@ -6,7 +6,11 @@ and grows by 10x on rejection. This guarantees a non-increasing objective
 trace, which downstream invariants rely on.
 
 The schedule is written once, over a batch of independent problems that each
-keep their own damping; ``damped_least_squares`` is its one-problem case.
+keep their own damping; ``damped_least_squares`` is its one-problem case. A
+problem's normal equations may be one dense system, ``JᵀJ`` (d, d), or a stack
+of independent blocks, (..., d, d), as when its parameters separate into
+groups that no residual couples: the solver is shape-generic over
+(k, ..., d, d) and damps and solves every block of a problem at once.
 """
 
 from __future__ import annotations
@@ -88,9 +92,10 @@ def damped_least_squares_batch(
     ``x0`` stacks one parameter block per problem along axis 0. Every callback
     receives the parameters ``x`` of a subset of the problems and ``rows``,
     their indices into the batch: ``system(x, rows)`` returns the normal
-    equations ``JᵀJ`` (k, d, d) and ``Jᵀr`` (k, d), ``apply_step(x, delta,
-    rows)`` retracts the steps ``delta`` (k, d), and ``objective(x, rows)``
-    returns (k,) values.
+    equations ``JᵀJ`` (k, ..., d, d) and ``Jᵀr`` (k, ..., d), where the
+    middle axes, if any, stack independent blocks of one problem;
+    ``apply_step(x, delta, rows)`` retracts the steps ``delta`` (k, ..., d),
+    and ``objective(x, rows)`` returns (k,) values.
 
     Each problem follows the one-problem schedule exactly, with its own
     damping and stopping rule; a round re-linearizes only the problems whose
@@ -126,7 +131,8 @@ def damped_least_squares_batch(
         rows = np.flatnonzero(active)
         if not len(rows):
             break
-        delta, solved = _solve(hess[rows] + mu[rows, None, None] * eye, -grad[rows])
+        damping = mu[rows].reshape((-1,) + (1,) * (hess.ndim - 1)) * eye
+        delta, solved = _solve(hess[rows] + damping, -grad[rows])
         trial = rows[solved]
         refused = [rows[~solved]]
         if len(trial):
@@ -162,16 +168,18 @@ def damped_least_squares_batch(
 
 
 def _solve(matrices: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solutions (k, d) of the systems and a mask of those that were solvable."""
+    """Solutions (k, ..., d) of the systems (k, ..., d, d) and the mask (k,) of
+    the problems whose systems were all solvable.
+
+    A singular member makes a stacked solve raise, so a failing stack is
+    bisected until each singular problem stands alone; every solution equals
+    that problem's own ``np.linalg.solve``.
+    """
     try:
         return np.linalg.solve(matrices, rhs[..., None])[..., 0], np.ones(len(rhs), dtype=bool)
     except np.linalg.LinAlgError:
-        pass
-    out = np.zeros_like(rhs)
-    solved = np.ones(len(rhs), dtype=bool)
-    for k in range(len(rhs)):
-        try:
-            out[k] = np.linalg.solve(matrices[k], rhs[k])
-        except np.linalg.LinAlgError:
-            solved[k] = False
-    return out, solved
+        if len(rhs) == 1:
+            return np.zeros_like(rhs), np.zeros(1, dtype=bool)
+    half = len(rhs) // 2
+    low, high = _solve(matrices[:half], rhs[:half]), _solve(matrices[half:], rhs[half:])
+    return np.concatenate([low[0], high[0]]), np.concatenate([low[1], high[1]])

@@ -12,6 +12,13 @@ schedule as the pose refiner). The anchor keeps the solution near the input
 estimate where cameras are silent; with zero cameras refinement is the
 identity. Units are mixed by design: the weights absorb the scale.
 
+No term couples two joints, so the normal equations are block diagonal, as
+in sparse bundle adjustment: JᵀJ is 24 independent 3x3 blocks, lambda1·I
+plus sum_cameras w·duvᵀduv with w = lambda2·conf + lambda3 per observed
+joint, and Jᵀr is (24, 3). ``refine_batch`` solves many person-frames in one
+solver pass over normal equations of shape (k, 24, 3, 3); each keeps its own
+damping and stopping rule, and ``refine`` is its one-problem case.
+
 Joints behind a camera contribute that camera's squared image diagonal as a
 fixed penalty (no gradient), keeping the objective finite everywhere. A 2D
 joint that is not finite was not observed: it carries no weight in the data,
@@ -21,15 +28,22 @@ regularizer or penalty terms of its camera.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidConfig
 from .geometry import Extrinsics, Intrinsics, pinhole, pinhole_jacobian
-from .leastsq import damped_least_squares
+# ``damped_least_squares`` stays bound here for perfbench's tracer.
+from .leastsq import damped_least_squares, damped_least_squares_batch  # noqa: F401
 from .skeleton import JOINT_COUNT
 
 REFINE_MAX_ITERATIONS = 50
+
+# Most padded camera views (person-frame x camera slot) one solver pass
+# covers; bounds its working memory (a few kilobytes per view). Larger passes
+# were no faster on fuse4 and raised its peak RSS by 4.5%.
+REFINE_BATCH_VIEWS = 512
 
 DEFAULT_LAMBDA1 = 1.0
 DEFAULT_LAMBDA2 = 1.0
@@ -83,85 +97,131 @@ class RefineResult:
     converged: bool
 
 
-def _camera_terms(obs: CameraObservation, candidate: np.ndarray):
-    """Projection errors of the candidate in one camera.
+class _Lens(NamedTuple):
+    """The pinhole parameters ``pinhole`` reads of an ``Intrinsics``, one per
+    problem, shaped (k, 1) to broadcast over joints."""
 
-    Returns (errors (24, 2), in-front mask (24,), cam-frame points (24, 3),
-    observed mask (24,)). Errors of behind-camera and unobserved (non-finite)
-    joints are zeroed; the behind-camera penalty is added separately because
-    it carries no gradient.
+    fx: np.ndarray
+    fy: np.ndarray
+    cx: np.ndarray
+    cy: np.ndarray
+
+
+class _Batch:
+    """Refine problems packed into arrays, camera slots padded to the largest
+    camera count with unobserved views (zero weight, no penalty).
+
+    ``objective`` and ``system`` take candidates ``x`` (n, 24, 3) of the
+    problems ``rows``; a camera's terms are summed in camera order, so the
+    padding adds exact zeros last and a problem's values do not depend on the
+    rest of its batch.
     """
-    cam = candidate @ obs.extrinsics.rotation.T + obs.extrinsics.translation
-    uv, front = pinhole(obs.intrinsics, cam)
-    seen = np.isfinite(obs.joints2d).all(axis=1)
-    err = np.where(seen[:, None], uv - obs.joints2d, 0.0)
-    err[~front] = 0.0
-    return err, front, cam, seen
+
+    def __init__(self, problems):
+        count, cams = len(problems), max((len(p.observations) for p in problems), default=0)
+        self.initial = np.stack([p.initial3d for p in problems])
+        self.lambdas = np.array([(p.lambda1, p.lambda2, p.lambda3) for p in problems]).T
+        self.rotation = np.tile(np.eye(3), (count, cams, 1, 1))
+        self.translation = np.zeros((count, cams, 3))
+        self.lens = np.tile([1.0, 1.0, 0.0, 0.0], (count, cams, 1))  # fx, fy, cx, cy
+        self.penalty = np.zeros((count, cams, 1))  # squared image diagonal
+        self.joints2d = np.full((count, cams, JOINT_COUNT, 2), np.nan)
+        confidence = np.zeros((count, cams, JOINT_COUNT))
+        for i, problem in enumerate(problems):
+            for c, obs in enumerate(problem.observations):
+                k = obs.intrinsics
+                self.rotation[i, c] = obs.extrinsics.rotation
+                self.translation[i, c] = obs.extrinsics.translation
+                self.lens[i, c] = k.fx, k.fy, k.cx, k.cy
+                self.penalty[i, c] = k.diagonal**2
+                self.joints2d[i, c] = obs.joints2d
+                confidence[i, c] = obs.confidence
+        self.seen = np.isfinite(self.joints2d).all(axis=-1)  # unobserved joints weigh nothing
+        self.confidence = np.where(self.seen, confidence, 0.0)
+        _, lambda2, lambda3 = self.lambdas[:, :, None, None]
+        self.weight = lambda2 * self.confidence + lambda3 * self.seen  # data + regularizer
+
+    def _lens(self, c, rows):
+        return _Lens(*self.lens[rows, c].T[..., None])
+
+    def _camera_terms(self, c, x, rows):
+        """Camera slot ``c``'s view: projection errors (n, 24, 2), zeroed where
+        a joint is unobserved or behind the camera; the mask of the others;
+        camera-frame points (n, 24, 3); the in-front mask. The behind-camera
+        penalty carries no gradient and is added by ``objective`` alone."""
+        cam = x @ self.rotation[rows, c].swapaxes(-1, -2) + self.translation[rows, c, None]
+        uv, front = pinhole(self._lens(c, rows), cam)
+        live = self.seen[rows, c] & front
+        return np.where(live[..., None], uv - self.joints2d[rows, c], 0.0), live, cam, front
+
+    def objective(self, x, rows):
+        """Objective values (n,) of the candidates."""
+        lambda1, lambda2, lambda3 = self.lambdas[:, rows]
+        total = lambda1 * ((x - self.initial[rows]) ** 2).reshape(len(rows), -1).sum(axis=1)
+        for c in range(self.seen.shape[1]):
+            err, _, _, front = self._camera_terms(c, x, rows)
+            sq = np.where(self.seen[rows, c] & ~front, self.penalty[rows, c], (err**2).sum(axis=-1))
+            total += lambda2 * (self.confidence[rows, c] * sq).sum(axis=1)
+            total += lambda3 * sq.sum(axis=1)
+        return total
+
+    def system(self, x, rows):
+        """Normal equations of the objective's differentiable part as 24
+        independent per-joint blocks: JᵀJ (n, 24, 3, 3) is lambda1·I plus, per
+        camera, w·duvᵀduv, and Jᵀr (n, 24, 3) is lambda1·(x - initial) plus
+        w·duvᵀ·err, with w = lambda2·conf + lambda3 on observed joints."""
+        lambda1 = self.lambdas[0, rows, None, None]
+        hess = np.zeros(x.shape + (3,)) + lambda1[..., None] * np.eye(3)
+        grad = lambda1 * (x - self.initial[rows])
+        for c in range(self.seen.shape[1]):
+            err, live, cam, _ = self._camera_terms(c, x, rows)
+            duv_dcam = pinhole_jacobian(self._lens(c, rows), cam, live)
+            duv = duv_dcam @ self.rotation[rows, c, None]  # chain through cam = R x + t
+            weighted_t = np.where(live[..., None, None], self.weight[rows, c, :, None, None] * duv,
+                                  0.0).swapaxes(-1, -2)
+            hess += weighted_t @ duv
+            grad += (weighted_t @ err[..., None])[..., 0]
+        return hess, grad
 
 
 def objective(problem: RefineProblem, candidate3d: np.ndarray) -> float:
     """Total weighted squared error of a candidate joint set."""
-    candidate = np.asarray(candidate3d, dtype=float).reshape(JOINT_COUNT, 3)
-    total = problem.lambda1 * float(((candidate - problem.initial3d) ** 2).sum())
-    for obs in problem.observations:
-        err, front, _, seen = _camera_terms(obs, candidate)
-        sq = (err**2).sum(axis=1)
-        sq[~front & seen] = obs.intrinsics.diagonal**2
-        total += problem.lambda2 * float((np.where(seen, obs.confidence, 0.0) * sq).sum())
-        total += problem.lambda3 * float(sq.sum())
-    return total
-
-
-def _system(problem: RefineProblem, candidate: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Jacobian (m, 72) and residual (m,) of the differentiable part of the
-    objective at the (24, 3) candidate: the solver's own linearization.
-
-    Rows are the anchor block, then per camera the confidence-weighted data
-    block and the regularizer block; each camera block couples a joint's two
-    pixel residuals only to that joint's three coordinates.
-    """
-    anchor = np.sqrt(problem.lambda1)
-    rows_j = [anchor * np.eye(3 * JOINT_COUNT)]
-    rows_r = [anchor * (candidate - problem.initial3d).reshape(-1)]
-    joints = np.arange(JOINT_COUNT)
-    for obs in problem.observations:
-        err, front, cam, seen = _camera_terms(obs, candidate)
-        # Chain through cam = R x + t.
-        duv_dx = np.einsum(
-            "jab,bc->jac", pinhole_jacobian(obs.intrinsics, cam, front), obs.extrinsics.rotation
-        )
-        duv_dx[~front] = 0.0
-        for weight_sq in (
-            problem.lambda2 * np.where(seen, obs.confidence, 0.0),
-            np.where(seen, problem.lambda3, 0.0),
-        ):
-            scale = np.sqrt(weight_sq)
-            jac = np.zeros((2 * JOINT_COUNT, 3 * JOINT_COUNT))
-            jac.reshape(JOINT_COUNT, 2, JOINT_COUNT, 3)[joints, :, joints, :] = (
-                scale[:, None, None] * duv_dx
-            )
-            rows_j.append(jac)
-            rows_r.append((scale[:, None] * err).reshape(-1))
-    return np.vstack(rows_j), np.concatenate(rows_r)
+    candidate = np.asarray(candidate3d, dtype=float).reshape(1, JOINT_COUNT, 3)
+    return float(_Batch([problem]).objective(candidate, np.zeros(1, dtype=int))[0])
 
 
 def objective_gradient(problem: RefineProblem, candidate3d: np.ndarray) -> np.ndarray:
     """Gradient 2·Jᵀr of the objective with respect to the (24, 3) joints,
-    taken from the same ``_system`` the solver steps with."""
-    candidate = np.asarray(candidate3d, dtype=float).reshape(JOINT_COUNT, 3)
-    jac, res = _system(problem, candidate)
-    return (2.0 * (jac.T @ res)).reshape(JOINT_COUNT, 3)
+    taken from the same block system the solver steps with."""
+    candidate = np.asarray(candidate3d, dtype=float).reshape(1, JOINT_COUNT, 3)
+    return 2.0 * _Batch([problem]).system(candidate, np.zeros(1, dtype=int))[1][0]
 
 
 def refine(problem: RefineProblem, max_iterations: int = REFINE_MAX_ITERATIONS) -> RefineResult:
     """Minimize the objective from the initial joints; accepted steps strictly
     decrease it, so the trace is non-increasing. Returns the best iterate with
     ``converged=False`` if the iteration cap was hit while still improving."""
-    fit = damped_least_squares(
-        problem.initial3d.copy(),
-        lambda x: _system(problem, x),
-        lambda x, delta: x + delta.reshape(JOINT_COUNT, 3),
-        lambda x: objective(problem, x),
-        max_iterations=max_iterations,
-    )
-    return RefineResult(np.asarray(fit.x), fit.objective_trace, fit.converged)
+    return refine_batch([problem], max_iterations=max_iterations)[0]
+
+
+def refine_batch(
+    problems, max_iterations: int = REFINE_MAX_ITERATIONS
+) -> list[RefineResult]:
+    """``refine`` every problem, in one damped Gauss-Newton pass per run of
+    at most REFINE_BATCH_VIEWS padded camera views; one result per problem,
+    in order. A problem's result does not depend on the rest of the batch."""
+    problems = list(problems)
+    cams = max((len(p.observations) for p in problems), default=0)
+    step = max(1, REFINE_BATCH_VIEWS // max(cams, 1))
+    results = []
+    for lo in range(0, len(problems), step):
+        batch = _Batch(problems[lo : lo + step])
+        fits = damped_least_squares_batch(
+            batch.initial.copy(),
+            batch.system,
+            lambda x, delta, rows: x + delta,
+            batch.objective,
+            max_iterations=max_iterations,
+        )
+        results += [RefineResult(fit.x, fit.objective_trace, fit.converged) for fit in fits]
+    return results

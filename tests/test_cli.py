@@ -501,15 +501,15 @@ class TestRefine:
         for m in matches:
             args += ["--match", str(m)]
         assert run_cli(*args, "--out", str(tmp_path / "converged.jsonl")) == 0
-        real = cli.refine
+        real = cli.refine_batch
         calls = []
 
-        def capped(problem):
-            result = real(problem)
-            calls.append(result)
-            return RefineResult(result.refined3d, result.objective_trace, False)
+        def capped(problems):
+            results = real(problems)
+            calls.extend(results)
+            return [RefineResult(r.refined3d, r.objective_trace, False) for r in results]
 
-        monkeypatch.setattr(cli, "refine", capped)
+        monkeypatch.setattr(cli, "refine_batch", capped)
         caplog.clear()
         assert run_cli(*args, "--out", str(tmp_path / "capped.jsonl")) == 0
         warnings = [r for r in caplog.records if r.levelname == "WARNING"]

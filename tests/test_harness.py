@@ -106,6 +106,13 @@ class TestRunBench:
         assert stats.trials == 5
         assert stats.refined_error_m < stats.input_error_m
         assert stats.improvement_ratio < 1.0
+        assert stats.nonconverged == 0
+
+    def test_refinement_stats_count_capped_refinements(self, monkeypatch):
+        real = harness.refine_batch
+        monkeypatch.setattr(harness, "refine_batch", lambda problems: real(problems, max_iterations=1))
+        stats = run_bench(tiny_spec(refine_trials=5)).refinement
+        assert stats.nonconverged == 5
 
 
 class TestExportReport:
@@ -124,6 +131,7 @@ class TestExportReport:
         assert rows == report.rows
         assert summary["report_version"] == 1
         assert summary["refinement"]["trials"] == 10
+        assert summary["refinement"]["nonconverged"] == 0
 
     def test_row_count_matches_grid(self, tmp_path):
         report = run_bench(

@@ -1,6 +1,7 @@
 import numpy as np
+import pytest
 
-from crossalign.leastsq import damped_least_squares, damped_least_squares_batch
+from crossalign.leastsq import _solve, damped_least_squares, damped_least_squares_batch
 
 
 def rosenbrock(p):
@@ -53,3 +54,44 @@ def test_batch_gives_each_problem_its_one_problem_result():
         assert any(converged for converged, n in outcomes if n > 0)
         if max_iterations == 8:
             assert (False, 8) in outcomes
+
+
+def one_by_one(matrices, rhs):
+    """Each problem's own np.linalg.solve: the reference for the stacked solve."""
+    out, solved = np.zeros_like(rhs), np.ones(len(rhs), dtype=bool)
+    for k in range(len(rhs)):
+        try:
+            out[k] = np.linalg.solve(matrices[k], rhs[k][..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            solved[k] = False
+    return out, solved
+
+
+@pytest.mark.parametrize("blocks", [(), (24,)])
+@pytest.mark.parametrize("singular", [(5,), (0, 13)])
+def test_solve_isolates_singular_members_by_bisection(monkeypatch, blocks, singular):
+    # (k, d, d) dense systems and (k, b, d, d) block systems; a problem with
+    # one singular block is unsolvable as a whole.
+    rng = np.random.default_rng(len(blocks) + len(singular))
+    count, d = 16, 3
+    matrices = rng.normal(size=(count,) + blocks + (d, d)) + 4.0 * np.eye(d)
+    rhs = rng.normal(size=(count,) + blocks + (d,))
+    for k in singular:
+        matrices[(k,) + (0,) * len(blocks)] = 0.0
+    expected, expected_solved = one_by_one(matrices, rhs)
+
+    real, calls = np.linalg.solve, []
+
+    def counting(a, b):
+        calls.append(len(a))
+        return real(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    out, solved = _solve(matrices, rhs)
+    assert np.array_equal(solved, expected_solved)
+    assert set(np.flatnonzero(~solved)) == set(singular)
+    assert np.array_equal(out[solved], expected[solved])
+    # Only the stacks holding a singular member are split: at most two
+    # halves per level for each, fewer solves than one per problem.
+    assert len(calls) <= 1 + 2 * len(singular) * int(np.log2(count))
+    assert len(calls) < 1 + count

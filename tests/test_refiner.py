@@ -3,13 +3,16 @@ import pytest
 
 from crossalign import refiner
 from crossalign.matching import JOINTS
-from crossalign.geometry import project
+from crossalign.geometry import pinhole, pinhole_jacobian, project
+from crossalign.leastsq import damped_least_squares
 from crossalign.refiner import (
+    REFINE_MAX_ITERATIONS,
     CameraObservation,
     RefineProblem,
     objective,
     objective_gradient,
     refine,
+    refine_batch,
 )
 
 from helpers import make_intrinsics, projection_for, random_camera
@@ -119,18 +122,18 @@ class TestGradient:
             (observation_of(joints, rng, noise=4.0, conf=conf), observation_of(joints, rng, noise=4.0)),
         )
         captured = []
-        solver = refiner.damped_least_squares
+        solver = refiner.damped_least_squares_batch
 
         def capturing(x0, system, *args, **kwargs):
             captured.append(system)
             return solver(x0, system, *args, **kwargs)
 
-        monkeypatch.setattr(refiner, "damped_least_squares", capturing)
+        monkeypatch.setattr(refiner, "damped_least_squares_batch", capturing)
         result = refine(problem)
         assert len(captured) == 1
         for candidate in (joints, joints + rng.normal(0.0, 0.08, size=joints.shape), result.refined3d):
-            jac, res = captured[0](candidate)
-            expected = (2.0 * (jac.T @ res)).reshape(JOINTS, 3)
+            _, jt_r = captured[0](candidate[None], np.zeros(1, dtype=int))
+            expected = 2.0 * jt_r[0]
             assert np.array_equal(objective_gradient(problem, candidate), expected)
 
 
@@ -238,3 +241,100 @@ class TestRefine:
         assert after < before
         # Only the anchor holds the unobserved joint, so it stays where it was.
         assert np.allclose(result.refined3d[5], noisy[5])
+
+
+def dense_reference(problem: RefineProblem, max_iterations=REFINE_MAX_ITERATIONS):
+    """One problem as a dense 72-dimensional least-squares solve: anchor rows,
+    then per camera the confidence-weighted data rows and the regularizer
+    rows, each camera row block coupling a joint only to its own coordinates."""
+
+    def system(x):
+        anchor = np.sqrt(problem.lambda1)
+        rows_j = [anchor * np.eye(3 * JOINTS)]
+        rows_r = [anchor * (x - problem.initial3d).reshape(-1)]
+        for obs in problem.observations:
+            cam = x @ obs.extrinsics.rotation.T + obs.extrinsics.translation
+            uv, front = pinhole(obs.intrinsics, cam)
+            seen = np.isfinite(obs.joints2d).all(axis=1)
+            live = seen & front
+            err = np.where(live[:, None], uv - obs.joints2d, 0.0)
+            duv = pinhole_jacobian(obs.intrinsics, cam, live) @ obs.extrinsics.rotation
+            duv[~live] = 0.0
+            for weight in (
+                problem.lambda2 * np.where(seen, obs.confidence, 0.0),
+                np.where(seen, problem.lambda3, 0.0),
+            ):
+                scale = np.sqrt(weight)
+                jac = np.zeros((JOINTS, 2, JOINTS, 3))
+                jac[np.arange(JOINTS), :, np.arange(JOINTS), :] = scale[:, None, None] * duv
+                rows_j.append(jac.reshape(2 * JOINTS, 3 * JOINTS))
+                rows_r.append((scale[:, None] * err).reshape(-1))
+        return np.vstack(rows_j), np.concatenate(rows_r)
+
+    return damped_least_squares(
+        problem.initial3d.copy(),
+        system,
+        lambda x, delta: x + delta.reshape(JOINTS, 3),
+        lambda x: objective(problem, x),
+        max_iterations=max_iterations,
+    )
+
+
+def mixed_batch():
+    """Problems with 0 to 4 cameras, an unobserved (NaN) 2D joint, a joint
+    behind a camera, a zero anchor weight and differing weights."""
+    rng = np.random.default_rng(11)
+    problems = []
+    for cameras, weights in zip(
+        (0, 1, 2, 3, 4, 2, 4),
+        ((1.0, 1.0, 0.01), (1.0, 1.0, 0.01), (2.5, 0.3, 0.0), (0.0, 0.5, 0.2),
+         (1.0, 1.0, 0.01), (0.7, 2.0, 0.05), (1.0, 1.0, 0.01)),
+    ):
+        truth = person_joints(rng)
+        noisy = truth + rng.normal(0.0, 0.05, size=truth.shape)
+        conf = rng.uniform(0.2, 1.0, size=JOINTS)
+        observations = [observation_of(truth, rng, noise=2.0, conf=conf) for _ in range(cameras)]
+        if len(problems) == 2:  # an unobserved joint: NaN pixels, zero confidence
+            obs = observations[0]
+            pixels, seen_conf = obs.joints2d.copy(), obs.confidence.copy()
+            pixels[7], seen_conf[7] = np.nan, 0.0
+            observations[0] = CameraObservation(obs.intrinsics, obs.extrinsics, pixels, seen_conf)
+        if len(problems) == 4:  # a joint that starts behind the first camera
+            extr = observations[0].extrinsics
+            noisy[5] = -extr.rotation.T @ extr.translation - extr.rotation[2] * 3.0
+        problems.append(RefineProblem(noisy, tuple(observations), *weights))
+    return problems
+
+
+class TestRefineBatch:
+    def test_empty_batch(self):
+        assert refine_batch([]) == []
+
+    def test_each_result_is_its_own_and_matches_the_dense_solve(self):
+        problems = mixed_batch()
+        assert [len(p.observations) for p in problems] == [0, 1, 2, 3, 4, 2, 4]
+        behind = problems[4]
+        assert objective(behind, behind.initial3d) > behind.observations[0].intrinsics.diagonal**2
+        batch = refine_batch(problems)
+        assert len(batch) == len(problems)
+        moved = 0
+        for problem, fit in zip(problems, batch):
+            alone = refine_batch([problem])[0]
+            assert np.array_equal(fit.refined3d, alone.refined3d)
+            assert fit.objective_trace == alone.objective_trace
+            assert fit.converged == alone.converged
+            assert np.all(np.diff(fit.objective_trace) <= 0.0)
+            reference = dense_reference(problem)
+            assert fit.converged == reference.converged
+            assert np.abs(fit.refined3d - reference.x).max() <= 1e-7
+            moved += not np.array_equal(fit.refined3d, problem.initial3d)
+        assert np.array_equal(batch[0].refined3d, problems[0].initial3d)
+        assert moved == len(problems) - 1
+
+    def test_small_runs_give_the_same_results(self, monkeypatch):
+        problems = mixed_batch()
+        whole = refine_batch(problems)
+        monkeypatch.setattr(refiner, "REFINE_BATCH_VIEWS", 5)  # one problem per run
+        for a, b in zip(whole, refine_batch(problems)):
+            assert np.array_equal(a.refined3d, b.refined3d)
+            assert a.objective_trace == b.objective_trace
