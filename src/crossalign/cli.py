@@ -49,7 +49,7 @@ from .refiner import (
     refine,  # noqa: F401  (bound for perfbench's tracer)
     refine_batch,
 )
-from .rotations import quat_wxyz_from_matrix
+from .rotations import batch_quat_wxyz_from_matrices
 from .simulator import SceneConfig, generate
 from .skeleton import default_skeleton
 from .streams import (
@@ -224,15 +224,16 @@ def _write_truth(path: Path, scene) -> None:
         ],
     }
     lines = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
+    quats = batch_quat_wxyz_from_matrices(np.array(
+        [[extr.rotation for extr in camera] for camera in scene.truth.extrinsics]
+    )).tolist()  # [camera][frame]
     for t in range(config.duration_frames):
         record = {
             "frame": t,
             "cameras": [
                 {
                     "camera": c,
-                    "quat_wxyz": quat_wxyz_from_matrix(
-                        scene.truth.extrinsics[c][t].rotation
-                    ).tolist(),
+                    "quat_wxyz": quats[c][t],
                     "translation_m": scene.truth.extrinsics[c][t].translation.tolist(),
                 }
                 for c in range(config.camera_count)

@@ -46,7 +46,6 @@ MIN_CORRESPONDENCES = 6
 MIN_CORRESPONDENCES_PLANAR = 8
 
 PNP_MAX_ITERATIONS = 100
-PNP_REL_TOL = 1e-10
 
 # Most padded points one Gauss-Newton evaluation of a pose batch covers; bounds
 # the solver's working memory (a few hundred bytes per point).
@@ -247,7 +246,6 @@ def solve_pnp(
     intrinsics: Intrinsics,
     *,
     max_iterations: int = PNP_MAX_ITERATIONS,
-    rel_tol: float = PNP_REL_TOL,
 ) -> PnpResult:
     """Estimate world-to-camera extrinsics from 2D-3D correspondences.
 
@@ -258,7 +256,7 @@ def solve_pnp(
     points are coplanar. The one-problem case of ``solve_pnp_batch``.
     """
     outcome = solve_pnp_batch(
-        [(points3d, points2d)], intrinsics, max_iterations=max_iterations, rel_tol=rel_tol
+        [(points3d, points2d)], intrinsics, max_iterations=max_iterations
     )[0]
     if isinstance(outcome, GeometryError):
         raise outcome
@@ -270,7 +268,6 @@ def solve_pnp_batch(
     intrinsics: Intrinsics,
     *,
     max_iterations: int = PNP_MAX_ITERATIONS,
-    rel_tol: float = PNP_REL_TOL,
 ) -> list:
     """Solve independent pose problems ``(points3d, points2d)`` under one camera.
 
@@ -328,7 +325,7 @@ def solve_pnp_batch(
         pose0 = np.stack([np.column_stack([rot, trans]) for _, rot, trans in starts])
         fits = _refine_poses(
             points3d, points2d, offsets[order], counts[order], pose0, intrinsics,
-            max_iterations, rel_tol,
+            max_iterations,
         )
         for k, outcome in zip(order, fits):
             outcomes[indices[k]] = outcome
@@ -370,7 +367,7 @@ def _initial_poses(x3: np.ndarray, x2: np.ndarray, intrinsics: Intrinsics) -> li
 
 
 def _refine_poses(
-    points3d, points2d, offsets, counts, pose0, intrinsics: Intrinsics, max_iterations, rel_tol
+    points3d, points2d, offsets, counts, pose0, intrinsics: Intrinsics, max_iterations
 ) -> list:
     """Damped Gauss-Newton on the 6-DoF poses [R | t] ``pose0`` (k, 3, 4) of
     a batch of problems, each minimizing its summed squared pixel
@@ -446,7 +443,6 @@ def _refine_poses(
         apply_step,
         lambda pose, rows: objective(pose, rows)[0],
         max_iterations=max_iterations,
-        rel_tol=rel_tol,
     )
     rotations = orthonormalize(np.stack([fit.x[:, :3] for fit in fits]))
     out = []

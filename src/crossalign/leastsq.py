@@ -20,7 +20,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-REL_TOL_DEFAULT = 1e-10
+REL_TOL = 1e-10  # an accepted step with a smaller relative decrease ends the solve
 MU_INITIAL = 1e-3
 MU_GROWTH = 10.0
 MU_SHRINK = 0.1
@@ -43,7 +43,6 @@ def damped_least_squares(
     objective: Callable[[Any], float],
     *,
     max_iterations: int,
-    rel_tol: float = REL_TOL_DEFAULT,
 ) -> LeastSquaresResult:
     """Minimize ``objective`` by damped Gauss-Newton steps.
 
@@ -52,7 +51,7 @@ def damped_least_squares(
     retracts a step ``delta`` (k,) onto the parameter space. The objective may
     include constant penalty terms not represented in the residuals.
 
-    Stops when an accepted step's relative decrease falls below ``rel_tol``,
+    Stops when an accepted step's relative decrease falls below ``REL_TOL``,
     when the objective reaches zero, or when no decreasing step exists at the
     damping ceiling (counted as converged: the achievable decrease is zero).
     Returns ``converged=False`` only if the iteration cap was hit while steps
@@ -74,7 +73,6 @@ def damped_least_squares(
         lambda x, delta, rows: one(apply_step(x[0], delta[0])),
         lambda x, rows: np.array([float(objective(x[0]))]),
         max_iterations=max_iterations,
-        rel_tol=rel_tol,
     )[0]
 
 
@@ -85,7 +83,6 @@ def damped_least_squares_batch(
     objective: Callable[[np.ndarray, np.ndarray], np.ndarray],
     *,
     max_iterations: int,
-    rel_tol: float = REL_TOL_DEFAULT,
 ) -> list[LeastSquaresResult]:
     """Run the damped Gauss-Newton schedule on independent problems at once.
 
@@ -148,7 +145,7 @@ def damped_least_squares_batch(
             trace[took, accepted[took]] = f[took]
             mu[took] = np.maximum(mu[took] * MU_SHRINK, MU_FLOOR)
             stale[took] = True
-            done = took[(f[took] == 0.0) | (rel_decrease < rel_tol)]
+            done = took[(f[took] == 0.0) | (rel_decrease < REL_TOL)]
             converged[done] = True
             active[done] = False
 

@@ -47,7 +47,7 @@ from .geometry import (  # noqa: F401
     solve_pnp,
     solve_pnp_batch,
 )
-from .rotations import batch_quat_wxyz_from_matrices, matrix_from_quat_wxyz
+from .rotations import batch_matrices_from_quat_wxyz, batch_quat_wxyz_from_matrices
 from .skeleton import CanonicalSkeleton, default_skeleton, fk_points, rotations_of
 
 logger = logging.getLogger(__name__)
@@ -128,8 +128,8 @@ class PersonTrack2D:
             or valid.shape != (t,)
         ):
             raise ValueError("track arrays have inconsistent shapes")
-        if conf.size and (np.nanmin(conf) < 0.0 or np.nanmax(conf) > 1.0):
-            raise ValueError("confidences must lie in [0, 1]")
+        if not ((conf >= 0.0) & (conf <= 1.0)).all():
+            raise ValueError("confidences must be finite and lie in [0, 1]")
         object.__setattr__(self, "joints", joints)
         object.__setattr__(self, "confidence", conf)
         object.__setattr__(self, "body_pose", pose)
@@ -773,22 +773,35 @@ def _poses_for_pairs(tracks3d, tracks2d, pairs, intrinsics, frames, stats=None) 
 def smooth_extrinsics(sequence, window: int):
     """Centered median smoothing: translations per axis, rotations by
     hemisphere-aligned quaternion component medians renormalized back to a
-    unit quaternion. Gaps are filled from whatever the window can see."""
+    unit quaternion. Gaps are filled from whatever the window can see.
+
+    Rotations are converted to quaternions and back once per sequence; the
+    windows that see equally many poses take their medians together."""
     if window <= 1:
         return list(sequence)
     half = window // 2
-    out = []
-    for t in range(len(sequence)):
-        neighbors = [e for e in sequence[max(0, t - half) : t + half + 1] if e is not None]
-        if not neighbors:
-            out.append(None)
-            continue
-        ts = np.array([e.translation for e in neighbors])
-        quats = batch_quat_wxyz_from_matrices(np.array([e.rotation for e in neighbors]))
-        flip = quats @ quats[0] < 0
-        quats[flip] = -quats[flip]
-        rotation = matrix_from_quat_wxyz(np.median(quats, axis=0))
-        out.append(Extrinsics(rotation, np.median(ts, axis=0)))
+    out = [None] * len(sequence)
+    known = [t for t, e in enumerate(sequence) if e is not None]
+    if not known:
+        return out
+    poses = np.column_stack([  # (known, 7): quaternion, translation
+        batch_quat_wxyz_from_matrices(np.array([sequence[t].rotation for t in known])),
+        np.array([sequence[t].translation for t in known]),
+    ])
+    times = np.arange(len(sequence))
+    first = np.searchsorted(known, times - half)
+    seen = np.searchsorted(known, times + half, side="right") - first
+    targets, medians = [], []
+    for count in np.unique(seen[seen > 0]):
+        targets.append(np.flatnonzero(seen == count))
+        window_poses = poses[first[targets[-1], None] + np.arange(count)]
+        quats = window_poses[..., :4]
+        quats[(quats @ quats[:, 0, :, None])[..., 0] < 0] *= -1.0
+        medians.append(np.median(window_poses, axis=1))
+    medians = np.concatenate(medians)
+    rotations = batch_matrices_from_quat_wxyz(medians[:, :4])
+    for t, rotation, translation in zip(np.concatenate(targets), rotations, medians[:, 4:]):
+        out[t] = Extrinsics(rotation, translation)
     return out
 
 

@@ -64,8 +64,8 @@ class CameraObservation:
         conf = np.asarray(self.confidence, dtype=float)
         if joints.shape != (JOINT_COUNT, 2) or conf.shape != (JOINT_COUNT,):
             raise ValueError("observation arrays have wrong shapes")
-        if np.nanmin(conf, initial=0.0) < 0.0 or np.nanmax(conf, initial=0.0) > 1.0:
-            raise ValueError("confidences must lie in [0, 1]")
+        if not ((conf >= 0.0) & (conf <= 1.0)).all():
+            raise ValueError("confidences must be finite and lie in [0, 1]")
         object.__setattr__(self, "joints2d", joints)
         object.__setattr__(self, "confidence", conf)
 

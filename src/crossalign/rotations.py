@@ -1,4 +1,10 @@
-"""Quaternion <-> rotation-matrix conversions (wxyz order, w >= 0 canonical)."""
+"""Quaternion <-> rotation-matrix conversions over batches (wxyz order).
+
+A quaternion is canonical when its first non-zero component is positive:
+w > 0, or w == 0 and the first non-zero of x, y, z is positive. Every
+conversion works on a whole batch; each row's result does not depend on the
+rest of the batch, and an empty batch converts to an empty one.
+"""
 
 from __future__ import annotations
 
@@ -6,37 +12,19 @@ import numpy as np
 from scipy.spatial.transform import Rotation
 
 
-def quat_wxyz_from_matrix(matrix: np.ndarray) -> np.ndarray:
-    """Unit quaternion (w, x, y, z) of a rotation matrix, canonicalized to w >= 0."""
-    q = Rotation.from_matrix(np.asarray(matrix, dtype=float)).as_quat()  # x, y, z, w
-    out = np.array([q[3], q[0], q[1], q[2]])
-    if out[0] < 0 or (out[0] == 0 and _first_nonzero_sign(out) < 0):
-        out = -out
-    return out
-
-
-def matrix_from_quat_wxyz(quat: np.ndarray) -> np.ndarray:
-    q = np.asarray(quat, dtype=float).reshape(4)
-    norm = np.linalg.norm(q)
-    if not np.isfinite(norm) or norm == 0:
-        raise ValueError("quaternion must be non-zero and finite")
-    q = q / norm
-    return Rotation.from_quat([q[1], q[2], q[3], q[0]]).as_matrix()
-
-
 def batch_quat_wxyz_from_matrices(matrices: np.ndarray) -> np.ndarray:
     """(..., 3, 3) rotations -> (..., 4) canonical wxyz quaternions."""
     m = np.asarray(matrices, dtype=float)
-    flat = m.reshape(-1, 3, 3)
-    q = Rotation.from_matrix(flat).as_quat()  # (n, 4) xyzw
-    out = np.column_stack([q[:, 3], q[:, 0], q[:, 1], q[:, 2]])
-    flip = out[:, 0] < 0
-    out[flip] = -out[flip]
+    q = Rotation.from_matrix(m.reshape(-1, 3, 3)).as_quat()  # (n, 4) xyzw
+    out = q[:, [3, 0, 1, 2]]
+    lead = out[np.arange(len(out)), np.argmax(out != 0, axis=1)]
+    out[lead < 0] *= -1.0
     return out.reshape(m.shape[:-2] + (4,))
 
 
 def batch_matrices_from_quat_wxyz(quats: np.ndarray) -> np.ndarray:
-    """(..., 4) wxyz quaternions -> (..., 3, 3) rotation matrices."""
+    """(..., 4) wxyz quaternions, normalized here, -> (..., 3, 3) rotation
+    matrices. Raises ValueError if any quaternion is zero or not finite."""
     q = np.asarray(quats, dtype=float)
     flat = q.reshape(-1, 4)
     norms = np.linalg.norm(flat, axis=1, keepdims=True)
@@ -45,10 +33,3 @@ def batch_matrices_from_quat_wxyz(quats: np.ndarray) -> np.ndarray:
     flat = flat / norms
     m = Rotation.from_quat(flat[:, [1, 2, 3, 0]]).as_matrix()
     return m.reshape(q.shape[:-1] + (3, 3))
-
-
-def _first_nonzero_sign(values: np.ndarray) -> float:
-    for v in values:
-        if v != 0:
-            return np.sign(v)
-    return 1.0

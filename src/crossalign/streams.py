@@ -31,12 +31,7 @@ from .errors import (
 )
 from .geometry import Extrinsics, Intrinsics
 from .matching import JOINTS, MatchSet, PcmConfig, PersonTrack2D, PersonTrack3D
-from .rotations import (
-    batch_matrices_from_quat_wxyz,
-    batch_quat_wxyz_from_matrices,
-    matrix_from_quat_wxyz,
-    quat_wxyz_from_matrix,
-)
+from .rotations import batch_matrices_from_quat_wxyz, batch_quat_wxyz_from_matrices
 
 logger = logging.getLogger(__name__)
 
@@ -65,28 +60,23 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
-def _intrinsics_payload(k: Intrinsics) -> dict:
-    return {
-        "fx": k.fx,
-        "fy": k.fy,
-        "cx": k.cx,
-        "cy": k.cy,
-        "width": k.width,
-        "height": k.height,
-    }
-
-
-def _intrinsics_from(payload, line_number: int) -> Intrinsics:
-    try:
-        return Intrinsics(
-            fx=float(payload["fx"]),
-            fy=float(payload["fy"]),
-            cx=float(payload["cx"]),
-            cy=float(payload["cy"]),
-            width=int(payload["width"]),
-            height=int(payload["height"]),
+def _intrinsics_from(payload: dict, line_number: int) -> Intrinsics:
+    """Header intrinsics: fx, fy, cx, cy finite JSON numbers, width and height
+    JSON integers; nothing is coerced."""
+    values = {name: _finite_number(payload.get(name)) for name in ("fx", "fy", "cx", "cy")}
+    for name in ("width", "height"):
+        value = payload.get(name)
+        values[name] = value if isinstance(value, int) and not isinstance(value, bool) else None
+    bad = [name for name, value in values.items() if value is None]
+    if bad:
+        raise MalformedHeader(
+            f"bad intrinsics: {', '.join(bad)} missing or mistyped (fx, fy, cx, cy are finite "
+            f"numbers, width and height integers)",
+            line_number,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    try:
+        return Intrinsics(**values)
+    except ValueError as exc:
         raise MalformedHeader(f"bad intrinsics: {exc}", line_number) from None
 
 
@@ -115,19 +105,23 @@ def write_stream(
         "kind": kind,
         "frame_rate": frame_rate,
         "skeleton_hash": skeleton_hash,
-        "intrinsics": _intrinsics_payload(intrinsics) if intrinsics is not None else None,
+        "intrinsics": asdict(intrinsics) if intrinsics is not None else None,
     }
     lines = [_dump(header)]
+    # Every written body pose, in record order, converted in one call.
+    poses = [track.body_pose[t] for t in range(frames) for track in tracks if track.valid[t]]
+    quats = iter(batch_quat_wxyz_from_matrices(
+        np.array(poses, dtype=float).reshape(-1, JOINTS, 3, 3)
+    ).tolist())
     for t in range(frames):
         persons = []
         for track in tracks:
             if not track.valid[t]:
                 continue
-            quats = batch_quat_wxyz_from_matrices(track.body_pose[t])
             entry = {
                 "id": track.person_id,
                 "joints": np.asarray(track.joints[t]).tolist(),
-                "body_pose": quats.tolist(),
+                "body_pose": next(quats),
             }
             if kind == KIND_2D:
                 entry["confidence"] = np.asarray(track.confidence[t]).tolist()
@@ -214,9 +208,7 @@ def _warn_unknown(obj: dict, known: set, line_number: int) -> None:
 
 
 def _tracks_from_records(kind, records, frames, intrinsics):
-    ids: list[str] = []
-    slots: dict[str, int] = {}
-    per_person: dict[str, list[tuple[int, int, dict]]] = {}
+    per_person: dict[str, list[tuple[int, int, dict]]] = {}  # in order of first appearance
     for slot, record in enumerate(records):
         line = record["_line"]
         persons = record.get("persons", [])
@@ -231,60 +223,71 @@ def _tracks_from_records(kind, records, frames, intrinsics):
             if pid in in_record:
                 raise StreamFormatError(f"person {pid!r} appears twice in one frame", line)
             in_record.add(pid)
-            if pid not in slots:
-                slots[pid] = len(ids)
-                ids.append(pid)
-                per_person[pid] = []
-            per_person[pid].append((slot, line, person))
+            per_person.setdefault(pid, []).append((slot, line, person))
 
+    # Each person record is checked where it stands; the body poses of the
+    # whole stream are then converted in one call.
     diag = intrinsics.diagonal if intrinsics is not None else None
-    tracks = []
-    for pid in ids:
-        joints = np.zeros((frames, JOINTS, 3 if kind == KIND_3D else 2))
-        pose = np.broadcast_to(np.eye(3), (frames, JOINTS, 3, 3)).copy()
-        conf = np.zeros((frames, JOINTS))
-        valid = np.zeros(frames, dtype=bool)
-        for slot, line, person in per_person[pid]:
+    width = 3 if kind == KIND_3D else 2
+    joints, quats, confs, owners = [], [], [], []  # per person record, person-major
+    for pid, entries in per_person.items():
+        for slot, line, person in entries:
             try:
                 j = np.asarray(person.get("joints", []), dtype=float)
-                quats = np.asarray(person.get("body_pose", []), dtype=float)
+                q = np.asarray(person.get("body_pose", []), dtype=float)
                 if kind == KIND_2D:
                     c = np.asarray(person.get("confidence", []), dtype=float)
             except (TypeError, ValueError) as exc:
                 raise StreamFormatError(f"person {pid!r} carries non-numeric data: {exc}",
                                         line) from None
-            if j.shape != (JOINTS, 3 if kind == KIND_3D else 2):
-                raise JointArityMismatch(
-                    f"person {pid!r} carries joint array of shape {j.shape}", line
-                )
-            if quats.shape != (JOINTS, 4):
-                raise JointArityMismatch(
-                    f"person {pid!r} carries {quats.shape} body-pose quaternions", line
-                )
-            try:
-                pose[slot] = batch_matrices_from_quat_wxyz(quats)
-            except ValueError as exc:
-                raise StreamFormatError(str(exc), line) from None
+            shapes = [("joint", j, (JOINTS, width)), ("body-pose quaternion", q, (JOINTS, 4))]
             if kind == KIND_2D:
-                if c.shape != (JOINTS,):
+                shapes.append(("confidence", c, (JOINTS,)))
+            for name, array, shape in shapes:
+                if array.shape != shape:
                     raise JointArityMismatch(
-                        f"person {pid!r} carries confidence array of shape {c.shape}", line
+                        f"person {pid!r} carries {name} array of shape {array.shape}", line
                     )
-                if c.size and (np.nanmin(c) < 0 or np.nanmax(c) > 1):
-                    raise StreamFormatError(f"person {pid!r} confidence outside [0, 1]", line)
-                if np.isfinite(j).all() and (
-                    j.min() < -0.5 * diag or j.max() > 1.5 * diag
-                ):
+            if kind == KIND_2D:
+                if not ((c >= 0) & (c <= 1)).all():
+                    raise StreamFormatError(
+                        f"person {pid!r} confidence not finite or outside [0, 1]", line
+                    )
+                if np.isfinite(j).all() and (j.min() < -0.5 * diag or j.max() > 1.5 * diag):
                     raise StreamFormatError(
                         f"person {pid!r} pixel coordinates outside the allowed box", line
                     )
-                conf[slot] = c
-            joints[slot] = j
-            valid[slot] = True
+                confs.append(c)
+            joints.append(j)
+            quats.append(q)
+            owners.append((pid, line))
+
+    quats = np.array(quats, dtype=float).reshape(-1, JOINTS, 4)
+    norms = np.linalg.norm(quats, axis=-1)
+    bad = ~(np.isfinite(norms) & (norms > 0)).all(axis=1)
+    if bad.any():
+        pid, line = owners[np.argmax(bad)]
+        raise StreamFormatError(f"person {pid!r} carries a zero or non-finite quaternion", line)
+    matrices = batch_matrices_from_quat_wxyz(quats)
+
+    tracks = []
+    start = 0
+    for pid, entries in per_person.items():
+        slots = [slot for slot, _, _ in entries]
+        rows = slice(start, start + len(slots))
+        start += len(slots)
+        track_joints = np.zeros((frames, JOINTS, width))
+        track_joints[slots] = joints[rows]
+        pose = np.broadcast_to(np.eye(3), (frames, JOINTS, 3, 3)).copy()
+        pose[slots] = matrices[rows]
+        valid = np.zeros(frames, dtype=bool)
+        valid[slots] = True
         if kind == KIND_3D:
-            tracks.append(PersonTrack3D(pid, joints, pose, valid))
+            tracks.append(PersonTrack3D(pid, track_joints, pose, valid))
         else:
-            tracks.append(PersonTrack2D(pid, joints, conf, pose, valid))
+            conf = np.zeros((frames, JOINTS))
+            conf[slots] = confs[rows]
+            tracks.append(PersonTrack2D(pid, track_joints, conf, pose, valid))
     return tracks
 
 
@@ -316,18 +319,15 @@ def resample_to_timeline(
 
     resampled = []
     for track in parsed.tracks:
+        valid = source_for_target >= 0
+        valid[valid] = track.valid[source_for_target[valid]]
+        rows = source_for_target[valid]
         joints = np.zeros((frames,) + track.joints.shape[1:])
+        joints[valid] = track.joints[rows]
         pose = np.broadcast_to(np.eye(3), (frames, JOINTS, 3, 3)).copy()
+        pose[valid] = track.body_pose[rows]
         conf = np.zeros((frames, JOINTS))
-        valid = np.zeros(frames, dtype=bool)
-        for t in range(frames):
-            s = source_for_target[t]
-            if s < 0 or not track.valid[s]:
-                continue
-            joints[t] = track.joints[s]
-            pose[t] = track.body_pose[s]
-            conf[t] = track.confidence[s]
-            valid[t] = True
+        conf[valid] = track.confidence[rows]
         resampled.append(PersonTrack2D(track.person_id, joints, conf, pose, valid))
     return resampled
 
@@ -358,17 +358,14 @@ def match_output_payload(
         }
         for (i, j), r in zip(match.pairs, match.residuals)
     ]
-    frames = []
-    for t, extr in enumerate(extrinsics):
-        if extr is None:
-            continue
-        frames.append(
-            {
-                "frame": t,
-                "quat_wxyz": quat_wxyz_from_matrix(extr.rotation).tolist(),
-                "translation_m": extr.translation.tolist(),
-            }
-        )
+    known = [(t, extr) for t, extr in enumerate(extrinsics) if extr is not None]
+    quats = batch_quat_wxyz_from_matrices(
+        np.array([extr.rotation for _, extr in known]).reshape(-1, 3, 3)
+    ).tolist()
+    frames = [
+        {"frame": t, "quat_wxyz": quat, "translation_m": extr.translation.tolist()}
+        for (t, extr), quat in zip(known, quats)
+    ]
     return {
         "match_format_version": MATCH_FORMAT_VERSION,
         "lidar_stream": lidar_stream,
@@ -414,14 +411,19 @@ def load_match_output(path: str | Path) -> MatchDocument:
         entries = payload.get("pairs", [])
         pairs = [(_index(p["idx3d"]), _index(p["idx2d"])) for p in entries]
         residuals = [float(p["residual_px"]) for p in entries]
-        extrinsics = {}
-        for entry in payload.get("extrinsics", []):
-            quat = np.asarray(entry["quat_wxyz"], dtype=float)
-            if abs(np.linalg.norm(quat) - 1.0) > 1e-9:
-                raise StreamFormatError(f"non-unit quaternion in frame {entry.get('frame')}")
-            extrinsics[_index(entry["frame"])] = Extrinsics(
-                matrix_from_quat_wxyz(quat), np.asarray(entry["translation_m"], dtype=float)
+        records = payload.get("extrinsics", [])
+        frames = [_index(record["frame"]) for record in records]
+        quats = np.array([record["quat_wxyz"] for record in records], dtype=float)
+        quats = quats.reshape(len(frames), 4)
+        off_unit = np.abs(np.linalg.norm(quats, axis=1) - 1.0) > 1e-9
+        if off_unit.any():
+            raise StreamFormatError(f"non-unit quaternion in frame {frames[np.argmax(off_unit)]}")
+        extrinsics = {
+            frame: Extrinsics(rotation, np.asarray(record["translation_m"], dtype=float))
+            for frame, record, rotation in zip(
+                frames, records, batch_matrices_from_quat_wxyz(quats)
             )
+        }
     except KeyError as exc:
         raise StreamFormatError(f"{path}: match output entry lacks field {exc}") from None
     except (AttributeError, TypeError, ValueError) as exc:

@@ -10,6 +10,9 @@ from crossalign.refiner import RefineResult
 from crossalign.streams import load_match_output, parse_stream
 
 
+DROP = object()  # marks a key to delete in a document edit
+
+
 def run_cli(*argv) -> int:
     return main(list(argv))
 
@@ -273,6 +276,41 @@ class TestMatch:
         )
         assert code == 2
         assert any(r.levelname == "ERROR" and "line" in r.getMessage() for r in caplog.records)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("fx", True), ("fy", "1000"), ("cx", float("nan")), ("cy", None), ("cy", DROP),
+         ("width", 1920.7), ("width", True), ("height", "1080"), ("height", 1080.0)],
+    )
+    def test_mistyped_intrinsics_exit_2(self, scene_dir, tmp_path, field, value, caplog):
+        camera = scene_dir / "camera_00.jsonl"
+        lines = camera.read_text().splitlines()
+        header = json.loads(lines[0])
+        if value is DROP:
+            del header["intrinsics"][field]
+        else:
+            header["intrinsics"][field] = value
+        camera.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        code = run_cli(
+            "match", "--lidar", str(scene_dir / "lidar.jsonl"), "--camera", str(camera),
+            "--out", str(tmp_path / "match"),
+        )
+        assert code == 2
+        assert any(r.levelname == "ERROR" and "line 1:" in r.getMessage() for r in caplog.records)
+
+    def test_nan_confidence_exits_2(self, scene_dir, tmp_path, caplog):
+        camera = scene_dir / "camera_00.jsonl"
+        lines = camera.read_text().splitlines()
+        record = json.loads(lines[2])
+        record["persons"][0]["confidence"][0] = float("nan")
+        lines[2] = json.dumps(record)
+        camera.write_text("\n".join(lines) + "\n")
+        code = run_cli(
+            "match", "--lidar", str(scene_dir / "lidar.jsonl"), "--camera", str(camera),
+            "--out", str(tmp_path / "match"),
+        )
+        assert code == 2
+        assert any(r.levelname == "ERROR" and "line 3:" in r.getMessage() for r in caplog.records)
 
     @pytest.mark.parametrize("field, value", [("n_iter", "two"), ("delta", "x")])
     def test_non_numeric_config_value_exits_2(self, scene_dir, tmp_path, field, value):

@@ -421,6 +421,37 @@ class TestSmoothExtrinsics:
         seq = [Extrinsics.identity(), None]
         assert smooth_extrinsics(seq, 1) == seq
 
+    def test_equals_a_per_window_reference(self):
+        from scipy.spatial.transform import Rotation
+
+        rng = np.random.default_rng(23)
+        base = random_rotation(rng)
+        seq = []
+        for t in range(40):
+            tilt = Rotation.from_rotvec(rng.normal(0.0, 0.05, size=3)).as_matrix()
+            seq.append(Extrinsics(tilt @ base, rng.normal(size=3)))
+        for t in (0, 5, 6, 7, 20, 39):
+            seq[t] = None
+        for window in (2, 3, 5, 9):
+            out = smooth_extrinsics(seq, window)
+            half = window // 2
+            for t, got in enumerate(out):
+                near = [e for e in seq[max(0, t - half) : t + half + 1] if e is not None]
+                if not near:
+                    assert got is None
+                    continue
+                q = Rotation.from_matrix(np.array([e.rotation for e in near])).as_quat()
+                q[q @ q[0] < 0] *= -1.0
+                median = np.median(q, axis=0)
+                expected = Rotation.from_quat(median / np.linalg.norm(median)).as_matrix()
+                assert np.abs(got.rotation - expected).max() < 1e-14
+                assert np.array_equal(
+                    got.translation, np.median([e.translation for e in near], axis=0)
+                )
+
+    def test_no_pose_anywhere_stays_empty(self):
+        assert smooth_extrinsics([None, None, None], 3) == [None, None, None]
+
     def test_median_suppresses_outlier_frame(self):
         rng = np.random.default_rng(22)
         rot = random_rotation(rng)
@@ -774,3 +805,13 @@ class TestStrategies:
         scene = generate(SceneConfig(person_count=1, duration_frames=2, seed=27))
         with pytest.raises(ValueError):
             match_with_strategy("XX", scene.tracks3d, scene.tracks2d[0], scene.intrinsics)
+
+
+class TestPersonTrack2D:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1, 1.5])
+    def test_confidence_must_be_finite_in_unit_interval(self, bad):
+        rng = np.random.default_rng(31)
+        confidence = np.ones((3, JOINTS))
+        confidence[1, 4] = bad
+        with pytest.raises(ValueError):
+            track2d_from(rng, 3, confidence=confidence)

@@ -137,6 +137,17 @@ class TestGradient:
             assert np.array_equal(objective_gradient(problem, candidate), expected)
 
 
+class TestCameraObservation:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1, 1.5])
+    def test_confidence_must_be_finite_in_unit_interval(self, bad):
+        rng = np.random.default_rng(9)
+        good = observation_of(person_joints(rng), rng)
+        conf = np.ones(JOINTS)
+        conf[3] = bad
+        with pytest.raises(ValueError):
+            CameraObservation(good.intrinsics, good.extrinsics, good.joints2d, conf)
+
+
 class TestRefine:
     def test_starts_at_optimum_stays_there(self):
         # Observations produced with the refiner's own pinhole arithmetic:

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from crossalign import streams
 from crossalign.errors import (
     FrameOrderViolation,
     HashMismatch,
@@ -79,6 +80,25 @@ class TestStreamRoundTrip:
         write_stream(p1, KIND_3D, scene.tracks3d, "h")
         write_stream(p2, KIND_3D, scene.tracks3d, "h")
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_each_stream_is_converted_in_one_call(self, scene, tmp_path, monkeypatch):
+        calls = {"parse": 0, "write": 0}
+
+        def counted(name, convert):
+            def wrapper(values):
+                calls[name] += 1
+                return convert(values)
+            return wrapper
+
+        monkeypatch.setattr(streams, "batch_quat_wxyz_from_matrices",
+                            counted("write", streams.batch_quat_wxyz_from_matrices))
+        monkeypatch.setattr(streams, "batch_matrices_from_quat_wxyz",
+                            counted("parse", streams.batch_matrices_from_quat_wxyz))
+        path = tmp_path / "cam.jsonl"
+        write_stream(path, KIND_2D, scene.tracks2d[0], "h", intrinsics=scene.intrinsics)
+        parsed = parse_stream(path)
+        assert sum(track.valid.sum() for track in parsed.tracks) > 10
+        assert calls == {"parse": 1, "write": 1}
 
     def test_camera_stream_requires_intrinsics(self, scene, tmp_path):
         with pytest.raises(ValueError):
@@ -220,6 +240,33 @@ class TestParseErrors:
         )
         with pytest.raises(StreamFormatError):
             parse_stream(path)
+
+    def test_zero_quaternion_of_second_person_names_its_line(self, tmp_path):
+        records = [self._header()]
+        for frame in range(3):
+            persons = [dict(self._person(), id=pid) for pid in ("a", "b")]
+            if frame == 1:
+                persons[1]["body_pose"][5] = [0.0, 0.0, 0.0, 0.0]
+            records.append(json.dumps({"frame": frame, "persons": persons}))
+        path = tmp_path / "s.jsonl"
+        path.write_text("\n".join(records) + "\n")
+        with pytest.raises(StreamFormatError) as err:
+            parse_stream(path)
+        assert err.value.line_number == 3
+        assert "'b'" in str(err.value)
+
+    def test_nan_confidence_literal_names_line(self, scene, tmp_path):
+        path = tmp_path / "cam.jsonl"
+        write_stream(path, KIND_2D, scene.tracks2d[0], "h", intrinsics=scene.intrinsics)
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[3])
+        record["persons"][0]["confidence"][4] = float("nan")
+        lines[3] = json.dumps(record)
+        assert "NaN" in lines[3]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(StreamFormatError) as err:
+            parse_stream(path)
+        assert err.value.line_number == 4
 
     def test_pixel_coordinates_outside_loose_box_rejected(self, scene, tmp_path):
         header = json.dumps(
