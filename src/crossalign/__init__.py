@@ -7,7 +7,6 @@ from .geometry import (
     Extrinsics,
     Intrinsics,
     PnpResult,
-    ProjectionMatrix,
     geodesic_rotation_error,
     project,
     solve_pnp,
@@ -44,7 +43,6 @@ __all__ = [
     "CrossAlignError",
     "Intrinsics",
     "Extrinsics",
-    "ProjectionMatrix",
     "PnpResult",
     "project",
     "solve_pnp",

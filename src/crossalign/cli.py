@@ -205,19 +205,7 @@ def _write_truth(path: Path, scene) -> None:
         "kind": "scene_truth",
         "stream_format_version": 1,
         "skeleton_hash": scene.skeleton.content_hash,
-        "config": {
-            "person_count": config.person_count,
-            "duration_frames": config.duration_frames,
-            "camera_count": config.camera_count,
-            "pixel_noise_sigma": config.pixel_noise_sigma,
-            "joint3d_noise_sigma": config.joint3d_noise_sigma,
-            "dropout_rate": config.dropout_rate,
-            "fov_degrees": config.fov_degrees,
-            "pose_noise_degrees": config.pose_noise_degrees,
-            "synchronized_pose_groups": [list(g) for g in config.synchronized_pose_groups],
-            "seed": config.seed,
-            "frame_rate": config.frame_rate,
-        },
+        "config": asdict(config),
         "correspondence": [
             sorted([i, j] for i, j in scene.truth.correspondence[c].items())
             for c in range(config.camera_count)
@@ -263,7 +251,12 @@ def cmd_match(args) -> int:
         if cam.kind != KIND_2D:
             raise StreamFormatError(f"{cam_path}: expected a {KIND_2D} stream, got {cam.kind}")
         cameras.append((cam_path, cam))
-    require_same_hash(lidar.skeleton_hash, *(cam.skeleton_hash for _, cam in cameras))
+    # The matcher articulates the packaged skeleton, so the streams must reference it.
+    require_same_hash(
+        default_skeleton().content_hash,
+        lidar.skeleton_hash,
+        *(cam.skeleton_hash for _, cam in cameras),
+    )
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

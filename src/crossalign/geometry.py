@@ -6,8 +6,9 @@ Coordinate conventions (OpenCV-style):
   looks along +Z, so visible points have positive Z in camera coordinates.
   Image frame: u right, v down, origin at the top-left corner, pixels.
 
-Extrinsics map world points into the camera frame: x_cam = R @ x_world + t.
-The projection matrix composes intrinsics and extrinsics: P = K @ [R | t].
+Extrinsics map world points into the camera frame: x_cam = R @ x_world + t;
+``pinhole`` then maps camera-frame points to pixels. Every world-to-pixel
+projection is ``pinhole(intrinsics, extrinsics.transform(points))``.
 
 All operations are pure functions over immutable inputs and are safe to call
 concurrently.
@@ -16,7 +17,6 @@ concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -95,18 +95,6 @@ class Intrinsics:
         if not (0 <= self.cx <= self.width and 0 <= self.cy <= self.height):
             raise ValueError("principal point must lie inside the image")
 
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        k = np.array(
-            [
-                [self.fx, 0.0, self.cx],
-                [0.0, self.fy, self.cy],
-                [0.0, 0.0, 1.0],
-            ]
-        )
-        k.setflags(write=False)
-        return k
-
     @property
     def diagonal(self) -> float:
         """Image diagonal in pixels; the fixed behind-camera cost penalty."""
@@ -134,69 +122,23 @@ class Extrinsics:
     def identity(cls) -> "Extrinsics":
         return cls(np.eye(3), np.zeros(3))
 
-    def matrix(self) -> np.ndarray:
-        """The 3x4 [R | t] block."""
-        return np.hstack([self.rotation, self.translation[:, None]])
-
     def transform(self, points: np.ndarray) -> np.ndarray:
         """Map world points (..., 3) into the camera frame."""
         pts = np.asarray(points, dtype=float)
         return pts @ self.rotation.T + self.translation
 
 
-@dataclass(frozen=True)
-class ProjectionMatrix:
-    """3x4 map from homogeneous world points to homogeneous pixel coordinates.
-
-    Built exactly as K @ [R | t]; this type constructs, it never estimates.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (3, 4):
-            raise ValueError(f"projection matrix must be 3x4, got {v.shape}")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    @classmethod
-    def from_camera(cls, intrinsics: Intrinsics, extrinsics: Extrinsics) -> "ProjectionMatrix":
-        return cls(intrinsics.matrix @ extrinsics.matrix())
-
-
-def project(projection: ProjectionMatrix, points: np.ndarray) -> np.ndarray:
+def project(intrinsics: Intrinsics, extrinsics: Extrinsics, points: np.ndarray) -> np.ndarray:
     """Perspective-project world points; raises NonPositiveDepth behind the camera.
 
     Accepts a single (3,) point or an (n, 3) array and returns pixel
     coordinates with matching leading shape.
     """
-    pts = np.asarray(points, dtype=float)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    uv, ok = project_masked(projection, pts)
-    if not ok.all():
-        idx = int(np.flatnonzero(~ok)[0])
+    uv, front = pinhole(intrinsics, extrinsics.transform(points))
+    if not front.all():
+        idx = int(np.flatnonzero(~front)[0])
         raise NonPositiveDepth(f"point {idx} has non-positive camera depth")
-    return uv[0] if single else uv
-
-
-def project_masked(projection: ProjectionMatrix, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Project points (..., 3), returning (pixels (..., 2), in-front mask (...,)).
-
-    Pixel values where the mask is False are zero-filled and must not be used;
-    cost builders substitute the fixed behind-camera penalty for those joints.
-    """
-    pts = np.asarray(points, dtype=float)
-    p = projection.values
-    hom = pts @ p[:, :3].T + p[:, 3]
-    depth = hom[..., 2]
-    ok = depth > DEPTH_EPS
-    safe = np.where(ok, depth, 1.0)
-    uv = hom[..., :2] / safe[..., None]
-    uv = np.where(ok[..., None], uv, 0.0)
-    return uv, ok
+    return uv
 
 
 def pinhole(intrinsics: Intrinsics, cam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -207,9 +149,10 @@ def pinhole(intrinsics: Intrinsics, cam: np.ndarray) -> tuple[np.ndarray, np.nda
     z = cam[..., 2]
     front = z > DEPTH_EPS
     zs = np.where(front, z, 1.0)
-    u = intrinsics.fx * cam[..., 0] / zs + intrinsics.cx
-    v = intrinsics.fy * cam[..., 1] / zs + intrinsics.cy
-    return np.stack([u, v], axis=-1), front
+    uv = np.empty(z.shape + (2,))  # filled in place: on small inputs np.stack costs more
+    uv[..., 0] = intrinsics.fx * cam[..., 0] / zs + intrinsics.cx
+    uv[..., 1] = intrinsics.fy * cam[..., 1] / zs + intrinsics.cy
+    return uv, front
 
 
 def pinhole_jacobian(intrinsics: Intrinsics, cam: np.ndarray, front: np.ndarray) -> np.ndarray:

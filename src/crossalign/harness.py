@@ -17,7 +17,8 @@ import logging
 import math
 import statistics
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -29,20 +30,6 @@ from .simulator import SceneConfig, accuracy, generate
 logger = logging.getLogger(__name__)
 
 REPORT_VERSION = 1
-
-CSV_COLUMNS = (
-    "mode",
-    "person_count",
-    "pixel_noise_sigma",
-    "synchronized",
-    "scenes",
-    "failures",
-    "accuracy_mean",
-    "accuracy_std",
-    "fps",
-    "wall_seconds",
-)
-
 
 @dataclass(frozen=True)
 class BenchSpec:
@@ -115,6 +102,9 @@ class BenchRow:
     accuracy_std: float
     fps: float
     wall_seconds: float
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(BenchRow))
 
 
 @dataclass
@@ -281,21 +271,12 @@ def load_report(path) -> tuple[list[BenchRow], dict]:
             summary = json.loads(line[len("# summary "):])
         elif not line.startswith("#") and line:
             data_lines.append(line)
-    reader = csv.DictReader(data_lines)
-    rows = []
-    for entry in reader:
-        rows.append(
-            BenchRow(
-                mode=entry["mode"],
-                person_count=int(entry["person_count"]),
-                pixel_noise_sigma=float(entry["pixel_noise_sigma"]),
-                synchronized=entry["synchronized"] == "true",
-                scenes=int(entry["scenes"]),
-                failures=int(entry["failures"]),
-                accuracy_mean=float(entry["accuracy_mean"]),
-                accuracy_std=float(entry["accuracy_std"]),
-                fps=float(entry["fps"]),
-                wall_seconds=float(entry["wall_seconds"]),
-            )
-        )
+    types = get_type_hints(BenchRow)
+    rows = [
+        BenchRow(**{
+            name: entry[name] == "true" if types[name] is bool else types[name](entry[name])
+            for name in CSV_COLUMNS
+        })
+        for entry in csv.DictReader(data_lines)
+    ]
     return rows, summary

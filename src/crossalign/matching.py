@@ -42,8 +42,7 @@ from .errors import (
 from .geometry import (  # noqa: F401
     Extrinsics,
     Intrinsics,
-    ProjectionMatrix,
-    project_masked,
+    pinhole,
     solve_pnp,
     solve_pnp_batch,
 )
@@ -508,8 +507,7 @@ def _reprojection_matrix(
     total confidence costs the image diagonal.
     """
     penalty = intrinsics.diagonal
-    proj = ProjectionMatrix.from_camera(intrinsics, extrinsics)
-    uv, front = project_masked(proj, joints3d)  # (p3, 24, 2), (p3, 24)
+    uv, front = pinhole(intrinsics, extrinsics.transform(joints3d))  # (p3, 24, 2), (p3, 24)
     ok = front & mask3d
     dist = np.linalg.norm(uv[:, None, :, :] - joints2d[None, :, :, :], axis=-1)
     dist = np.where(ok[:, None, :], dist, penalty)  # (p3, p2, 24)
@@ -528,10 +526,9 @@ def _body_pose_matrix(
     """(p3, p2) mean pixel distances between skeleton poses posed at the
     origin, each pair rooted at the 3D person's root joint (roots (p3, 3))."""
     penalty = intrinsics.diagonal
-    proj = ProjectionMatrix.from_camera(intrinsics, extrinsics)
-    uv3, front3 = project_masked(proj, fk3_origin + roots[:, None, :])
+    uv3, front3 = pinhole(intrinsics, extrinsics.transform(fk3_origin + roots[:, None, :]))
     pts2 = fk2_origin[None, :, :, :] + roots[:, None, None, :]  # (p3, p2, 24, 3)
-    uv2, front2 = project_masked(proj, pts2)
+    uv2, front2 = pinhole(intrinsics, extrinsics.transform(pts2))
     ok = front3[:, None, :] & front2
     dist = np.linalg.norm(uv3[:, None, :, :] - uv2, axis=-1)
     return np.where(ok, dist, penalty).mean(axis=-1)
@@ -915,7 +912,7 @@ def match_sequences(
     return SequenceMatchResult(match, smoothed, stats)
 
 
-def extrinsics_for_match(tracks3d, tracks2d, pairs, intrinsics, smoothing_window: int = 9):
+def extrinsics_for_match(tracks3d, tracks2d, pairs, intrinsics, smoothing_window: int):
     """Per-frame smoothed extrinsics implied by a fixed pairing, with each
     pair's mean reprojection residual under them."""
     frames = _common_timeline(tracks3d, tracks2d)

@@ -20,7 +20,7 @@ from scipy.interpolate import CubicSpline
 from scipy.spatial.transform import Rotation
 
 from .errors import InvalidConfig
-from .geometry import Extrinsics, Intrinsics, ProjectionMatrix, project_masked
+from .geometry import Extrinsics, Intrinsics, pinhole
 from .matching import JOINTS, MatchSet, PersonTrack2D, PersonTrack3D
 from .skeleton import CanonicalSkeleton, default_skeleton, fk_points
 
@@ -239,8 +239,8 @@ def generate(config: SceneConfig) -> Scene:
         uv = np.empty((p, t, JOINTS, 2))
         front = np.empty((p, t, JOINTS), dtype=bool)
         for frame in range(t):
-            proj = ProjectionMatrix.from_camera(intrinsics, cameras[c][frame])
-            uv[:, frame], front[:, frame] = project_masked(proj, joints[:, frame])
+            cam = cameras[c][frame].transform(joints[:, frame])
+            uv[:, frame], front[:, frame] = pinhole(intrinsics, cam)
         in_frame = (
             front
             & (uv[..., 0] >= 0.0)

@@ -413,6 +413,9 @@ def load_match_output(path: str | Path) -> MatchDocument:
         residuals = [float(p["residual_px"]) for p in entries]
         records = payload.get("extrinsics", [])
         frames = [_index(record["frame"]) for record in records]
+        if len(set(frames)) != len(frames):
+            repeated = next(f for i, f in enumerate(frames) if f in frames[:i])
+            raise StreamFormatError(f"{path}: extrinsics list frame {repeated} twice")
         quats = np.array([record["quat_wxyz"] for record in records], dtype=float)
         quats = quats.reshape(len(frames), 4)
         off_unit = np.abs(np.linalg.norm(quats, axis=1) - 1.0) > 1e-9

@@ -7,7 +7,7 @@ look-at construction, so these helpers can serve as oracles.
 
 import numpy as np
 
-from crossalign.geometry import Extrinsics, Intrinsics, ProjectionMatrix
+from crossalign.geometry import Extrinsics, Intrinsics
 
 
 def make_intrinsics(fx=1000.0, fy=1000.0, cx=960.0, cy=540.0, width=1920, height=1080):
@@ -58,8 +58,16 @@ def random_camera(rng, target=(0.0, 0.0, 0.0), distance=10.0):
     return look_at_extrinsics(pos, target)
 
 
-def projection_for(intrinsics, extrinsics):
-    return ProjectionMatrix.from_camera(intrinsics, extrinsics)
+def projection_matrix_oracle(intrinsics, extrinsics):
+    """The 3x4 matrix K @ [R | t], with K written out from fx, fy, cx and cy."""
+    k = np.array(
+        [
+            [intrinsics.fx, 0.0, intrinsics.cx],
+            [0.0, intrinsics.fy, intrinsics.cy],
+            [0.0, 0.0, 1.0],
+        ]
+    )
+    return k @ np.column_stack([extrinsics.rotation, extrinsics.translation])
 
 
 def project_oracle(p_matrix, point):

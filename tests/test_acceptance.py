@@ -29,7 +29,7 @@ from crossalign.matching import (
 from crossalign.refiner import CameraObservation, RefineProblem, objective, objective_gradient, refine
 from crossalign.simulator import SceneConfig, accuracy, generate
 
-from helpers import make_intrinsics, projection_for, random_camera
+from helpers import make_intrinsics, random_camera
 from test_matching import brute_force_total, frame_brute_force
 
 BENCH_CONFIG = PcmConfig(delta=0.5)
@@ -69,7 +69,7 @@ def test_criterion_02_pnp_inverse_property():
     for _ in range(200):
         extr = random_camera(rng, distance=rng.uniform(6.0, 14.0))
         points = rng.uniform(-2.0, 2.0, size=(24, 3))
-        observed = project(projection_for(k, extr), points)
+        observed = project(k, extr, points)
         result = solve_pnp(points, observed, k)
         worst_r = max(worst_r, geodesic_rotation_error(result.extrinsics.rotation, extr.rotation))
         worst_t = max(worst_t, float(np.linalg.norm(result.extrinsics.translation - extr.translation)))
@@ -199,7 +199,7 @@ def test_criterion_07_refiner_gradient_check():
         for _ in range(int(rng.integers(1, 4))):
             k = make_intrinsics()
             extr = random_camera(rng, target=center, distance=rng.uniform(7.0, 12.0))
-            pixels = project(projection_for(k, extr), truth) + rng.normal(0, 4.0, (JOINTS, 2))
+            pixels = project(k, extr, truth) + rng.normal(0, 4.0, (JOINTS, 2))
             observations.append(
                 CameraObservation(k, extr, pixels, rng.uniform(0.1, 1.0, JOINTS))
             )
@@ -235,7 +235,7 @@ def test_criterion_08_sensor_expandability():
             k = scene.intrinsics
             extr = scene.truth.extrinsics[cam][0]
             observations.append(
-                CameraObservation(k, extr, project(projection_for(k, extr), truth), np.ones(JOINTS))
+                CameraObservation(k, extr, project(k, extr, truth), np.ones(JOINTS))
             )
         two = refine(RefineProblem(noisy, tuple(observations[:2]))).refined3d
         three = refine(RefineProblem(noisy, tuple(observations))).refined3d

@@ -84,6 +84,21 @@ class TestSimulate:
         config.write_text(json.dumps(scene_config_payload(**{field: value})))
         assert run_cli("simulate", "--config", str(config), "--out", str(tmp_path / "x")) == 2
 
+    def test_truth_header_config_reproduces_the_streams(self, tmp_path):
+        config = tmp_path / "scene.json"
+        config.write_text(json.dumps(
+            scene_config_payload(image_width=800, image_height=600, arena_radius=2.5)
+        ))
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert run_cli("simulate", "--config", str(config), "--out", str(out1)) == 0
+        header = json.loads((out1 / "truth.jsonl").read_text().splitlines()[0])
+        echoed = header["config"]
+        assert (echoed["image_width"], echoed["image_height"], echoed["arena_radius"]) == (800, 600, 2.5)
+        config.write_text(json.dumps(echoed))
+        assert run_cli("simulate", "--config", str(config), "--out", str(out2)) == 0
+        for name in ("lidar.jsonl", "camera_00.jsonl", "truth.jsonl"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
     def test_seed_override_changes_output(self, tmp_path):
         config = tmp_path / "scene.json"
         config.write_text(json.dumps(scene_config_payload()))
@@ -94,6 +109,21 @@ class TestSimulate:
 
 
 class TestMatch:
+    def test_streams_of_another_skeleton_exit_2(self, scene_dir, tmp_path):
+        # Both streams agree on a skeleton, but it is not the one the matcher articulates.
+        for name in ("lidar.jsonl", "camera_00.jsonl"):
+            lines = (scene_dir / name).read_text().splitlines()
+            header = json.loads(lines[0])
+            header["skeleton_hash"] = "0" * 64
+            (scene_dir / name).write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        out = tmp_path / "match"
+        code = run_cli(
+            "match", "--lidar", str(scene_dir / "lidar.jsonl"),
+            "--camera", str(scene_dir / "camera_00.jsonl"), "--out", str(out),
+        )
+        assert code == 2
+        assert not out.exists()
+
     def test_match_recovers_truth_correspondence(self, scene_dir, tmp_path):
         out = tmp_path / "match"
         assert (
@@ -482,6 +512,18 @@ class TestRefine:
             "--out", str(out),
         )
         assert code == 2
+        assert not out.exists()
+
+    def test_repeated_extrinsics_frame_exits_2_before_writing(self, noisy_scene, tmp_path):
+        matches = self._run_match(noisy_scene, tmp_path / "match")
+        doc = json.loads(matches[0].read_text())
+        doc["extrinsics"][1]["frame"] = doc["extrinsics"][0]["frame"]
+        matches[0].write_text(json.dumps(doc))
+        out = tmp_path / "never.jsonl"
+        args = ["refine", "--lidar", str(noisy_scene / "lidar.jsonl"), "--out", str(out)]
+        for m in matches:
+            args += ["--match", str(m)]
+        assert run_cli(*args) == 2
         assert not out.exists()
 
     def test_non_finite_lidar_joint_exits_2_before_writing(self, noisy_scene, tmp_path, caplog):

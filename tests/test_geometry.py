@@ -12,7 +12,6 @@ from crossalign.geometry import (
     Extrinsics,
     Intrinsics,
     PnpResult,
-    ProjectionMatrix,
     geodesic_rotation_error,
     project,
     solve_pnp,
@@ -22,7 +21,7 @@ from crossalign.geometry import (
 from helpers import (
     make_intrinsics,
     project_oracle,
-    projection_for,
+    projection_matrix_oracle,
     random_camera,
     random_rotation,
     rot_z,
@@ -34,12 +33,6 @@ def scene_points(rng, n=24, spread=2.0, center=(0.0, 0.0, 0.0)):
 
 
 class TestIntrinsics:
-    def test_matrix_layout(self):
-        k = make_intrinsics(800.0, 820.0, 310.0, 245.0, 640, 480)
-        assert np.allclose(
-            k.matrix, [[800.0, 0.0, 310.0], [0.0, 820.0, 245.0], [0.0, 0.0, 1.0]]
-        )
-
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
             make_intrinsics(fx=-1.0)
@@ -54,35 +47,27 @@ class TestExtrinsics:
         with pytest.raises(ValueError):
             Extrinsics(np.diag([1.0, 1.0, -1.0]), np.zeros(3))
 
-    def test_matrix_is_k_r_t(self):
-        rng = np.random.default_rng(3)
-        rot = random_rotation(rng)
-        t = rng.normal(size=3)
-        k = make_intrinsics()
-        p = ProjectionMatrix.from_camera(k, Extrinsics(rot, t))
-        assert np.allclose(p.values, k.matrix @ np.hstack([rot, t[:, None]]), atol=1e-12)
-
 
 class TestProject:
     def test_axis_aligned_pinhole(self):
         k = Intrinsics(fx=100.0, fy=100.0, cx=0.0, cy=0.0, width=200, height=200)
-        p = projection_for(k, Extrinsics.identity())
-        assert np.allclose(project(p, np.array([1.0, 0.0, 1.0])), [100.0, 0.0])
+        pixel = project(k, Extrinsics.identity(), np.array([1.0, 0.0, 1.0]))
+        assert np.allclose(pixel, [100.0, 0.0])
 
     def test_optical_axis_maps_to_principal_point(self):
         k = make_intrinsics()
-        p = projection_for(k, Extrinsics.identity())
         for depth in (0.1, 1.0, 57.0):
-            assert np.allclose(project(p, np.array([0.0, 0.0, depth])), [k.cx, k.cy])
+            pixel = project(k, Extrinsics.identity(), np.array([0.0, 0.0, depth]))
+            assert np.allclose(pixel, [k.cx, k.cy])
 
     def test_matches_homogeneous_oracle(self):
         rng = np.random.default_rng(7)
         k = make_intrinsics()
         for _ in range(50):
             extr = random_camera(rng)
-            p = projection_for(k, extr)
+            p = projection_matrix_oracle(k, extr)
             pt = scene_points(rng, n=1)[0]
-            assert np.allclose(project(p, pt), project_oracle(p.values, pt), atol=1e-10)
+            assert np.allclose(project(k, extr, pt), project_oracle(p, pt), atol=1e-10)
 
     def test_scaled_homogeneous_representation_is_equivalent(self):
         # Perspective division cancels any scale on the 3x4 matrix.
@@ -90,20 +75,19 @@ class TestProject:
         k = make_intrinsics()
         for _ in range(20):
             extr = random_camera(rng)
-            p = projection_for(k, extr)
+            p = projection_matrix_oracle(k, extr)
             pt = scene_points(rng, n=1)[0]
             s = rng.uniform(0.1, 10.0) * rng.choice([-1.0, 1.0])
             assert np.allclose(
-                project(p, pt), project_oracle(s * p.values, pt), atol=1e-9
+                project(k, extr, pt), project_oracle(s * p, pt), atol=1e-9
             )
 
     def test_behind_camera_raises(self):
         k = make_intrinsics()
-        p = projection_for(k, Extrinsics.identity())
         with pytest.raises(NonPositiveDepth):
-            project(p, np.array([0.0, 0.0, -1.0]))
+            project(k, Extrinsics.identity(), np.array([0.0, 0.0, -1.0]))
         with pytest.raises(NonPositiveDepth):
-            project(p, np.array([[0.0, 0.0, 2.0], [0.0, 0.0, 0.0]]))
+            project(k, Extrinsics.identity(), np.array([[0.0, 0.0, 2.0], [0.0, 0.0, 0.0]]))
 
 
 class TestGeodesicRotationError:
@@ -132,8 +116,7 @@ class TestSolvePnp:
         rng = np.random.default_rng(23)
         k = make_intrinsics()
         pts = scene_points(rng, n=24, center=(0.0, 0.0, 8.0))
-        p = projection_for(k, Extrinsics.identity())
-        obs = project(p, pts)
+        obs = project(k, Extrinsics.identity(), pts)
         result = solve_pnp(pts, obs, k)
         assert geodesic_rotation_error(result.extrinsics.rotation, np.eye(3)) < 1e-6
         assert np.linalg.norm(result.extrinsics.translation) < 1e-6
@@ -144,7 +127,7 @@ class TestSolvePnp:
         for _ in range(20):
             extr = random_camera(rng, distance=rng.uniform(6.0, 14.0))
             pts = scene_points(rng, n=24)
-            obs = project(projection_for(k, extr), pts)
+            obs = project(k, extr, pts)
             result = solve_pnp(pts, obs, k)
             assert geodesic_rotation_error(result.extrinsics.rotation, extr.rotation) < 1e-4
             assert np.linalg.norm(result.extrinsics.translation - extr.translation) < 1e-4
@@ -157,7 +140,7 @@ class TestSolvePnp:
         for _ in range(30):
             extr = random_camera(rng)
             pts = scene_points(rng, n=24)
-            obs = project(projection_for(k, extr), pts) + rng.normal(0.0, 1.0, size=(24, 2))
+            obs = project(k, extr, pts) + rng.normal(0.0, 1.0, size=(24, 2))
             result = solve_pnp(pts, obs, k)
             rms_values.append(result.rms_px)
         assert np.mean(rms_values) <= 1.5
@@ -167,7 +150,7 @@ class TestSolvePnp:
         k = make_intrinsics()
         extr = random_camera(rng)
         pts = scene_points(rng, n=24)
-        obs = project(projection_for(k, extr), pts) + rng.normal(0.0, 2.0, size=(24, 2))
+        obs = project(k, extr, pts) + rng.normal(0.0, 2.0, size=(24, 2))
         result = solve_pnp(pts, obs, k)
         trace = np.array(result.objective_trace)
         assert np.all(np.diff(trace) <= 0.0)
@@ -179,7 +162,7 @@ class TestSolvePnp:
             extr = random_camera(rng)
             flat = scene_points(rng, n=12)
             flat[:, 2] = 0.3  # all points on z = 0.3 plane
-            obs = project(projection_for(k, extr), flat)
+            obs = project(k, extr, flat)
             result = solve_pnp(flat, obs, k)
             assert geodesic_rotation_error(result.extrinsics.rotation, extr.rotation) < 1e-4
             assert np.linalg.norm(result.extrinsics.translation - extr.translation) < 1e-4
@@ -190,7 +173,7 @@ class TestSolvePnp:
         extr = random_camera(rng)
         flat = scene_points(rng, n=7)
         flat[:, 2] = 0.0
-        obs = project(projection_for(k, extr), flat)
+        obs = project(k, extr, flat)
         with pytest.raises(DegenerateConfiguration):
             solve_pnp(flat, obs, k)
 
@@ -199,7 +182,7 @@ class TestSolvePnp:
         k = make_intrinsics()
         extr = random_camera(rng)
         line = np.outer(np.linspace(-1.0, 1.0, 10), np.array([1.0, 0.5, 0.2]))
-        obs = project(projection_for(k, extr), line)
+        obs = project(k, extr, line)
         with pytest.raises(DegenerateConfiguration):
             solve_pnp(line, obs, k)
 
@@ -208,7 +191,7 @@ class TestSolvePnp:
         k = make_intrinsics()
         extr = random_camera(rng)
         pts = scene_points(rng, n=5)
-        obs = project(projection_for(k, extr), pts)
+        obs = project(k, extr, pts)
         with pytest.raises(InsufficientCorrespondences):
             solve_pnp(pts, obs, k)
 
@@ -217,7 +200,7 @@ class TestSolvePnp:
         k = make_intrinsics()
         extr = random_camera(rng)
         pts = scene_points(rng, n=24)
-        obs = project(projection_for(k, extr), pts)
+        obs = project(k, extr, pts)
         obs[:3] = np.nan  # only 21 usable pairs remain
         result = solve_pnp(pts, obs, k)
         assert geodesic_rotation_error(result.extrinsics.rotation, extr.rotation) < 1e-4
@@ -233,7 +216,7 @@ class TestSolvePnpBatch:
         problems = []
 
         def observed(extr, pts, noise=0.0):
-            obs = project(projection_for(k, extr), pts)
+            obs = project(k, extr, pts)
             return obs + rng.normal(0.0, noise, size=obs.shape) if noise else obs
 
         for _ in range(3):  # general position, with and without noise

@@ -32,7 +32,7 @@ from crossalign.matching import (
 from crossalign.simulator import SceneConfig, accuracy, generate
 from crossalign.skeleton import default_skeleton, forward_kinematics
 
-from helpers import make_intrinsics, projection_for, random_camera, random_rotation
+from helpers import make_intrinsics, random_camera, random_rotation
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -248,9 +248,8 @@ def exact_scene_pair(rng, frames=1, offset=None):
     """A 3D track plus the 2D track produced by projecting it exactly."""
     k = make_intrinsics()
     extr = random_camera(rng, target=(0.0, 0.0, 1.0), distance=8.0)
-    proj = projection_for(k, extr)
     joints = rng.normal(0.0, 0.6, size=(frames, JOINTS, 3)) + [0.0, 0.0, 1.0]
-    pixels = np.stack([project(proj, joints[t]) for t in range(frames)])
+    pixels = np.stack([project(k, extr, joints[t]) for t in range(frames)])
     if offset is not None:
         pixels = pixels + offset
     pose = random_pose_sequence(rng, frames)
@@ -274,10 +273,9 @@ class TestReprojectionCost:
         noisy = t2.joints + rng.normal(0.0, 5.0, size=t2.joints.shape)
         conf = rng.uniform(0.1, 1.0, size=(1, JOINTS))
         t2n = PersonTrack2D("b", noisy, conf, t2.body_pose, t2.valid)
-        proj = projection_for(k, extr)
         num = den = 0.0
         for j in range(JOINTS):
-            d = np.linalg.norm(project(proj, t3.joints[0, j]) - noisy[0, j])
+            d = np.linalg.norm(project(k, extr, t3.joints[0, j]) - noisy[0, j])
             num += conf[0, j] * d
             den += conf[0, j]
         assert reprojection_cost(t3, t2n, extr, k, 0) == pytest.approx(num / den, abs=1e-10)
@@ -306,9 +304,8 @@ class TestReprojectionCost:
         noisy[0, 5] = np.nan
         conf[0, 5] = 0.0
         t2n = PersonTrack2D("b", noisy, conf, t2.body_pose, t2.valid)
-        proj = projection_for(k, extr)
         others = [j for j in range(JOINTS) if j != 5]
-        dists = [np.linalg.norm(project(proj, t3.joints[0, j]) - noisy[0, j]) for j in others]
+        dists = [np.linalg.norm(project(k, extr, t3.joints[0, j]) - noisy[0, j]) for j in others]
         expected = np.dot(conf[0, others], dists) / conf[0, others].sum()
         cost = reprojection_cost(t3, t2n, extr, k, 0)
         assert math.isfinite(cost)
@@ -346,13 +343,12 @@ class TestBodyPoseCost:
         k = make_intrinsics()
         skeleton = default_skeleton()
         extr = random_camera(rng, target=(0.0, 0.0, 1.0), distance=9.0)
-        proj = projection_for(k, extr)
         pa = random_pose_sequence(rng, 1)[0]
         pb = random_pose_sequence(rng, 1)[0]
         root = np.array([0.3, 0.2, 0.9])
         ja = forward_kinematics(skeleton, pa, root)
         jb = forward_kinematics(skeleton, pb, root)
-        dists = [np.linalg.norm(project(proj, ja[j]) - project(proj, jb[j])) for j in range(JOINTS)]
+        dists = [np.linalg.norm(project(k, extr, ja[j]) - project(k, extr, jb[j])) for j in range(JOINTS)]
         assert body_pose_cost(pa, pb, root, extr, k) == pytest.approx(np.mean(dists), abs=1e-9)
 
 

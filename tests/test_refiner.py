@@ -15,7 +15,7 @@ from crossalign.refiner import (
     refine_batch,
 )
 
-from helpers import make_intrinsics, projection_for, random_camera
+from helpers import make_intrinsics, random_camera
 
 RNG_JOINTS_CENTER = np.array([0.0, 0.0, 1.0])
 
@@ -27,7 +27,7 @@ def person_joints(rng):
 def observation_of(joints, rng, noise=0.0, conf=None, distance=9.0):
     k = make_intrinsics()
     extr = random_camera(rng, target=RNG_JOINTS_CENTER, distance=distance)
-    pixels = project(projection_for(k, extr), joints)
+    pixels = project(k, extr, joints)
     if noise:
         pixels = pixels + rng.normal(0.0, noise, size=pixels.shape)
     conf = np.ones(JOINTS) if conf is None else conf
@@ -58,9 +58,8 @@ class TestObjective:
         candidate = joints + rng.normal(0.0, 0.05, size=joints.shape)
 
         total = 1.0 * ((candidate - joints) ** 2).sum()
-        proj = projection_for(obs.intrinsics, obs.extrinsics)
         for j in range(JOINTS):
-            err = project(proj, candidate[j]) - obs.joints2d[j]
+            err = project(obs.intrinsics, obs.extrinsics, candidate[j]) - obs.joints2d[j]
             total += 0.7 * conf[j] * (err @ err) + 0.05 * (err @ err)
         assert objective(problem, candidate) == pytest.approx(total, rel=1e-9)
 
@@ -74,9 +73,9 @@ class TestObjective:
         candidate[5] = center - obs.extrinsics.rotation[2] * 3.0  # behind the camera
         value = objective(problem, candidate)
         in_front = np.delete(np.arange(JOINTS), 5)
-        proj = projection_for(obs.intrinsics, obs.extrinsics)
         rest = sum(
-            float(np.sum((project(proj, candidate[j]) - obs.joints2d[j]) ** 2)) for j in in_front
+            float(np.sum((project(obs.intrinsics, obs.extrinsics, candidate[j]) - obs.joints2d[j]) ** 2))
+            for j in in_front
         )
         assert value == pytest.approx(rest + obs.intrinsics.diagonal**2, rel=1e-9)
 

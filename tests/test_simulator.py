@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from crossalign.errors import InvalidConfig
-from crossalign.geometry import ProjectionMatrix, project_masked
+from crossalign.geometry import pinhole
 from crossalign.matching import JOINTS, MatchSet, build_match_set
 from crossalign.simulator import (
     MIN_VISIBLE_JOINTS,
@@ -50,10 +50,8 @@ class TestGenerate:
             for t in range(scene.config.duration_frames):
                 if not track.valid[t]:
                     continue
-                proj = ProjectionMatrix.from_camera(
-                    scene.intrinsics, scene.truth.extrinsics[0][t]
-                )
-                uv, front = project_masked(proj, scene.truth.joints[person, t])
+                cam = scene.truth.extrinsics[0][t].transform(scene.truth.joints[person, t])
+                uv, front = pinhole(scene.intrinsics, cam)
                 usable = track.confidence[t] > 0
                 assert front[usable].all()
                 assert np.array_equal(track.joints[t][usable], uv[usable])
@@ -96,10 +94,10 @@ class TestGenerate:
         scene = small_scene(person_count=4, duration_frames=10, fov_degrees=40.0, seed=55)
         k = scene.intrinsics
         for t in range(scene.config.duration_frames):
-            proj = ProjectionMatrix.from_camera(k, scene.truth.extrinsics[0][t])
+            extr = scene.truth.extrinsics[0][t]
             listed = {p for p, _ in scene.truth.frame_correspondence[0][t]}
             for person in range(scene.config.person_count):
-                uv, front = project_masked(proj, scene.truth.joints[person, t])
+                uv, front = pinhole(k, extr.transform(scene.truth.joints[person, t]))
                 inside = (
                     front
                     & (uv[:, 0] >= 0)

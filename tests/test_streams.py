@@ -413,6 +413,14 @@ class TestMatchOutput:
         with pytest.raises(StreamFormatError):
             load_match_output(path)
 
+    def test_repeated_extrinsics_frame_is_a_format_error(self, tmp_path):
+        doc = self._payload()
+        doc["extrinsics"].append(dict(doc["extrinsics"][0], translation_m=[1.0, 2.0, 3.0]))
+        path = tmp_path / "match.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(StreamFormatError, match="frame 0 twice"):
+            load_match_output(path)
+
     def test_hash_guard(self):
         require_same_hash("a", "a", "")
         with pytest.raises(HashMismatch):
