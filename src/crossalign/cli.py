@@ -340,6 +340,7 @@ def cmd_refine(args) -> int:
                 f"frame {frame}; refine needs finite joints"
             )
 
+    frames = len(lidar.frame_indices)
     views = []  # (doc, intrinsics, resampled 2D tracks)
     for match_path in args.match:
         doc = load_match_output(match_path)
@@ -358,9 +359,14 @@ def cmd_refine(args) -> int:
                     f"{match_path}: pair ({i}, {j}) is out of range for {len(lidar.tracks)} "
                     f"LiDAR and {len(tracks2d)} camera tracks"
                 )
+        beyond = [t for t in doc.extrinsics if t >= frames]
+        if beyond:
+            raise StreamFormatError(
+                f"{match_path}: extrinsics frame {min(beyond)} is beyond the {frames}-frame "
+                "LiDAR timeline"
+            )
         views.append((doc, cam.intrinsics, tracks2d))
 
-    frames = len(lidar.frame_indices)
     problems, slots = [], []  # every person-frame with a camera view, and its (track, frame)
     for idx3, track in enumerate(lidar.tracks):
         matched = []

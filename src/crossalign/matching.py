@@ -503,16 +503,26 @@ def _reprojection_matrix(
 ) -> np.ndarray:
     """(p3, p2) confidence-weighted mean pixel distances under one camera pose.
 
-    Inputs are zero-filled and masked as in FrameData. A 2D person with zero
-    total confidence costs the image diagonal.
+    Inputs are zero-filled and masked as in FrameData.
+    """
+    cam = extrinsics.transform(joints3d)[:, None]  # (p3, 1, 24, 3)
+    return _reprojection_costs(cam, mask3d[:, None], joints2d[None], conf2d[None], intrinsics)
+
+
+def _reprojection_costs(cam, mask3d, joints2d, conf2d, intrinsics: Intrinsics) -> np.ndarray:
+    """Confidence-weighted mean pixel distances (...) between camera-frame 3D
+    joints ``cam`` (..., 24, 3) and observed 2D joints (..., 24, 2).
+
+    The arrays broadcast over their leading axes and are zero-filled and
+    masked as in FrameData. A 3D joint that is masked out or lies behind the
+    camera costs the image diagonal, and so does a 2D person with zero total
+    confidence.
     """
     penalty = intrinsics.diagonal
-    uv, front = pinhole(intrinsics, extrinsics.transform(joints3d))  # (p3, 24, 2), (p3, 24)
-    ok = front & mask3d
-    dist = np.linalg.norm(uv[:, None, :, :] - joints2d[None, :, :, :], axis=-1)
-    dist = np.where(ok[:, None, :], dist, penalty)  # (p3, p2, 24)
-    weighted = (conf2d[None, :, :] * dist).sum(axis=-1)
-    totals = conf2d.sum(axis=1)
+    uv, front = pinhole(intrinsics, cam)
+    dist = np.where(front & mask3d, np.linalg.norm(uv - joints2d, axis=-1), penalty)
+    weighted = (conf2d * dist).sum(axis=-1)
+    totals = conf2d.sum(axis=-1)
     return np.where(totals > 0, weighted / np.where(totals > 0, totals, 1.0), penalty)
 
 
@@ -808,7 +818,9 @@ class PcmStats:
 
     ``pnp_attempted`` counts the pose fits tried and ``pnp_failed`` their
     failures by kind; a fit with fewer than MIN_JOINT_OVERLAP usable joints
-    fails as InsufficientCorrespondences.
+    fails as InsufficientCorrespondences. ``pairs_rejected`` counts the
+    assigned pairs that the residual filter drops: their mean reprojection
+    residual exceeds the reject threshold, or no frame can measure it.
     """
 
     gate_variance: float = math.nan
@@ -819,6 +831,7 @@ class PcmStats:
     fallback_to_pose: bool = False
     pnp_attempted: int = 0
     pnp_failed: dict = field(default_factory=lambda: dict.fromkeys(PNP_FAILURE_KINDS, 0))
+    pairs_rejected: int = 0
 
 
 @dataclass
@@ -903,11 +916,13 @@ def match_sequences(
     smoothed = smooth_extrinsics(m_final, config.smoothing_window)
     threshold = config.resolved_reject_threshold(intrinsics)
     kept, residuals = [], []
-    for i, j in c_final.pairs:
-        res = _mean_pair_residual(tracks3d[i], tracks2d[j], smoothed, intrinsics)
+    for pair, res in zip(
+        c_final.pairs, _pair_residuals(tracks3d, tracks2d, c_final.pairs, smoothed, intrinsics)
+    ):
         if res <= threshold:
-            kept.append((i, j))
+            kept.append(pair)
             residuals.append(res)
+    stats.pairs_rejected = len(c_final.pairs) - len(kept)
     match = build_match_set(kept, residuals, n3, n2)
     return SequenceMatchResult(match, smoothed, stats)
 
@@ -918,19 +933,32 @@ def extrinsics_for_match(tracks3d, tracks2d, pairs, intrinsics, smoothing_window
     frames = _common_timeline(tracks3d, tracks2d)
     raw = _poses_for_pairs(tracks3d, tracks2d, pairs, intrinsics, frames)
     smoothed = smooth_extrinsics(raw, smoothing_window)
-    residuals = [
-        _mean_pair_residual(tracks3d[i], tracks2d[j], smoothed, intrinsics) for i, j in pairs
-    ]
-    return smoothed, residuals
+    return smoothed, _pair_residuals(tracks3d, tracks2d, pairs, smoothed, intrinsics)
 
 
-def _mean_pair_residual(track3d, track2d, extrinsics_seq, intrinsics) -> float:
-    values = []
-    for t, extr in enumerate(extrinsics_seq):
-        if extr is None or not (track3d.valid[t] and track2d.valid[t]):
-            continue
-        values.append(reprojection_cost(track3d, track2d, extr, intrinsics, t))
-    return float(np.mean(values)) if values else math.inf
+def _pair_residuals(tracks3d, tracks2d, pairs, extrinsics_seq, intrinsics) -> list[float]:
+    """Each pair's mean ``reprojection_cost`` over the frames where the pose
+    and both tracks exist, or inf where there is none.
+
+    Every pair's joints on every posed frame are projected in one masked
+    pass over (pair, frame, joint) arrays."""
+    posed = [t for t, e in enumerate(extrinsics_seq) if e is not None]
+    if not pairs or not posed:
+        return [math.inf] * len(pairs)
+    rotations = np.array([extrinsics_seq[t].rotation for t in posed])  # (f, 3, 3)
+    translations = np.array([extrinsics_seq[t].translation for t in posed])  # (f, 3)
+    both = [(tracks3d[i], tracks2d[j]) for i, j in pairs]
+    joints3d, mask3d = _usable3d(np.array([t3.joints[posed] for t3, _ in both]))
+    joints2d, conf2d = _usable2d(
+        np.array([t2.joints[posed] for _, t2 in both]),
+        np.array([t2.confidence[posed] for _, t2 in both]),
+    )
+    cam = joints3d @ rotations.transpose(0, 2, 1) + translations[:, None, :]
+    costs = _reprojection_costs(cam, mask3d, joints2d, conf2d, intrinsics)  # (pair, f)
+    measured = np.array([t3.valid[posed] & t2.valid[posed] for t3, t2 in both])
+    # Each pair's measured frames are compacted before the mean: a masked row
+    # sum would group the terms differently and change the last bits.
+    return [float(np.mean(c[m])) if m.any() else math.inf for c, m in zip(costs, measured)]
 
 
 # ---------------------------------------------------------------------------

@@ -273,6 +273,7 @@ class TestMatch:
             "InsufficientCorrespondences", "DegenerateConfiguration", "NoConvergence"
         }
         assert all(isinstance(count, int) for count in stats["pnp_failed"].values())
+        assert stats["pairs_rejected"] == 0
 
     @staticmethod
     def _bad_frame_rate(lines):
@@ -558,6 +559,24 @@ class TestRefine:
             args += ["--match", str(m)]
         assert run_cli(*args) == 2
         assert not out.exists()
+
+    def test_extrinsics_frame_beyond_the_timeline_exits_2_before_writing(
+        self, noisy_scene, tmp_path, caplog
+    ):
+        matches = self._run_match(noisy_scene, tmp_path / "match")
+        doc = json.loads(matches[0].read_text())
+        doc["extrinsics"][0]["frame"] = 999
+        matches[0].write_text(json.dumps(doc))
+        out = tmp_path / "never.jsonl"
+        args = ["refine", "--lidar", str(noisy_scene / "lidar.jsonl"), "--out", str(out)]
+        for m in matches:
+            args += ["--match", str(m)]
+        caplog.clear()
+        assert run_cli(*args) == 2
+        assert not out.exists()
+        message = " ".join(r.getMessage() for r in caplog.records if r.levelname == "ERROR")
+        assert str(matches[0]) in message
+        assert "frame 999" in message
 
     def test_refine_after_match_with_relative_paths(self, noisy_scene, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -457,6 +458,87 @@ class TestSmoothExtrinsics:
         assert np.allclose(out[4].translation, [1.0, 1.0, 1.0])
 
 
+def pair_residual_loop(track3d, track2d, extrinsics_seq, intrinsics):
+    """Reference for the residual filter: the mean of the per-frame
+    ``reprojection_cost`` values over the frames where the pose and both
+    tracks exist, or inf without one."""
+    values = [
+        reprojection_cost(track3d, track2d, extr, intrinsics, t)
+        for t, extr in enumerate(extrinsics_seq)
+        if extr is not None and track3d.valid[t] and track2d.valid[t]
+    ]
+    return float(np.mean(values)) if values else math.inf
+
+
+class TestPairResiduals:
+    @staticmethod
+    def edited_scene(seed, frames):
+        """A dropout scene with its true per-frame poses, edited so that the
+        last frame holds a NaN 2D joint without confidence and a 3D joint
+        behind the camera, the first frame a 2D person with zero total
+        confidence, and longer scenes a pose gap at frame 1 and tracks that
+        drop out mid-sequence."""
+        scene = generate(
+            SceneConfig(
+                person_count=4,
+                duration_frames=frames,
+                seed=seed,
+                pixel_noise_sigma=2.0,
+                dropout_rate=0.3,
+            )
+        )
+        tracks3d, tracks2d = list(scene.tracks3d), list(scene.tracks2d[0])
+        extrinsics = list(scene.truth.extrinsics[0])
+        last = frames - 1
+        joints, conf = tracks2d[0].joints.copy(), tracks2d[0].confidence.copy()
+        joints[last, 3] = np.nan
+        conf[last, 3] = 0.0
+        tracks2d[0] = replace(tracks2d[0], joints=joints, confidence=conf)
+        conf = tracks2d[1].confidence.copy()
+        conf[0] = 0.0
+        tracks2d[1] = replace(tracks2d[1], confidence=conf)
+        joints = tracks3d[0].joints.copy()
+        behind = np.array([0.2, -0.1, -2.0])  # camera frame, negative depth
+        joints[last, 5] = extrinsics[last].rotation.T @ (behind - extrinsics[last].translation)
+        tracks3d[0] = replace(tracks3d[0], joints=joints)
+        if frames > 8:
+            extrinsics[1] = None
+            gap3, gap2 = np.isin(range(frames), (2, 5)), np.isin(range(frames), (3, 7))
+            tracks3d[2] = replace(tracks3d[2], valid=tracks3d[2].valid & ~gap3)
+            tracks2d[2] = replace(tracks2d[2], valid=tracks2d[2].valid & ~gap2)
+        for track in (tracks3d[0], tracks2d[0], tracks2d[1]):
+            assert track.valid[0] and track.valid[last]
+        return scene, tracks3d, tracks2d, extrinsics
+
+    @pytest.mark.parametrize("seed,frames", [(31, 20), (32, 12), (33, 1)])
+    def test_equals_the_per_frame_loop(self, seed, frames):
+        scene, tracks3d, tracks2d, extrinsics = self.edited_scene(seed, frames)
+        k = scene.intrinsics
+        pairs = list(itertools.product(range(len(tracks3d)), range(len(tracks2d))))
+        expected = [pair_residual_loop(tracks3d[i], tracks2d[j], extrinsics, k) for i, j in pairs]
+        assert matching._pair_residuals(tracks3d, tracks2d, pairs, extrinsics, k) == expected
+        # The zero-confidence 2D person costs the image diagonal at frame 0.
+        assert reprojection_cost(tracks3d[0], tracks2d[1], extrinsics[0], k, 0) == k.diagonal
+
+    def test_empty_pair_list(self):
+        scene, tracks3d, tracks2d, extrinsics = self.edited_scene(31, 20)
+        assert matching._pair_residuals(tracks3d, tracks2d, [], extrinsics, scene.intrinsics) == []
+
+    def test_pair_without_a_common_frame_is_inf_and_unmatched(self):
+        scene = generate(SceneConfig(person_count=1, duration_frames=6, seed=34))
+        early = np.arange(6) < 3
+        t3 = replace(scene.tracks3d[0], valid=scene.tracks3d[0].valid & early)
+        t2 = replace(scene.tracks2d[0][0], valid=scene.tracks2d[0][0].valid & ~early)
+        extrinsics = scene.truth.extrinsics[0]
+        k = scene.intrinsics
+        assert matching._pair_residuals([t3], [t2], [(0, 0)], extrinsics, k) == [math.inf]
+        assert pair_residual_loop(t3, t2, extrinsics, k) == math.inf
+        result = match_sequences([t3], [t2], k)
+        assert result.match.pairs == ()
+        assert (result.match.unmatched3d, result.match.unmatched2d) == ((0,), (0,))
+        assert result.stats.pairs_rejected == 1
+
+
 # ---------------------------------------------------------------------------
 # Frame-level optimal matching
 
@@ -670,6 +752,16 @@ class TestMatchSequences:
         # Frame 0 of the initial and of the final pairing.
         assert stats.pnp_failed["InsufficientCorrespondences"] >= 2
         assert match_sequences(scene.tracks3d, tracks2d, scene.intrinsics, config).stats == stats
+
+    def test_rejected_pairs_are_counted(self):
+        scene = generate(SceneConfig(person_count=4, duration_frames=8, seed=41, pixel_noise_sigma=1.0))
+        tracks3d, tracks2d, k = scene.tracks3d, scene.tracks2d[0], scene.intrinsics
+        clean = match_sequences(tracks3d, tracks2d, k)
+        assert clean.stats.pairs_rejected == 0
+        assert len(clean.match.pairs) == 4
+        strict = match_sequences(tracks3d, tracks2d, k, PcmConfig(reject_threshold=1e-6))
+        assert strict.match.pairs == ()
+        assert strict.stats.pairs_rejected == 4
 
     def test_infinite_gate_returns_pose_only_match(self):
         scene = generate(
