@@ -36,7 +36,6 @@ from .skeleton import (
     CanonicalSkeleton,
     default_skeleton,
     forward_kinematics,
-    load_skeleton,
 )
 
 __all__ = [
@@ -51,7 +50,6 @@ __all__ = [
     "CanonicalSkeleton",
     "default_skeleton",
     "forward_kinematics",
-    "load_skeleton",
     "PersonTrack3D",
     "PersonTrack2D",
     "MatchSet",

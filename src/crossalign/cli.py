@@ -58,6 +58,7 @@ from .streams import (
     load_match_output,
     match_output_payload,
     parse_stream,
+    read_utf8,
     require_same_hash,
     resample_to_timeline,
     write_match_output,
@@ -93,7 +94,7 @@ class RunConfig:
 def _load_json(path: str | Path, error: type[CrossAlignError]) -> dict:
     """The JSON object in ``path``; a file that is not one raises ``error``."""
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        payload = json.loads(read_utf8(path, error))
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
@@ -342,22 +343,36 @@ def cmd_refine(args) -> int:
 
     frames = len(lidar.frame_indices)
     views = []  # (doc, intrinsics, resampled 2D tracks)
+    documents_of = {}  # resolved camera stream -> the match document naming it
     for match_path in args.match:
         doc = load_match_output(match_path)
         require_same_hash(lidar.skeleton_hash, doc.skeleton_hash)
         cam_file = Path(doc.camera_stream)
         if not cam_file.is_absolute():
             cam_file = Path(match_path).parent / cam_file
+        # A camera counted twice would weigh twice in every refinement.
+        resolved = cam_file.resolve()
+        if resolved in documents_of:
+            raise StreamFormatError(
+                f"{match_path} and {documents_of[resolved]} both match camera stream {cam_file}"
+            )
+        documents_of[resolved] = match_path
         cam = parse_stream(cam_file)
         if cam.kind != KIND_2D:
             raise StreamFormatError(f"{cam_file}: expected a {KIND_2D} stream")
         require_same_hash(lidar.skeleton_hash, cam.skeleton_hash)
         tracks2d = resample_to_timeline(cam, lidar.frame_indices, lidar.frame_rate)
-        for i, j in doc.pairs:
+        for (i, j), ids in zip(doc.pairs, doc.ids):
             if i >= len(lidar.tracks) or j >= len(tracks2d):
                 raise StreamFormatError(
                     f"{match_path}: pair ({i}, {j}) is out of range for {len(lidar.tracks)} "
                     f"LiDAR and {len(tracks2d)} camera tracks"
+                )
+            held = (lidar.tracks[i].person_id, tracks2d[j].person_id)
+            if ids != held:
+                raise StreamFormatError(
+                    f"{match_path}: pair ({i}, {j}) names persons {ids[0]!r} and {ids[1]!r}, "
+                    f"but the streams hold {held[0]!r} and {held[1]!r} there"
                 )
         beyond = [t for t in doc.extrinsics if t >= frames]
         if beyond:

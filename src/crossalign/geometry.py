@@ -55,16 +55,16 @@ PNP_BATCH_POINTS = 4096
 DLT_CHUNK = 32
 
 
-def check_rotation(matrix: np.ndarray, atol: float = ROTATION_ATOL) -> np.ndarray:
+def check_rotation(matrix: np.ndarray) -> np.ndarray:
     """Validate a 3x3 rotation (orthonormal, det +1) and return it as float64."""
     m = np.asarray(matrix, dtype=float)
     if m.shape != (3, 3):
         raise ValueError(f"rotation must be 3x3, got {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("rotation contains non-finite values")
-    if np.abs(m.T @ m - np.eye(3)).max() > atol:
+    if np.abs(m.T @ m - np.eye(3)).max() > ROTATION_ATOL:
         raise ValueError("rotation is not orthonormal")
-    if abs(np.linalg.det(m) - 1.0) > atol:
+    if abs(np.linalg.det(m) - 1.0) > ROTATION_ATOL:
         raise ValueError("rotation determinant is not +1")
     return m
 
@@ -99,6 +99,13 @@ class Intrinsics:
     def diagonal(self) -> float:
         """Image diagonal in pixels; the fixed behind-camera cost penalty."""
         return float(np.hypot(self.width, self.height))
+
+    @property
+    def pixel_box(self) -> tuple[float, float]:
+        """Bounds (low, high), on both axes, of the pixel coordinates a camera
+        stream may carry: half an image diagonal before the image origin to
+        1.5 diagonals past it."""
+        return -0.5 * self.diagonal, 1.5 * self.diagonal
 
 
 @dataclass(frozen=True)
@@ -183,35 +190,23 @@ class PnpResult:
     objective_trace: list[float] = field(default_factory=list)
 
 
-def solve_pnp(
-    points3d: np.ndarray,
-    points2d: np.ndarray,
-    intrinsics: Intrinsics,
-    *,
-    max_iterations: int = PNP_MAX_ITERATIONS,
-) -> PnpResult:
+def solve_pnp(points3d: np.ndarray, points2d: np.ndarray, intrinsics: Intrinsics) -> PnpResult:
     """Estimate world-to-camera extrinsics from 2D-3D correspondences.
 
     Linear initialization (DLT on Hartley-normalized coordinates, or a
     homography-based variant when the 3D points are coplanar) followed by
     damped Gauss-Newton on the 6-DoF pose, minimizing summed squared pixel
     reprojection error. Needs >= 6 pairs in general position, >= 8 if the
-    points are coplanar. The one-problem case of ``solve_pnp_batch``.
+    points are coplanar; at most PNP_MAX_ITERATIONS iterations. The
+    one-problem case of ``solve_pnp_batch``.
     """
-    outcome = solve_pnp_batch(
-        [(points3d, points2d)], intrinsics, max_iterations=max_iterations
-    )[0]
+    outcome = solve_pnp_batch([(points3d, points2d)], intrinsics)[0]
     if isinstance(outcome, GeometryError):
         raise outcome
     return outcome
 
 
-def solve_pnp_batch(
-    problems,
-    intrinsics: Intrinsics,
-    *,
-    max_iterations: int = PNP_MAX_ITERATIONS,
-) -> list:
+def solve_pnp_batch(problems, intrinsics: Intrinsics) -> list:
     """Solve independent pose problems ``(points3d, points2d)`` under one camera.
 
     Returns, per problem and in order, its PnpResult or the GeometryError that
@@ -266,10 +261,7 @@ def solve_pnp_batch(
         starts.sort(key=lambda start: (counts[start[0]], start[0]))
         order = np.array([k for k, _, _ in starts])
         pose0 = np.stack([np.column_stack([rot, trans]) for _, rot, trans in starts])
-        fits = _refine_poses(
-            points3d, points2d, offsets[order], counts[order], pose0, intrinsics,
-            max_iterations,
-        )
+        fits = _refine_poses(points3d, points2d, offsets[order], counts[order], pose0, intrinsics)
         for k, outcome in zip(order, fits):
             outcomes[indices[k]] = outcome
     return outcomes
@@ -309,9 +301,7 @@ def _initial_poses(x3: np.ndarray, x2: np.ndarray, intrinsics: Intrinsics) -> li
     return out
 
 
-def _refine_poses(
-    points3d, points2d, offsets, counts, pose0, intrinsics: Intrinsics, max_iterations
-) -> list:
+def _refine_poses(points3d, points2d, offsets, counts, pose0, intrinsics: Intrinsics) -> list:
     """Damped Gauss-Newton on the 6-DoF poses [R | t] ``pose0`` (k, 3, 4) of
     a batch of problems, each minimizing its summed squared pixel
     reprojection error; PnpResult or NoConvergence per problem.
@@ -385,7 +375,7 @@ def _refine_poses(
         system,
         apply_step,
         lambda pose, rows: objective(pose, rows)[0],
-        max_iterations=max_iterations,
+        max_iterations=PNP_MAX_ITERATIONS,
     )
     rotations = orthonormalize(np.stack([fit.x[:, :3] for fit in fits]))
     out = []

@@ -40,6 +40,7 @@ from .errors import (
 # ``solve_pnp`` stays bound here for perfbench's tracer, which wraps it at
 # this module as well as at geometry; the matcher fits through the batch.
 from .geometry import (  # noqa: F401
+    MIN_CORRESPONDENCES,
     Extrinsics,
     Intrinsics,
     pinhole,
@@ -47,19 +48,13 @@ from .geometry import (  # noqa: F401
     solve_pnp_batch,
 )
 from .rotations import batch_matrices_from_quat_wxyz, batch_quat_wxyz_from_matrices
-from .skeleton import CanonicalSkeleton, default_skeleton, fk_points, rotations_of
+from .skeleton import JOINT_COUNT as JOINTS, default_skeleton, fk_points, rotations_of
 
 logger = logging.getLogger(__name__)
-
-JOINTS = 24
 
 # Similarity assigned to track pairs that are never simultaneously valid;
 # sits strictly below the cosine range so such pairs lose every comparison.
 NO_OVERLAP_SIMILARITY = -2.0
-
-# Minimum jointly-valid joints for a person to take part in a frame's costs
-# (the pose-estimation identifiability floor).
-MIN_JOINT_OVERLAP = 6
 
 # Pose-fit failures counted in PcmStats.pnp_failed.
 PNP_FAILURE_KINDS = tuple(
@@ -166,10 +161,6 @@ class MatchSet:
     def empty(cls, n3d: int, n2d: int) -> "MatchSet":
         return cls((), (), tuple(range(n3d)), tuple(range(n2d)))
 
-    @property
-    def pair_count(self) -> int:
-        return len(self.pairs)
-
 
 def build_match_set(pairs, residuals, n3d: int, n2d: int) -> MatchSet:
     """Sort pairs by 3D index and fill in the unmatched complements."""
@@ -257,7 +248,7 @@ def flatten_body_pose(rotations: np.ndarray) -> np.ndarray:
     return rot[..., 1:, :, :].reshape(rot.shape[:-3] + (23 * 9,))
 
 
-def _pose_similarities(tracks3d, tracks2d, frames=slice(None)) -> np.ndarray:
+def pose_similarity_matrix(tracks3d, tracks2d, frames=slice(None)) -> np.ndarray:
     """Mean cosine similarity (n3d, n2d) of flattened body poses over the
     co-valid ``frames`` of each pair; NO_OVERLAP_SIMILARITY without one."""
     shape = (len(tracks3d), len(tracks2d))
@@ -282,17 +273,12 @@ def _pose_similarities(tracks3d, tracks2d, frames=slice(None)) -> np.ndarray:
 
 def pose_similarity(track3d: PersonTrack3D, track2d: PersonTrack2D) -> float:
     """Mean cosine similarity of flattened body poses over co-valid frames."""
-    similarity = float(_pose_similarities([track3d], [track2d])[0, 0])
+    similarity = float(pose_similarity_matrix([track3d], [track2d])[0, 0])
     if similarity == NO_OVERLAP_SIMILARITY:
         raise NoCommonFrames(
             f"tracks {track3d.person_id!r} and {track2d.person_id!r} share no valid frame"
         )
     return similarity
-
-
-def pose_similarity_matrix(tracks3d, tracks2d) -> np.ndarray:
-    """(n3d, n2d) similarity scores; non-overlapping pairs get the sentinel."""
-    return _pose_similarities(tracks3d, tracks2d)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +369,6 @@ def body_pose_cost(
     root,
     extrinsics: Extrinsics,
     intrinsics: Intrinsics,
-    skeleton: CanonicalSkeleton | None = None,
 ) -> float:
     """Mean pixel distance between the projected canonical-skeleton joints of
     two body poses, both rooted at the same world point.
@@ -392,9 +377,8 @@ def body_pose_cost(
     is zero iff the two poses articulate the skeleton identically as seen by
     this camera.
     """
-    skeleton = skeleton if skeleton is not None else default_skeleton()
     rotations = np.stack([rotations_of(pose3d), rotations_of(pose2d)])
-    fk = fk_points(skeleton, rotations, np.zeros((2, 3)))
+    fk = fk_points(default_skeleton(), rotations, np.zeros((2, 3)))
     roots = np.asarray(root, dtype=float).reshape(1, 3)
     return float(_body_pose_matrix(roots, fk[:1], fk[1:], extrinsics, intrinsics)[0, 0])
 
@@ -406,7 +390,6 @@ def weighted_cost(
     intrinsics: Intrinsics,
     frame: int,
     lambda0: float,
-    skeleton: CanonicalSkeleton | None = None,
 ) -> float:
     """Keypoint reprojection cost plus lambda0 times the body-pose cost."""
     keypoint = reprojection_cost(track3d, track2d, extrinsics, intrinsics, frame)
@@ -418,7 +401,6 @@ def weighted_cost(
         track3d.joints[frame, 0],
         extrinsics,
         intrinsics,
-        skeleton,
     )
     return keypoint + lambda0 * pose
 
@@ -464,7 +446,7 @@ def _usable2d(joints: np.ndarray, confidence: np.ndarray) -> tuple[np.ndarray, n
 def frame_slice(tracks3d, tracks2d, frame: int) -> FrameData:
     """Collect the persons that can take part in this frame's costs.
 
-    Persons with fewer than MIN_JOINT_OVERLAP usable joints are excluded
+    Persons with fewer than MIN_CORRESPONDENCES usable joints are excluded
     entirely (below the pose-estimation identifiability floor).
     """
 
@@ -476,8 +458,8 @@ def frame_slice(tracks3d, tracks2d, frame: int) -> FrameData:
     joints2d, conf2d = _usable2d(
         at_frame(tracks2d, "joints", (JOINTS, 2)), at_frame(tracks2d, "confidence", (JOINTS,))
     )
-    keep3 = mask3d.sum(axis=1) >= MIN_JOINT_OVERLAP
-    keep2 = (conf2d > 0).sum(axis=1) >= MIN_JOINT_OVERLAP
+    keep3 = mask3d.sum(axis=1) >= MIN_CORRESPONDENCES
+    keep2 = (conf2d > 0).sum(axis=1) >= MIN_CORRESPONDENCES
     return FrameData(
         frame=frame,
         n3d=len(tracks3d),
@@ -602,7 +584,7 @@ def _fit_poses(correspondences, intrinsics: Intrinsics, stats: PcmStats | None =
     Each set is ``(joints3d, mask3d, joints2d, conf2d)``, arrays (k, 24, ...),
     pair-aligned, zero-filled and masked as in FrameData; a joint is usable
     where its 3D position is finite and its 2D confidence positive. A set whose
-    fit fails gets None; one with fewer than MIN_JOINT_OVERLAP usable joints
+    fit fails gets None; one with fewer than MIN_CORRESPONDENCES usable joints
     fails as InsufficientCorrespondences. ``stats`` counts the fits and their
     failures by kind.
     """
@@ -622,10 +604,7 @@ def _fit_poses(correspondences, intrinsics: Intrinsics, stats: PcmStats | None =
 
 
 def optimize_frame_match(
-    fd: FrameData,
-    intrinsics: Intrinsics,
-    config: PcmConfig,
-    skeleton: CanonicalSkeleton | None = None,
+    fd: FrameData, intrinsics: Intrinsics, config: PcmConfig
 ) -> FrameMatchResult:
     """Best assignment for one frame by seeded proposal search.
 
@@ -640,13 +619,13 @@ def optimize_frame_match(
 
     The one-frame case of ``_search_frames``.
     """
-    outcome = _search_frames([fd], intrinsics, config, skeleton)[0]
+    outcome = _search_frames([fd], intrinsics, config)[0]
     if isinstance(outcome, NoViableProposal):
         raise outcome
     return outcome
 
 
-def _search_frames(fds, intrinsics, config, skeleton=None, seed_rows=None, stats=None) -> list:
+def _search_frames(fds, intrinsics, config, seed_rows=None, stats=None) -> list:
     """The proposal search of ``optimize_frame_match`` over many frames at once.
 
     Every frame's seed fits go into one batch, then each refinement sweep's
@@ -657,7 +636,6 @@ def _search_frames(fds, intrinsics, config, skeleton=None, seed_rows=None, stats
     ``seed_rows`` restricts which 3D persons may seed proposals (used by the
     single-seed benchmark strategy); the refinement always considers everyone.
     """
-    skeleton = skeleton if skeleton is not None else default_skeleton()
     threshold = config.resolved_reject_threshold(intrinsics)
     outcomes: list = [None] * len(fds)
     searches = []  # (position in fds, pose cache, seed pair sets)
@@ -671,7 +649,7 @@ def _search_frames(fds, intrinsics, config, skeleton=None, seed_rows=None, stats
             ((a, b),)
             for a in rows
             for b in range(p2)
-            if (fd.mask3d[a] & (fd.conf2d[b] > 0)).sum() >= MIN_JOINT_OVERLAP
+            if (fd.mask3d[a] & (fd.conf2d[b] > 0)).sum() >= MIN_CORRESPONDENCES
         ]
         searches.append((k, _FramePnp(fd), seeds))
     _fit_pairs([(pnp, seed) for _, pnp, seeds in searches for seed in seeds], intrinsics, stats)
@@ -697,8 +675,8 @@ def _search_frames(fds, intrinsics, config, skeleton=None, seed_rows=None, stats
             outcomes[k] = NoViableProposal(f"frame {fd.frame}: every seed pose estimate failed")
             continue
         fk[s] = (
-            fk_points(skeleton, fd.pose3d, np.zeros((len(fd.idx3d), 3))),
-            fk_points(skeleton, fd.pose2d, np.zeros((len(fd.idx2d), 3))),
+            fk_points(default_skeleton(), fd.pose3d, np.zeros((len(fd.idx3d), 3))),
+            fk_points(default_skeleton(), fd.pose2d, np.zeros((len(fd.idx2d), 3))),
         )
         live += [(s, q, proposal) for q, proposal in enumerate(proposals)]
 
@@ -755,22 +733,31 @@ def variance_of_translations(extrinsics) -> float:
     return float(ts.var(axis=0, ddof=1).sum())
 
 
+def _pair_frames(tracks3d, tracks2d, pairs, frames) -> tuple[np.ndarray, ...]:
+    """Every pair's joints on the ``frames`` (frame indices): arrays joints3d,
+    mask3d, joints2d, conf2d of shape (pair, frame, 24, ...), zero-filled and
+    masked as in FrameData, and the (pair, frame) mask of where both tracks
+    are valid."""
+    tracks3, tracks2 = [tracks3d[i] for i, _ in pairs], [tracks2d[j] for _, j in pairs]
+
+    def gather(tracks, name, tail=()):
+        values = np.array([getattr(t, name)[frames] for t in tracks])
+        return values.reshape((len(pairs), len(frames)) + tail)  # shaped even without pairs
+
+    joints3d, mask3d = _usable3d(gather(tracks3, "joints", (JOINTS, 3)))
+    joints2d, conf2d = _usable2d(
+        gather(tracks2, "joints", (JOINTS, 2)), gather(tracks2, "confidence", (JOINTS,))
+    )
+    valid = np.logical_and(gather(tracks3, "valid"), gather(tracks2, "valid"))
+    return joints3d, mask3d, joints2d, conf2d, valid
+
+
 def _poses_for_pairs(tracks3d, tracks2d, pairs, intrinsics, frames, stats=None) -> list:
     """Per-frame camera poses fit, in one batch, to the pairs valid at each
     frame; None where no pair is valid or the fit fails."""
-    sets, slots = [], []
-    for t in range(frames):
-        both = [(tracks3d[i], tracks2d[j]) for i, j in pairs]
-        both = [(t3, t2) for t3, t2 in both if t3.valid[t] and t2.valid[t]]
-        if not both:
-            continue
-        joints3d, mask3d = _usable3d(np.stack([t3.joints[t] for t3, _ in both]))
-        joints2d, conf2d = _usable2d(
-            np.stack([t2.joints[t] for _, t2 in both]),
-            np.stack([t2.confidence[t] for _, t2 in both]),
-        )
-        sets.append((joints3d, mask3d, joints2d, conf2d))
-        slots.append(t)
+    *arrays, valid = _pair_frames(tracks3d, tracks2d, pairs, np.arange(frames))
+    slots = np.flatnonzero(valid.any(axis=0))
+    sets = (tuple(a[valid[:, t], t] for a in arrays) for t in slots)
     poses = [None] * frames
     for t, pose in zip(slots, _fit_poses(sets, intrinsics, stats)):
         poses[t] = pose
@@ -817,7 +804,7 @@ class PcmStats:
     """Instrumentation counters for gate / fallback behavior and pose fits.
 
     ``pnp_attempted`` counts the pose fits tried and ``pnp_failed`` their
-    failures by kind; a fit with fewer than MIN_JOINT_OVERLAP usable joints
+    failures by kind; a fit with fewer than MIN_CORRESPONDENCES usable joints
     fails as InsufficientCorrespondences. ``pairs_rejected`` counts the
     assigned pairs that the residual filter drops: their mean reprojection
     residual exceeds the reject threshold, or no frame can measure it.
@@ -858,7 +845,6 @@ def match_sequences(
     tracks2d,
     intrinsics: Intrinsics,
     config: PcmConfig | None = None,
-    skeleton: CanonicalSkeleton | None = None,
 ) -> SequenceMatchResult:
     """Sequence-level identity matching with per-frame extrinsic recovery.
 
@@ -871,7 +857,6 @@ def match_sequences(
     residuals are excluded.
     """
     config = config if config is not None else PcmConfig()
-    skeleton = skeleton if skeleton is not None else default_skeleton()
     frames = _common_timeline(tracks3d, tracks2d)
     n3, n2 = len(tracks3d), len(tracks2d)
     stats = PcmStats(frames_total=frames)
@@ -898,7 +883,7 @@ def match_sequences(
             frames,
             lambda fds: [
                 _frame_winner(outcome)
-                for outcome in _search_frames(fds, intrinsics, config, skeleton, stats=stats)
+                for outcome in _search_frames(fds, intrinsics, config, stats=stats)
             ],
             stats,
         )
@@ -947,15 +932,9 @@ def _pair_residuals(tracks3d, tracks2d, pairs, extrinsics_seq, intrinsics) -> li
         return [math.inf] * len(pairs)
     rotations = np.array([extrinsics_seq[t].rotation for t in posed])  # (f, 3, 3)
     translations = np.array([extrinsics_seq[t].translation for t in posed])  # (f, 3)
-    both = [(tracks3d[i], tracks2d[j]) for i, j in pairs]
-    joints3d, mask3d = _usable3d(np.array([t3.joints[posed] for t3, _ in both]))
-    joints2d, conf2d = _usable2d(
-        np.array([t2.joints[posed] for _, t2 in both]),
-        np.array([t2.confidence[posed] for _, t2 in both]),
-    )
+    joints3d, mask3d, joints2d, conf2d, measured = _pair_frames(tracks3d, tracks2d, pairs, posed)
     cam = joints3d @ rotations.transpose(0, 2, 1) + translations[:, None, :]
     costs = _reprojection_costs(cam, mask3d, joints2d, conf2d, intrinsics)  # (pair, f)
-    measured = np.array([t3.valid[posed] & t2.valid[posed] for t3, t2 in both])
     # Each pair's measured frames are compacted before the mean: a masked row
     # sum would group the terms differently and change the last bits.
     return [float(np.mean(c[m])) if m.any() else math.inf for c, m in zip(costs, measured)]
@@ -971,7 +950,6 @@ def match_with_strategy(
     tracks2d,
     intrinsics: Intrinsics,
     config: PcmConfig | None = None,
-    skeleton: CanonicalSkeleton | None = None,
     seed: int = 0,
 ) -> MatchSet:
     """Dispatch to one of the benchmark matching strategies.
@@ -987,29 +965,28 @@ def match_with_strategy(
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     config = config if config is not None else PcmConfig()
-    skeleton = skeleton if skeleton is not None else default_skeleton()
     frames = _common_timeline(tracks3d, tracks2d)
     n3, n2 = len(tracks3d), len(tracks2d)
     if n3 == 0 or n2 == 0:
         return MatchSet.empty(n3, n2)
 
     if strategy == "P&T&K":
-        return match_sequences(tracks3d, tracks2d, intrinsics, config, skeleton).match
+        return match_sequences(tracks3d, tracks2d, intrinsics, config).match
     if strategy == "P&T":
         return hungarian(CostMatrix(pose_similarity_matrix(tracks3d, tracks2d), maximize=True))
     if strategy == "Pose":
-        sims = _pose_similarities(tracks3d, tracks2d, slice(frames // 2, frames // 2 + 1))
+        sims = pose_similarity_matrix(tracks3d, tracks2d, slice(frames // 2, frames // 2 + 1))
         return hungarian(CostMatrix(sims, maximize=True))
     if strategy == "P&K":
         fd = frame_slice(tracks3d, tracks2d, frames // 2)
         try:
-            return optimize_frame_match(fd, intrinsics, config, skeleton).match
+            return optimize_frame_match(fd, intrinsics, config).match
         except NoViableProposal:
             return MatchSet.empty(n3, n2)
     frame_fn = (
-        (lambda fd: _kp_frame(fd, intrinsics, config, skeleton, seed))
+        (lambda fd: _kp_frame(fd, intrinsics, config, seed))
         if strategy == "KP"
-        else (lambda fd: _kps_frame(fd, intrinsics, config, skeleton))
+        else (lambda fd: _kps_frame(fd, intrinsics, config))
     )
     match = _accumulated_match(
         tracks3d, tracks2d, frames, lambda fds: [frame_fn(fd) for fd in fds], PcmStats()
@@ -1049,15 +1026,15 @@ def _frame_winner(outcome):
     return outcome.match.pairs, outcome.score
 
 
-def _kp_frame(fd, intrinsics, config, skeleton, seed):
+def _kp_frame(fd, intrinsics, config, seed):
     if not fd.usable:
         return None
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, fd.frame])))
     row = int(rng.integers(len(fd.idx3d)))
-    return _frame_winner(_search_frames([fd], intrinsics, config, skeleton, [row])[0])
+    return _frame_winner(_search_frames([fd], intrinsics, config, [row])[0])
 
 
-def _kps_frame(fd, intrinsics, config, skeleton):
+def _kps_frame(fd, intrinsics, config):
     """Exhaustive per-frame search: every injective full-size pairing gets its
     own pose fit and combined cost; the cheapest pairing wins the frame."""
     if not fd.usable:
@@ -1069,8 +1046,8 @@ def _kps_frame(fd, intrinsics, config, skeleton):
             f"exhaustive strategy would enumerate {count} pairings; reduce the person count"
         )
     pnp = _FramePnp(fd)
-    fk3 = fk_points(skeleton, fd.pose3d, np.zeros((p3, 3)))
-    fk2 = fk_points(skeleton, fd.pose2d, np.zeros((p2, 3)))
+    fk3 = fk_points(default_skeleton(), fd.pose3d, np.zeros((p3, 3)))
+    fk2 = fk_points(default_skeleton(), fd.pose2d, np.zeros((p2, 3)))
     threshold = config.resolved_reject_threshold(intrinsics)
 
     if p3 <= p2:

@@ -197,16 +197,14 @@ def objective_gradient(problem: RefineProblem, candidate3d: np.ndarray) -> np.nd
     return 2.0 * _Batch([problem]).system(candidate, np.zeros(1, dtype=int))[1][0]
 
 
-def refine(problem: RefineProblem, max_iterations: int = REFINE_MAX_ITERATIONS) -> RefineResult:
+def refine(problem: RefineProblem) -> RefineResult:
     """Minimize the objective from the initial joints; accepted steps strictly
     decrease it, so the trace is non-increasing. Returns the best iterate with
-    ``converged=False`` if the iteration cap was hit while still improving."""
-    return refine_batch([problem], max_iterations=max_iterations)[0]
+    ``converged=False`` if REFINE_MAX_ITERATIONS was hit while still improving."""
+    return refine_batch([problem])[0]
 
 
-def refine_batch(
-    problems, max_iterations: int = REFINE_MAX_ITERATIONS
-) -> list[RefineResult]:
+def refine_batch(problems) -> list[RefineResult]:
     """``refine`` every problem, in one damped Gauss-Newton pass per run of
     at most REFINE_BATCH_VIEWS padded camera views; one result per problem,
     in order. A problem's result does not depend on the rest of the batch."""
@@ -221,7 +219,7 @@ def refine_batch(
             batch.system,
             lambda x, delta, rows: x + delta,
             batch.objective,
-            max_iterations=max_iterations,
+            max_iterations=REFINE_MAX_ITERATIONS,
         )
         results += [RefineResult(fit.x, fit.objective_trace, fit.converged) for fit in fits]
     return results

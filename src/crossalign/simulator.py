@@ -293,9 +293,7 @@ def _make_3d_tracks(config, joints, poses):
 def _make_2d_tracks(config, camera, projection, poses, visible):
     uv, front = projection
     p, t = visible.shape
-    diag = math.hypot(config.image_width, config.image_height)
-    low = -0.5 * diag
-    high = 1.5 * diag
+    low, high = config.intrinsics().pixel_box
 
     ever = [person for person in range(p) if visible[person].any()]
     perm_rng = _rng(config.seed, _PERMUTATION, camera)

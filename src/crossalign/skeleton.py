@@ -18,7 +18,6 @@ import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from pathlib import Path
 
 import numpy as np
 
@@ -112,10 +111,6 @@ def parse_skeleton(text: str) -> CanonicalSkeleton:
         offsets.append([float(v) for v in fields[2:5]])
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     return CanonicalSkeleton(tuple(names), np.array(parents), np.array(offsets), digest)
-
-
-def load_skeleton(path: str | Path) -> CanonicalSkeleton:
-    return parse_skeleton(Path(path).read_text(encoding="utf-8"))
 
 
 @lru_cache(maxsize=1)

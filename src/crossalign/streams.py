@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    CrossAlignError,
     FrameOrderViolation,
     HashMismatch,
     JointArityMismatch,
@@ -130,10 +131,17 @@ def write_stream(
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def read_utf8(path: str | Path, error: type[CrossAlignError]) -> str:
+    """The text of ``path``; a file that is not UTF-8 raises ``error``."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def parse_stream(path: str | Path) -> ParsedStream:
     """Parse a stream file back into typed tracks on the record timeline."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
+    lines = read_utf8(path, StreamFormatError).splitlines()
     if not lines:
         raise MalformedHeader("empty stream file", 1)
 
@@ -227,7 +235,7 @@ def _tracks_from_records(kind, records, frames, intrinsics):
 
     # Each person record is checked where it stands; the body poses of the
     # whole stream are then converted in one call.
-    diag = intrinsics.diagonal if intrinsics is not None else None
+    box = intrinsics.pixel_box if intrinsics is not None else None
     width = 3 if kind == KIND_3D else 2
     joints, quats, confs, owners = [], [], [], []  # per person record, person-major
     for pid, entries in per_person.items():
@@ -253,7 +261,7 @@ def _tracks_from_records(kind, records, frames, intrinsics):
                     raise StreamFormatError(
                         f"person {pid!r} confidence not finite or outside [0, 1]", line
                     )
-                if np.isfinite(j).all() and (j.min() < -0.5 * diag or j.max() > 1.5 * diag):
+                if np.isfinite(j).all() and (j.min() < box[0] or j.max() > box[1]):
                     raise StreamFormatError(
                         f"person {pid!r} pixel coordinates outside the allowed box", line
                     )
@@ -391,6 +399,7 @@ def write_match_output(path: str | Path, payload: dict) -> None:
 class MatchDocument:
     payload: dict
     pairs: list[tuple[int, int]]
+    ids: list[tuple]  # (id3d, id2d) as written, parallel to pairs
     residuals: list[float]
     extrinsics: dict  # frame -> Extrinsics
     skeleton_hash: str
@@ -400,7 +409,7 @@ class MatchDocument:
 
 def load_match_output(path: str | Path) -> MatchDocument:
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        payload = json.loads(read_utf8(path, StreamFormatError))
     except json.JSONDecodeError as exc:
         raise StreamFormatError(f"match output is not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
@@ -410,6 +419,7 @@ def load_match_output(path: str | Path) -> MatchDocument:
     try:
         entries = payload.get("pairs", [])
         pairs = [(_index(p["idx3d"]), _index(p["idx2d"])) for p in entries]
+        ids = [(p["id3d"], p["id2d"]) for p in entries]
         residuals = [float(p["residual_px"]) for p in entries]
         records = payload.get("extrinsics", [])
         frames = [_index(record["frame"]) for record in records]
@@ -436,6 +446,7 @@ def load_match_output(path: str | Path) -> MatchDocument:
     return MatchDocument(
         payload=payload,
         pairs=pairs,
+        ids=ids,
         residuals=residuals,
         extrinsics=extrinsics,
         skeleton_hash=str(payload.get("skeleton_hash", "")),

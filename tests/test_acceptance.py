@@ -96,7 +96,7 @@ def test_criterion_03_frame_search_matches_exhaustive():
         if not all(t.valid[frame] for t in scene.tracks2d[0]):
             continue
         fd = frame_slice(scene.tracks3d, scene.tracks2d[0], frame)
-        result = optimize_frame_match(fd, scene.intrinsics, BENCH_CONFIG, scene.skeleton)
+        result = optimize_frame_match(fd, scene.intrinsics, BENCH_CONFIG)
         oracle_pairs, _ = frame_brute_force(fd, scene.intrinsics, BENCH_CONFIG, scene.skeleton)
         scenes_used += 1
         if set(result.match.pairs) == set(oracle_pairs):

@@ -578,6 +578,46 @@ class TestRefine:
         assert str(matches[0]) in message
         assert "frame 999" in message
 
+    @pytest.mark.parametrize("field", ["id3d", "id2d"])
+    def test_pair_ids_that_differ_from_the_streams_exit_2_before_writing(
+        self, noisy_scene, tmp_path, field, caplog
+    ):
+        matches = self._run_match(noisy_scene, tmp_path / "match")
+        doc = json.loads(matches[0].read_text())
+        for pair in doc["pairs"]:
+            pair[field] = "nobody"
+        matches[0].write_text(json.dumps(doc))
+        out = tmp_path / "never.jsonl"
+        args = ["refine", "--lidar", str(noisy_scene / "lidar.jsonl"), "--out", str(out)]
+        for m in matches:
+            args += ["--match", str(m)]
+        caplog.clear()
+        assert run_cli(*args) == 2
+        assert not out.exists()
+        message = " ".join(r.getMessage() for r in caplog.records if r.levelname == "ERROR")
+        assert str(matches[0]) in message
+        assert "'nobody'" in message
+
+    @pytest.mark.parametrize("second", ["same file", "copy"])
+    def test_two_documents_of_one_camera_exit_2_before_writing(
+        self, noisy_scene, tmp_path, second, caplog
+    ):
+        matches = self._run_match(noisy_scene, tmp_path / "match")
+        other = matches[0]
+        if second == "copy":
+            other = tmp_path / "elsewhere" / "copy.json"
+            other.parent.mkdir()
+            other.write_bytes(matches[0].read_bytes())
+        out = tmp_path / "never.jsonl"
+        args = ["refine", "--lidar", str(noisy_scene / "lidar.jsonl"), "--out", str(out)]
+        for m in matches + [other]:
+            args += ["--match", str(m)]
+        caplog.clear()
+        assert run_cli(*args) == 2
+        assert not out.exists()
+        message = " ".join(r.getMessage() for r in caplog.records if r.levelname == "ERROR")
+        assert f"{other} and {matches[0]}" in message
+
     def test_refine_after_match_with_relative_paths(self, noisy_scene, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         args = ["match", "--lidar", "scene/lidar.jsonl", "--camera", "scene/camera_00.jsonl"]
@@ -679,6 +719,29 @@ class TestUsage:
 
     def test_unknown_flag_is_usage_error(self):
         assert run_cli("simulate", "--nope") == 1
+
+    @pytest.mark.parametrize(
+        "target", ["stream", "match document", "run config", "scene config", "bench spec"]
+    )
+    def test_input_that_is_not_utf8_is_data_error(self, scene_dir, tmp_path, target, caplog):
+        lidar, camera = str(scene_dir / "lidar.jsonl"), str(scene_dir / "camera_00.jsonl")
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes('{"seed": "caf\u00e9"}\n'.encode("latin-1"))
+        out = str(tmp_path / "never")
+        argv = {
+            "stream": ["match", "--lidar", str(bad), "--camera", camera, "--out", out],
+            "match document": ["refine", "--lidar", lidar, "--match", str(bad), "--out", out],
+            "run config": [
+                "match", "--lidar", lidar, "--camera", camera, "--config", str(bad), "--out", out
+            ],
+            "scene config": ["simulate", "--config", str(bad), "--out", out],
+            "bench spec": ["bench", "--spec", str(bad), "--out", out],
+        }[target]
+        caplog.clear()
+        assert run_cli(*argv) == 2
+        assert not (tmp_path / "never").exists()
+        message = " ".join(r.getMessage() for r in caplog.records if r.levelname == "ERROR")
+        assert f"{bad} is not UTF-8" in message
 
     def test_missing_file_is_data_error(self, tmp_path):
         assert (

@@ -260,13 +260,14 @@ class TestSolvePnpBatch:
                 extr.rotation.tobytes(), extr.translation.tobytes())
 
     @pytest.mark.parametrize("max_iterations", [100, 1])
-    def test_each_problem_matches_solve_pnp(self, max_iterations):
+    def test_each_problem_matches_solve_pnp(self, max_iterations, monkeypatch):
+        monkeypatch.setattr(geometry, "PNP_MAX_ITERATIONS", max_iterations)
         problems, k = self.mixed_problems()
-        batch = solve_pnp_batch(problems, k, max_iterations=max_iterations)
+        batch = solve_pnp_batch(problems, k)
         kinds = set()
         for (pts, obs), outcome in zip(problems, batch):
             try:
-                alone = solve_pnp(pts, obs, k, max_iterations=max_iterations)
+                alone = solve_pnp(pts, obs, k)
             except GeometryError as exc:
                 alone = exc
             assert type(outcome) is type(alone)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from crossalign import harness
+from crossalign import harness, refiner
 from crossalign.errors import InvalidSpec, IoFailure
 from crossalign.harness import (
     BenchRow,
@@ -109,8 +109,7 @@ class TestRunBench:
         assert stats.nonconverged == 0
 
     def test_refinement_stats_count_capped_refinements(self, monkeypatch):
-        real = harness.refine_batch
-        monkeypatch.setattr(harness, "refine_batch", lambda problems: real(problems, max_iterations=1))
+        monkeypatch.setattr(refiner, "REFINE_MAX_ITERATIONS", 1)
         stats = run_bench(tiny_spec(refine_trials=5)).refinement
         assert stats.nonconverged == 5
 

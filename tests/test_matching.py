@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossalign import matching
+from crossalign import geometry, matching
 from crossalign.errors import GeometryError, InvalidConfig, NoCommonFrames, NoViableProposal
 from crossalign.geometry import Extrinsics, project, solve_pnp
 from crossalign.matching import (
@@ -539,6 +539,93 @@ class TestPairResiduals:
         assert result.stats.pairs_rejected == 1
 
 
+def poses_for_pairs_loop(tracks3d, tracks2d, pairs, intrinsics, frames, stats):
+    """Reference for the per-frame pose fits: each frame's valid pairs stacked
+    one frame at a time, then fit in one batch."""
+    sets, slots = [], []
+    for t in range(frames):
+        both = [(tracks3d[i], tracks2d[j]) for i, j in pairs]
+        both = [(t3, t2) for t3, t2 in both if t3.valid[t] and t2.valid[t]]
+        if not both:
+            continue
+        joints3d, mask3d = matching._usable3d(np.stack([t3.joints[t] for t3, _ in both]))
+        joints2d, conf2d = matching._usable2d(
+            np.stack([t2.joints[t] for _, t2 in both]),
+            np.stack([t2.confidence[t] for _, t2 in both]),
+        )
+        sets.append((joints3d, mask3d, joints2d, conf2d))
+        slots.append(t)
+    poses = [None] * frames
+    for t, pose in zip(slots, matching._fit_poses(sets, intrinsics, stats)):
+        poses[t] = pose
+    return poses
+
+
+def pose_bytes(pose):
+    return None if pose is None else (pose.rotation.tobytes(), pose.translation.tobytes())
+
+
+class TestPosesForPairs:
+    @staticmethod
+    def dropout_scene(seed, frames):
+        """A dropout scene; in longer ones no 3D track is valid at frame 2,
+        one 2D track drops out at frames 3 and 4, and at frame 5 each 2D
+        track keeps one confident joint, too few for a pose fit."""
+        scene = generate(
+            SceneConfig(
+                person_count=4,
+                duration_frames=frames,
+                seed=seed,
+                pixel_noise_sigma=2.0,
+                dropout_rate=0.3,
+            )
+        )
+        tracks3d, tracks2d = list(scene.tracks3d), list(scene.tracks2d[0])
+        if frames > 4:
+            tracks3d = [replace(t, valid=t.valid & (np.arange(frames) != 2)) for t in tracks3d]
+            gap = np.isin(np.arange(frames), (3, 4))
+            tracks2d[0] = replace(tracks2d[0], valid=tracks2d[0].valid & ~gap)
+            for k, track in enumerate(tracks2d):
+                confidence = track.confidence.copy()
+                confidence[5, 1:] = 0.0
+                tracks2d[k] = replace(track, confidence=confidence)
+        return scene, tracks3d, tracks2d
+
+    @pytest.mark.parametrize("pairing", ["truth", "shifted", "capped"])
+    @pytest.mark.parametrize("seed,frames", [(41, 20), (42, 12), (43, 1)])
+    def test_equals_the_per_frame_loop(self, seed, frames, pairing, monkeypatch):
+        if pairing == "capped":  # every fit that starts ends as NoConvergence
+            monkeypatch.setattr(geometry, "PNP_MAX_ITERATIONS", 1)
+        scene, tracks3d, tracks2d = self.dropout_scene(seed, frames)
+        truth = sorted(scene.truth.correspondence[0].items())
+        shift = 1 if pairing == "shifted" else 0
+        pairs = [(i, (j + shift) % len(tracks2d)) for i, j in truth]
+        expected_stats, stats = matching.PcmStats(), matching.PcmStats()
+        expected = poses_for_pairs_loop(
+            tracks3d, tracks2d, pairs, scene.intrinsics, frames, expected_stats
+        )
+        poses = matching._poses_for_pairs(
+            tracks3d, tracks2d, pairs, scene.intrinsics, frames, stats
+        )
+        assert [pose_bytes(p) for p in poses] == [pose_bytes(p) for p in expected]
+        assert stats.pnp_attempted == expected_stats.pnp_attempted > 0
+        assert stats.pnp_failed == expected_stats.pnp_failed
+        if pairing == "truth":
+            assert any(p is not None for p in poses)
+        if pairing == "capped":
+            assert stats.pnp_failed["NoConvergence"] > 0
+        if frames > 4:
+            assert poses[2] is None  # no pair is valid there
+            assert stats.pnp_failed["InsufficientCorrespondences"] == 1
+
+    def test_empty_pair_list(self):
+        scene, tracks3d, tracks2d = self.dropout_scene(41, 20)
+        stats = matching.PcmStats()
+        poses = matching._poses_for_pairs(tracks3d, tracks2d, [], scene.intrinsics, 20, stats)
+        assert poses == [None] * 20
+        assert stats.pnp_attempted == 0
+
+
 # ---------------------------------------------------------------------------
 # Frame-level optimal matching
 
@@ -572,7 +659,7 @@ def frame_brute_force(fd, intrinsics, config, skeleton):
                 w = fd.conf2d[b]
                 reproj = float((w * dists).sum() / w.sum())
                 bp = body_pose_cost(
-                    fd.pose3d[a], fd.pose2d[b], fd.joints3d[a, 0], extr, intrinsics, skeleton
+                    fd.pose3d[a], fd.pose2d[b], fd.joints3d[a, 0], extr, intrinsics
                 )
                 total += reproj + config.lambda0 * bp
             mean_cost = total / k
@@ -600,7 +687,7 @@ class TestOptimizeFrameMatch:
             if len(scene.tracks2d[0]) < 3:
                 continue
             fd = frame_slice(scene.tracks3d, scene.tracks2d[0], 2)
-            result = optimize_frame_match(fd, scene.intrinsics, config, scene.skeleton)
+            result = optimize_frame_match(fd, scene.intrinsics, config)
             oracle_pairs, _ = frame_brute_force(fd, scene.intrinsics, config, scene.skeleton)
             assert set(result.match.pairs) == set(oracle_pairs)
 
@@ -642,7 +729,7 @@ class TestOptimizeFrameMatch:
         scores = []
         for n_iter in (1, 2, 4):
             result = optimize_frame_match(
-                fd, scene.intrinsics, PcmConfig(n_iter=n_iter), scene.skeleton
+                fd, scene.intrinsics, PcmConfig(n_iter=n_iter)
             )
             scores.append(result.score)
         assert scores[0] <= scores[1] + 1e-15
