@@ -241,17 +241,18 @@ def _write_truth(path: Path, scene) -> None:
 # match
 
 
+def _read_stream(path, kind: str):
+    """The stream parsed from ``path``; one of another kind is a StreamFormatError."""
+    stream = parse_stream(path)
+    if stream.kind != kind:
+        raise StreamFormatError(f"{path}: expected a {kind} stream, got {stream.kind}")
+    return stream
+
+
 def cmd_match(args) -> int:
     run_config = load_run_config(args.config)
-    lidar = parse_stream(args.lidar)
-    if lidar.kind != KIND_3D:
-        raise StreamFormatError(f"{args.lidar}: expected a {KIND_3D} stream, got {lidar.kind}")
-    cameras = []
-    for cam_path in args.camera:
-        cam = parse_stream(cam_path)
-        if cam.kind != KIND_2D:
-            raise StreamFormatError(f"{cam_path}: expected a {KIND_2D} stream, got {cam.kind}")
-        cameras.append((cam_path, cam))
+    lidar = _read_stream(args.lidar, KIND_3D)
+    cameras = [(cam_path, _read_stream(cam_path, KIND_2D)) for cam_path in args.camera]
     # The matcher articulates the packaged skeleton, so the streams must reference it.
     require_same_hash(
         default_skeleton().content_hash,
@@ -328,9 +329,7 @@ def cmd_match(args) -> int:
 
 def cmd_refine(args) -> int:
     run_config = load_run_config(args.config)
-    lidar = parse_stream(args.lidar)
-    if lidar.kind != KIND_3D:
-        raise StreamFormatError(f"{args.lidar}: expected a {KIND_3D} stream, got {lidar.kind}")
+    lidar = _read_stream(args.lidar, KIND_3D)
     # Refinement starts from, and writes back, every valid 3D joint: all must be finite.
     for track in lidar.tracks:
         bad = track.valid & ~np.isfinite(track.joints).all(axis=(1, 2))
@@ -347,9 +346,17 @@ def cmd_refine(args) -> int:
     for match_path in args.match:
         doc = load_match_output(match_path)
         require_same_hash(lidar.skeleton_hash, doc.skeleton_hash)
-        cam_file = Path(doc.camera_stream)
-        if not cam_file.is_absolute():
-            cam_file = Path(match_path).parent / cam_file
+        # The document's stream paths are relative to the document's directory.
+        lidar_file = Path(match_path).parent / doc.lidar_stream
+        cam_file = Path(match_path).parent / doc.camera_stream
+        try:
+            same_lidar = os.path.samefile(lidar_file, args.lidar)
+        except OSError:
+            same_lidar = False
+        if not same_lidar:
+            raise StreamFormatError(
+                f"{match_path} was matched against LiDAR stream {lidar_file}, not {args.lidar}"
+            )
         # A camera counted twice would weigh twice in every refinement.
         resolved = cam_file.resolve()
         if resolved in documents_of:
@@ -357,9 +364,7 @@ def cmd_refine(args) -> int:
                 f"{match_path} and {documents_of[resolved]} both match camera stream {cam_file}"
             )
         documents_of[resolved] = match_path
-        cam = parse_stream(cam_file)
-        if cam.kind != KIND_2D:
-            raise StreamFormatError(f"{cam_file}: expected a {KIND_2D} stream")
+        cam = _read_stream(cam_file, KIND_2D)
         require_same_hash(lidar.skeleton_hash, cam.skeleton_hash)
         tracks2d = resample_to_timeline(cam, lidar.frame_indices, lidar.frame_rate)
         for (i, j), ids in zip(doc.pairs, doc.ids):

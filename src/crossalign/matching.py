@@ -19,6 +19,7 @@ diagonal so cost matrices stay finite.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import math
@@ -429,6 +430,15 @@ class FrameData:
     def usable(self) -> bool:
         return len(self.idx3d) > 0 and len(self.idx2d) > 0
 
+    @functools.cached_property
+    def origin_skeletons(self) -> tuple[np.ndarray, np.ndarray]:
+        """Forward kinematics of each side's body poses rooted at the origin,
+        (p3, 24, 3) and (p2, 24, 3); computed on first use."""
+        return (
+            fk_points(default_skeleton(), self.pose3d, np.zeros((len(self.idx3d), 3))),
+            fk_points(default_skeleton(), self.pose2d, np.zeros((len(self.idx2d), 3))),
+        )
+
 
 def _usable3d(joints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """3D joints (..., 24, 3) zero-filled where not finite, and the finite mask."""
@@ -526,14 +536,21 @@ def _body_pose_matrix(
     return np.where(ok, dist, penalty).mean(axis=-1)
 
 
-def _weighted_matrix(fd, extrinsics, intrinsics, lambda0, fk3_origin, fk2_origin) -> np.ndarray:
+def _weighted_matrix(fd, extrinsics, intrinsics, lambda0) -> np.ndarray:
     costs = _reprojection_matrix(
         fd.joints3d, fd.mask3d, fd.joints2d, fd.conf2d, extrinsics, intrinsics
     )
     if lambda0 != 0.0:
-        pose = _body_pose_matrix(fd.joints3d[:, 0], fk3_origin, fk2_origin, extrinsics, intrinsics)
+        pose = _body_pose_matrix(fd.joints3d[:, 0], *fd.origin_skeletons, extrinsics, intrinsics)
         costs = costs + lambda0 * pose
     return costs
+
+
+def _pairing_score(costs, pairs, threshold) -> tuple[float, float]:
+    """Mean cost of a pairing's (local) pairs and its frame score
+    exp(-mean / threshold)."""
+    mean = float(np.mean([costs[a, b] for a, b in pairs]))
+    return mean, math.exp(-mean / threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -547,34 +564,22 @@ class FrameMatchResult:
     score: float  # exp(-mean matched cost / reject threshold), in (0, 1]
 
 
-class _FramePnp:
-    """Pose-estimation cache of one frame, keyed by the (local) pair set each
-    pose was fit to; ``_fit_pairs`` fills it."""
+def _fit_pairs(fds, poses: dict, requests, intrinsics, stats: PcmStats | None = None) -> None:
+    """Fit, in one batch, the pose of every requested ``(k, pairs)``, pairs
+    local to frame ``fds[k]``, that ``poses`` does not hold yet.
 
-    def __init__(self, fd: FrameData):
-        self.fd = fd
-        self.poses: dict[tuple, Extrinsics | None] = {}
+    ``poses`` maps ``(k, sorted pairs)`` to the fitted Extrinsics, or None
+    where the fit failed; each distinct key is fit once, in request order."""
+    keys = dict.fromkeys((k, tuple(sorted(pairs))) for k, pairs in requests)
+    pending = [key for key in keys if key not in poses]
 
-    def __getitem__(self, pairs) -> Extrinsics | None:
-        return self.poses[tuple(sorted(pairs))]
-
-
-def _fit_pairs(requests, intrinsics: Intrinsics, stats: PcmStats | None = None) -> None:
-    """Fit, in one batch, every requested ``(cache, pairs)`` pose that is not
-    yet in its frame's cache."""
-    pending: dict = {}
-    for cache, pairs in requests:
-        key = tuple(sorted(pairs))
-        if key not in cache.poses:
-            pending.setdefault((id(cache), key), (cache, key))
-
-    def correspondences(cache, key):
-        fd, rows, cols = cache.fd, [a for a, _ in key], [b for _, b in key]
+    def correspondences(k, pairs):
+        fd, rows, cols = fds[k], [a for a, _ in pairs], [b for _, b in pairs]
         return fd.joints3d[rows], fd.mask3d[rows], fd.joints2d[cols], fd.conf2d[cols]
 
-    sets = (correspondences(cache, key) for cache, key in pending.values())
-    for (cache, key), pose in zip(pending.values(), _fit_poses(sets, intrinsics, stats)):
-        cache.poses[key] = pose
+    sets = (correspondences(k, pairs) for k, pairs in pending)
+    for key, pose in zip(pending, _fit_poses(sets, intrinsics, stats)):
+        poses[key] = pose
 
 
 def _fit_poses(correspondences, intrinsics: Intrinsics, stats: PcmStats | None = None) -> list:
@@ -633,75 +638,69 @@ def _search_frames(fds, intrinsics, config, seed_rows=None, stats=None) -> list:
     order, so every frame gets the result it gets alone. Returns per frame a
     FrameMatchResult or the NoViableProposal that ended its search.
 
-    ``seed_rows`` restricts which 3D persons may seed proposals (used by the
-    single-seed benchmark strategy); the refinement always considers everyone.
+    ``seed_rows[k]`` restricts which 3D persons may seed proposals in frame
+    ``fds[k]`` (used by the single-seed benchmark strategy); the refinement
+    always considers everyone.
     """
     threshold = config.resolved_reject_threshold(intrinsics)
     outcomes: list = [None] * len(fds)
-    searches = []  # (position in fds, pose cache, seed pair sets)
+    poses: dict = {}
+    seeds = {}  # frame position -> seed pair sets
     for k, fd in enumerate(fds):
-        p3, p2 = len(fd.idx3d), len(fd.idx2d)
-        if p3 == 0 or p2 == 0:
+        if not fd.usable:
             outcomes[k] = NoViableProposal(f"frame {fd.frame}: no usable person on one side")
             continue
-        rows = range(p3) if seed_rows is None else seed_rows
-        seeds = [
+        rows = range(len(fd.idx3d)) if seed_rows is None else seed_rows[k]
+        seeds[k] = [
             ((a, b),)
             for a in rows
-            for b in range(p2)
+            for b in range(len(fd.idx2d))
             if (fd.mask3d[a] & (fd.conf2d[b] > 0)).sum() >= MIN_CORRESPONDENCES
         ]
-        searches.append((k, _FramePnp(fd), seeds))
-    _fit_pairs([(pnp, seed) for _, pnp, seeds in searches for seed in seeds], intrinsics, stats)
+    _fit_pairs(fds, poses, [(k, seed) for k in seeds for seed in seeds[k]], intrinsics, stats)
 
-    live = []  # (search, proposal, current pairs) of the proposals still refining
-    fk = {}
-    for s, (k, pnp, seeds) in enumerate(searches):
-        fd = pnp.fd
-        proposals: list[tuple[tuple[int, int], ...]] = []
-        seen = set()
-        for seed in seeds:
-            extr = pnp[seed]
+    # Pairs are looked up as fitted: seeds hold one pair and proposals come
+    # sorted from ``hungarian``.
+    live = []  # (frame position, proposal, current pairs) of the proposals still refining
+    for k, frame_seeds in seeds.items():
+        fd = fds[k]
+        proposals: dict[tuple, None] = {}  # distinct, in seed order
+        for seed in frame_seeds:
+            extr = poses[k, seed]
             if extr is None:
                 continue
             costs = _reprojection_matrix(
                 fd.joints3d, fd.mask3d, fd.joints2d, fd.conf2d, extr, intrinsics
             )
             proposal = hungarian(CostMatrix(costs)).pairs
-            if proposal and proposal not in seen:
-                seen.add(proposal)
-                proposals.append(proposal)
+            if proposal:
+                proposals.setdefault(proposal)
         if not proposals:
             outcomes[k] = NoViableProposal(f"frame {fd.frame}: every seed pose estimate failed")
             continue
-        fk[s] = (
-            fk_points(default_skeleton(), fd.pose3d, np.zeros((len(fd.idx3d), 3))),
-            fk_points(default_skeleton(), fd.pose2d, np.zeros((len(fd.idx2d), 3))),
-        )
-        live += [(s, q, proposal) for q, proposal in enumerate(proposals)]
+        live += [(k, q, proposal) for q, proposal in enumerate(proposals)]
 
-    scored: list[list] = [[] for _ in searches]  # (proposal, sweep, score, pairs, extr)
+    scored: dict = {k: [] for k in seeds}  # (proposal, sweep, score, pairs, extr)
     for sweep in range(config.n_iter):
-        _fit_pairs([(searches[s][1], pairs) for s, _, pairs in live], intrinsics, stats)
+        _fit_pairs(fds, poses, [(k, pairs) for k, _, pairs in live], intrinsics, stats)
         following = []
-        for s, q, pairs in live:
-            pnp = searches[s][1]
-            extr = pnp[pairs]
+        for k, q, pairs in live:
+            extr = poses[k, pairs]
             if extr is None:
                 continue
-            costs = _weighted_matrix(pnp.fd, extr, intrinsics, config.lambda0, *fk[s])
-            matched_mean = float(np.mean([costs[a, b] for a, b in pairs]))
-            scored[s].append((q, sweep, math.exp(-matched_mean / threshold), pairs, extr))
+            costs = _weighted_matrix(fds[k], extr, intrinsics, config.lambda0)
+            _, score = _pairing_score(costs, pairs, threshold)
+            scored[k].append((q, sweep, score, pairs, extr))
             if sweep + 1 < config.n_iter:
-                following.append((s, q, hungarian(CostMatrix(costs)).pairs))
+                following.append((k, q, hungarian(CostMatrix(costs)).pairs))
         live = following
 
-    for s, (k, pnp, _) in enumerate(searches):
+    for k, entries in scored.items():
         if outcomes[k] is not None:
             continue
-        fd = pnp.fd
+        fd = fds[k]
         best_score, best_pairs, best_extr = -math.inf, None, None
-        for _, _, score, pairs, extr in sorted(scored[s], key=lambda entry: entry[:2]):
+        for _, _, score, pairs, extr in sorted(entries, key=lambda entry: entry[:2]):
             if score > best_score:
                 best_score, best_pairs, best_extr = score, pairs, extr
         if best_pairs is None:
@@ -877,16 +876,9 @@ def match_sequences(
             stats.gate_variance,
             config.delta,
         )
-        c_final = _accumulated_match(
-            tracks3d,
-            tracks2d,
-            frames,
-            lambda fds: [
-                _frame_winner(outcome)
-                for outcome in _search_frames(fds, intrinsics, config, stats=stats)
-            ],
-            stats,
-        )
+        fds = [frame_slice(tracks3d, tracks2d, t) for t in range(frames)]
+        outcomes = _search_frames(fds, intrinsics, config, stats=stats)
+        c_final = _accumulated_match(n3, n2, [_frame_winner(o) for o in outcomes], stats)
         if c_final is None:
             logger.warning("keypoint search failed on every frame; keeping pose-only match")
             stats.fallback_to_pose = True
@@ -983,32 +975,34 @@ def match_with_strategy(
             return optimize_frame_match(fd, intrinsics, config).match
         except NoViableProposal:
             return MatchSet.empty(n3, n2)
-    frame_fn = (
-        (lambda fd: _kp_frame(fd, intrinsics, config, seed))
-        if strategy == "KP"
-        else (lambda fd: _kps_frame(fd, intrinsics, config))
-    )
-    match = _accumulated_match(
-        tracks3d, tracks2d, frames, lambda fds: [frame_fn(fd) for fd in fds], PcmStats()
-    )
+    fds = [frame_slice(tracks3d, tracks2d, t) for t in range(frames)]
+    if strategy == "KP":
+        seed_rows = []
+        for fd in fds:
+            rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, fd.frame])))
+            seed_rows.append([int(rng.integers(len(fd.idx3d)))] if fd.usable else [])
+        outcomes = _search_frames(fds, intrinsics, config, seed_rows)
+        winners = [_frame_winner(outcome) for outcome in outcomes]
+    else:
+        winners = [_kps_frame(fd, intrinsics, config) for fd in fds]
+    match = _accumulated_match(n3, n2, winners, PcmStats())
     return match if match is not None else MatchSet.empty(n3, n2)
 
 
-def _accumulated_match(tracks3d, tracks2d, frames, frames_fn, stats: PcmStats) -> MatchSet | None:
+def _accumulated_match(n3: int, n2: int, winners, stats: PcmStats) -> MatchSet | None:
     """Assignment maximizing the evidence summed over frames.
 
-    ``frames_fn(fds)`` returns, per frame of ``fds``, the frame's winning pairs
-    (track indices) and score, or None when the frame has no winner; the
-    score accumulates onto each winning pair. Frames are counted in
-    ``stats``. Returns None when no frame had a winner.
+    ``winners`` holds, per frame, the frame's winning pairs (track indices)
+    and score, or None when the frame has no winner; the score accumulates
+    onto each winning pair. Frames are counted in ``stats``. Returns None
+    when no frame had a winner.
     """
-    evidence = np.zeros((len(tracks3d), len(tracks2d)))
-    fds = [frame_slice(tracks3d, tracks2d, t) for t in range(frames)]
-    for result in frames_fn(fds):
-        if result is None:
+    evidence = np.zeros((n3, n2))
+    for winner in winners:
+        if winner is None:
             stats.frames_failed += 1
             continue
-        pairs, score = result
+        pairs, score = winner
         for i, j in pairs:
             evidence[i, j] += score
         stats.frames_accumulated += 1
@@ -1026,14 +1020,6 @@ def _frame_winner(outcome):
     return outcome.match.pairs, outcome.score
 
 
-def _kp_frame(fd, intrinsics, config, seed):
-    if not fd.usable:
-        return None
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, fd.frame])))
-    row = int(rng.integers(len(fd.idx3d)))
-    return _frame_winner(_search_frames([fd], intrinsics, config, [row])[0])
-
-
 def _kps_frame(fd, intrinsics, config):
     """Exhaustive per-frame search: every injective full-size pairing gets its
     own pose fit and combined cost; the cheapest pairing wins the frame."""
@@ -1045,26 +1031,22 @@ def _kps_frame(fd, intrinsics, config):
         raise InvalidConfig(
             f"exhaustive strategy would enumerate {count} pairings; reduce the person count"
         )
-    pnp = _FramePnp(fd)
-    fk3 = fk_points(default_skeleton(), fd.pose3d, np.zeros((p3, 3)))
-    fk2 = fk_points(default_skeleton(), fd.pose2d, np.zeros((p2, 3)))
     threshold = config.resolved_reject_threshold(intrinsics)
-
     if p3 <= p2:
         candidates = [tuple(zip(range(p3), cols)) for cols in itertools.permutations(range(p2), p3)]
     else:
         candidates = [tuple(zip(rows, range(p2))) for rows in itertools.permutations(range(p3), p2)]
-    _fit_pairs([(pnp, pairs) for pairs in candidates], intrinsics)
-    best_cost, best_pairs = math.inf, None
+    poses: dict = {}
+    _fit_pairs([fd], poses, [(0, pairs) for pairs in candidates], intrinsics)
+    best_cost, best_pairs, best_score = math.inf, None, None
     for pairs in candidates:
-        extr = pnp[pairs]
+        extr = poses[0, tuple(sorted(pairs))]
         if extr is None:
             continue
-        costs = _weighted_matrix(fd, extr, intrinsics, config.lambda0, fk3, fk2)
-        mean_cost = float(np.mean([costs[a, b] for a, b in pairs]))
+        costs = _weighted_matrix(fd, extr, intrinsics, config.lambda0)
+        mean_cost, score = _pairing_score(costs, pairs, threshold)
         if mean_cost < best_cost:
-            best_cost, best_pairs = mean_cost, pairs
+            best_cost, best_pairs, best_score = mean_cost, pairs, score
     if best_pairs is None:
         return None
-    original = [(int(fd.idx3d[a]), int(fd.idx2d[b])) for a, b in best_pairs]
-    return tuple(original), math.exp(-best_cost / threshold)
+    return tuple((int(fd.idx3d[a]), int(fd.idx2d[b])) for a, b in best_pairs), best_score

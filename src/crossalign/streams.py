@@ -261,7 +261,9 @@ def _tracks_from_records(kind, records, frames, intrinsics):
                     raise StreamFormatError(
                         f"person {pid!r} confidence not finite or outside [0, 1]", line
                     )
-                if np.isfinite(j).all() and (j.min() < box[0] or j.max() > box[1]):
+                # A joint with a non-finite coordinate is unobserved; every other is boxed.
+                seen = j[np.isfinite(j).all(axis=1)]
+                if seen.size and (seen.min() < box[0] or seen.max() > box[1]):
                     raise StreamFormatError(
                         f"person {pid!r} pixel coordinates outside the allowed box", line
                     )

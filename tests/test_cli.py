@@ -403,6 +403,23 @@ class TestMatch:
         assert doc["pairs"] == []
         assert doc["unmatched3d"] == [0, 1, 2]
 
+    def test_joint_outside_the_pixel_box_beside_an_unobserved_one_exits_2(
+        self, scene_dir, tmp_path, caplog
+    ):
+        camera = scene_dir / "camera_00.jsonl"
+        lines = camera.read_text().splitlines()
+        record = json.loads(lines[2])
+        record["persons"][0]["joints"][0] = [float("nan"), float("nan")]
+        record["persons"][0]["joints"][1] = [1e300, 1e300]
+        lines[2] = json.dumps(record)
+        camera.write_text("\n".join(lines) + "\n")
+        code = run_cli(
+            "match", "--lidar", str(scene_dir / "lidar.jsonl"), "--camera", str(camera),
+            "--out", str(tmp_path / "match"),
+        )
+        assert code == 2
+        assert any(r.levelname == "ERROR" and "line 3:" in r.getMessage() for r in caplog.records)
+
 
 class TestRefine:
     @pytest.fixture()
@@ -617,6 +634,35 @@ class TestRefine:
         assert not out.exists()
         message = " ".join(r.getMessage() for r in caplog.records if r.levelname == "ERROR")
         assert f"{other} and {matches[0]}" in message
+
+    @pytest.mark.parametrize("lidar", ["another scene", "missing"])
+    def test_document_of_another_lidar_stream_exits_2_before_writing(
+        self, noisy_scene, tmp_path, lidar, caplog
+    ):
+        matches = self._run_match(noisy_scene, tmp_path / "match")
+        if lidar == "another scene":
+            config = tmp_path / "other.json"
+            config.write_text(json.dumps(scene_config_payload(
+                person_count=3, camera_count=2, duration_frames=6, joint3d_noise_sigma=0.05,
+                seed=14,
+            )))
+            other = tmp_path / "other"
+            assert run_cli("simulate", "--config", str(config), "--out", str(other)) == 0
+            given = other / "lidar.jsonl"
+        else:
+            given = noisy_scene / "lidar.jsonl"
+            doc = json.loads(matches[0].read_text())
+            doc["lidar_stream"] = "nowhere.jsonl"
+            matches[0].write_text(json.dumps(doc))
+        out = tmp_path / "never.jsonl"
+        args = ["refine", "--lidar", str(given), "--out", str(out)]
+        for m in matches:
+            args += ["--match", str(m)]
+        caplog.clear()
+        assert run_cli(*args) == 2
+        assert not out.exists()
+        message = " ".join(r.getMessage() for r in caplog.records if r.levelname == "ERROR")
+        assert f"{matches[0]} was matched against LiDAR stream" in message
 
     def test_refine_after_match_with_relative_paths(self, noisy_scene, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

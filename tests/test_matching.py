@@ -742,6 +742,60 @@ class TestOptimizeFrameMatch:
             optimize_frame_match(empty, scene.intrinsics, PcmConfig())
 
 
+def search_outcome(outcome):
+    """What a frame search returned, in comparable form."""
+    if isinstance(outcome, NoViableProposal):
+        return type(outcome), str(outcome)
+    return outcome.match, pose_bytes(outcome.extrinsics), outcome.score
+
+
+class TestSearchFrames:
+    @staticmethod
+    def edited_scene():
+        """Eight noisy frames: at frame 2 no 3D track is valid, at frame 5 no
+        2D track has enough confident joints, and at frame 6 the first 3D
+        person keeps six finite joints, of which the 2D persons see only
+        five."""
+        scene = generate(
+            SceneConfig(person_count=4, duration_frames=8, seed=44, pixel_noise_sigma=2.0)
+        )
+        frames = np.arange(8)
+        tracks3d = [replace(t, valid=t.valid & (frames != 2)) for t in scene.tracks3d]
+        joints = tracks3d[0].joints.copy()
+        joints[6, 6:] = np.nan
+        tracks3d[0] = replace(tracks3d[0], joints=joints)
+        tracks2d = []
+        for track in scene.tracks2d[0]:
+            confidence = track.confidence.copy()
+            confidence[5, 1:] = 0.0
+            confidence[6, 0] = 0.0
+            tracks2d.append(replace(track, confidence=confidence))
+        return scene, tracks3d, tracks2d
+
+    @pytest.mark.parametrize("rows", ["every person", "one person per frame"])
+    def test_each_frame_gets_the_result_it_gets_alone(self, rows):
+        scene, tracks3d, tracks2d = self.edited_scene()
+        fds = [frame_slice(tracks3d, tracks2d, t) for t in range(8)]
+        assert fds[6].idx3d[0] == 0 and len(fds[6].idx3d) > 1
+        if rows == "every person":
+            seed_rows, alone_rows = None, [None] * len(fds)
+        else:  # frame 6 seeds from the sparse person only
+            seed_rows = [[t % len(fd.idx3d)] if fd.usable else [] for t, fd in enumerate(fds)]
+            seed_rows[6] = [0]
+            alone_rows = [[r] for r in seed_rows]
+        config = PcmConfig()
+        outcomes = matching._search_frames(fds, scene.intrinsics, config, seed_rows)
+        for fd, frame_rows, outcome in zip(fds, alone_rows, outcomes):
+            alone = matching._search_frames([fd], scene.intrinsics, config, frame_rows)[0]
+            assert search_outcome(outcome) == search_outcome(alone)
+        failed = [t for t, o in enumerate(outcomes) if isinstance(o, NoViableProposal)]
+        if seed_rows is None:
+            assert failed == [2, 5]
+        else:
+            assert failed == [2, 5, 6]
+            assert "every seed pose estimate failed" in str(outcomes[6])
+
+
 # ---------------------------------------------------------------------------
 # Sequence matching
 

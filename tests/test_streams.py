@@ -297,6 +297,21 @@ class TestParseErrors:
             parse_stream(path)
 
 
+    @pytest.mark.parametrize("unobserved", [[float("nan"), float("nan")], [float("nan"), 0.0]])
+    def test_pixel_box_covers_every_finite_joint(self, scene, tmp_path, unobserved):
+        path = tmp_path / "cam.jsonl"
+        write_stream(path, KIND_2D, scene.tracks2d[0], "h", intrinsics=scene.intrinsics)
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[2])
+        record["persons"][0]["joints"][0] = unobserved
+        record["persons"][0]["joints"][1] = [1e300, 1e300]
+        lines[2] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(StreamFormatError, match="outside the allowed box") as err:
+            parse_stream(path)
+        assert err.value.line_number == 3
+
+
 class TestResample:
     def test_identity_when_rates_match(self, scene, tmp_path):
         path = tmp_path / "cam.jsonl"
