@@ -34,6 +34,7 @@ from .errors import (
 )
 from .harness import BenchSpec, export_report, run_bench
 from .matching import (
+    STRATEGIES,
     PcmConfig,
     build_match_set,
     extrinsics_for_match,
@@ -87,7 +88,7 @@ class RunConfig:
     lambda3: float = DEFAULT_LAMBDA3
 
     def __post_init__(self):
-        if min(self.lambda1, self.lambda2, self.lambda3) < 0:
+        if not (self.lambda1 >= 0 and self.lambda2 >= 0 and self.lambda3 >= 0):
             raise InvalidConfig("refinement weights must be >= 0")
 
 
@@ -279,7 +280,7 @@ def cmd_match(args) -> int:
                 stats["gate_variance"] = None
         else:
             raw = match_with_strategy(
-                args.mode, lidar.tracks, tracks2d, cam.intrinsics, run_config.pcm, seed=args.seed or 0
+                args.mode, lidar.tracks, tracks2d, cam.intrinsics, run_config.pcm, seed=args.seed
             )
             extrinsics, residuals = extrinsics_for_match(
                 lidar.tracks,
@@ -462,6 +463,14 @@ def cmd_version(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _seed(text: str) -> int:
+    """A non-negative integer seed (an argparse type)."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="crossalign",
@@ -479,9 +488,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_match.add_argument("--lidar", required=True)
     p_match.add_argument("--camera", action="append", required=True)
     p_match.add_argument("--config", default=None, help="matcher config JSON")
-    p_match.add_argument("--mode", default="P&T&K", help="matching strategy")
+    p_match.add_argument("--mode", default="P&T&K", choices=STRATEGIES, help="matching strategy")
     p_match.add_argument("--out", required=True, help="output directory")
-    p_match.add_argument("--seed", type=int, default=0)
+    p_match.add_argument("--seed", type=_seed, default=0)
     p_match.set_defaults(func=cmd_match)
 
     p_refine = sub.add_parser("refine", help="refine 3D joints using matched camera streams")

@@ -243,61 +243,90 @@ def solve_pnp_batch(problems, intrinsics: Intrinsics) -> list:
     points2d = np.concatenate([x2 for _, _, x2 in kept])
     del kept
 
-    by_count: dict[int, list] = {}
-    for k, n in enumerate(counts.tolist()):
-        by_count.setdefault(n, []).append(k)
-    starts = []  # (problem, initial rotation, initial translation)
-    for n, group in by_count.items():
-        for lo in range(0, len(group), DLT_CHUNK):
-            chunk = group[lo : lo + DLT_CHUNK]
-            rows = offsets[chunk, None] + np.arange(n)
+    # One stable order by point count: DLT stacks are its runs of equal count,
+    # and Gauss-Newton takes the starts in it, so little of a run is padding.
+    order = np.argsort(counts, kind="stable")
+    posed, pose0 = [], []
+    for run in np.split(order, np.flatnonzero(np.diff(counts[order])) + 1):
+        for lo in range(0, len(run), DLT_CHUNK):
+            chunk = run[lo : lo + DLT_CHUNK]
+            rows = offsets[chunk, None] + np.arange(counts[chunk[0]])
             for k, init in zip(chunk, _initial_poses(points3d[rows], points2d[rows], intrinsics)):
                 if isinstance(init, GeometryError):
                     outcomes[indices[k]] = init
                 else:
-                    starts.append((k,) + init)
-    if starts:
-        # Similar point counts run side by side, so little of a run is padding.
-        starts.sort(key=lambda start: (counts[start[0]], start[0]))
-        order = np.array([k for k, _, _ in starts])
-        pose0 = np.stack([np.column_stack([rot, trans]) for _, rot, trans in starts])
-        fits = _refine_poses(points3d, points2d, offsets[order], counts[order], pose0, intrinsics)
-        for k, outcome in zip(order, fits):
+                    posed.append(k)
+                    pose0.append(init)
+    if posed:
+        pose0 = np.stack(pose0)
+        fits = _refine_poses(points3d, points2d, offsets[posed], counts[posed], pose0, intrinsics)
+        for k, outcome in zip(posed, fits):
             outcomes[indices[k]] = outcome
     return outcomes
 
 
 def _initial_poses(x3: np.ndarray, x2: np.ndarray, intrinsics: Intrinsics) -> list:
-    """Linear pose estimates (rotation, translation) or GeometryError for k
-    problems of n finite points each, x3 (k, n, 3) and x2 (k, n, 2)."""
+    """Linear pose estimates [R | t] (3, 4) or GeometryError for k problems of
+    n finite points each, x3 (k, n, 3) and x2 (k, n, 2): the DLT of the pose
+    for points in general position, of the plane-to-image homography for
+    coplanar points."""
     k, n = x3.shape[:2]
-    centered = x3 - x3.mean(axis=1, keepdims=True)
+    centroid = x3.mean(axis=1, keepdims=True)
+    centered = x3 - centroid
     spread = np.linalg.svd(centered, compute_uv=False)
     collinear = (spread[:, 0] <= 0) | (spread[:, 1] < PLANARITY_RTOL * spread[:, 0])
     coplanar = ~collinear & (spread[:, 2] < PLANARITY_RTOL * spread[:, 0])
+    general = ~collinear & ~coplanar
+    planar = coplanar & (n >= MIN_CORRESPONDENCES_PLANAR)
     # Normalized image coordinates (intrinsics removed).
     xn = (x2 - [intrinsics.cx, intrinsics.cy]) / [intrinsics.fx, intrinsics.fy]
 
-    out: list = [None] * k
-    general = np.flatnonzero(~collinear & ~coplanar)
-    if len(general):
-        rotations, translations, full_rank = _init_dlt(x3[general], xn[general])
-        for i, rot, trans, ok in zip(general, rotations, translations, full_rank):
-            out[i] = (rot, trans) if ok else DegenerateConfiguration(
-                "rank-deficient normal equations in DLT"
-            )
-    for i in np.flatnonzero(collinear):
-        out[i] = DegenerateConfiguration("3D points are collinear")
-    for i in np.flatnonzero(coplanar):
-        if n < MIN_CORRESPONDENCES_PLANAR:
-            out[i] = DegenerateConfiguration(
+    pose = np.empty((k, 3, 4))
+    full_rank = np.zeros(k, dtype=bool)
+    if general.any():
+        p, full_rank[general] = _dlt(x3[general], xn[general])
+        pose[general, :, :3], pose[general, :, 3] = _factor_calibrated(p)
+    if planar.any():
+        # In-plane coordinates along each plane's first two principal axes.
+        _, _, basis = np.linalg.svd(centered[planar], full_matrices=False)
+        plane = np.concatenate([centered[planar] @ basis[:, i, :, None] for i in (0, 1)], axis=-1)
+        h, full_rank[planar] = _dlt(plane, xn[planar])
+        # A rank-deficient homography is discarded; the identity keeps its arithmetic finite.
+        h = np.where(full_rank[planar, None, None], h, np.eye(3))
+        # Fix the overall sign so plane points sit in front of the camera.
+        depths = plane @ h[:, 2, :2, None] + h[:, 2, 2, None, None]
+        h = np.where(np.median(depths, axis=1)[..., None] < 0, -h, h)
+
+        def dot(a, b):  # row-wise dot products (m, 1) of (m, 3) stacks
+            return (a[:, None, :] @ b[:, :, None])[:, 0]
+
+        h1, h2, h3 = h[..., 0], h[..., 1], h[..., 2]
+        norm1 = np.sqrt(dot(h1, h1))
+        scale = 0.5 * (norm1 + np.sqrt(dot(h2, h2)))
+        r1 = h1 / norm1
+        r2 = h2 - dot(r1, h2) * r1
+        r2 /= np.sqrt(dot(r2, r2))
+        rot_plane = np.stack([r1, r2, np.cross(r1, r2)], axis=-1)
+        basis[:, 2] = np.cross(basis[:, 0], basis[:, 1])  # right-handed
+        rot = orthonormalize(rot_plane @ basis)
+        pose[planar, :, :3] = rot
+        pose[planar, :, 3] = h3 / scale - (rot @ centroid[planar].transpose(0, 2, 1))[..., 0]
+
+    out: list = []
+    for i in range(k):
+        if collinear[i]:
+            out.append(DegenerateConfiguration("3D points are collinear"))
+        elif coplanar[i] and not planar[i]:
+            out.append(DegenerateConfiguration(
                 f"coplanar points need >= {MIN_CORRESPONDENCES_PLANAR} pairs, got {n}"
-            )
-            continue
-        try:
-            out[i] = _init_planar(x3[i], xn[i])
-        except DegenerateConfiguration as exc:
-            out[i] = exc
+            ))
+        elif not full_rank[i]:
+            out.append(DegenerateConfiguration(
+                "rank-deficient homography system" if planar[i]
+                else "rank-deficient normal equations in DLT"
+            ))
+        else:
+            out.append(pose[i])
     return out
 
 
@@ -426,32 +455,28 @@ def _hartley_normalization(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (pts - centroid) * scale[..., None, None], transform
 
 
-def _init_dlt(x3: np.ndarray, xn: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Direct linear transform for the calibrated 3x4 poses of k problems in
-    general position, x3 (k, n, 3) and xn (k, n, 2).
+def _dlt(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Direct linear transform, on Hartley-normalized coordinates, of the
+    3x(d+1) matrices M with dst ~ M [src; 1] for k problems of n points src
+    (k, n, d) and normalized image points dst (k, n, 2): the calibrated pose
+    up to scale for d = 3, the plane-to-image homography for d = 2.
 
-    Returns rotations (k, 3, 3), translations (k, 3) and the mask of problems
-    whose system has rank 11; the others are degenerate.
+    Returns M (k, 3, d+1) and the mask of problems whose system determines M
+    up to scale (rank 3(d+1) - 1); a smaller rank means multiple consistent
+    solutions (degenerate geometry).
     """
-    k, n = x3.shape[:2]
-    p3, t3 = _hartley_normalization(x3)
-    p2, t2 = _hartley_normalization(xn)
-
-    xh = np.concatenate([p3, np.ones((k, n, 1))], axis=-1)
-    a = np.zeros((k, 2 * n, 12))
-    a[:, 0::2, 0:4] = xh
-    a[:, 0::2, 8:12] = -p2[..., 0:1] * xh
-    a[:, 1::2, 4:8] = xh
-    a[:, 1::2, 8:12] = -p2[..., 1:2] * xh
-
+    k, n, d = src.shape
+    ps, ts = _hartley_normalization(src)
+    pd, td = _hartley_normalization(dst)
+    sh = np.concatenate([ps, np.ones((k, n, 1))], axis=-1)
+    a = np.zeros((k, 2 * n, 3 * (d + 1)))
+    a[:, 0::2, : d + 1] = sh
+    a[:, 0::2, 2 * (d + 1) :] = -pd[..., 0:1] * sh
+    a[:, 1::2, d + 1 : 2 * (d + 1)] = sh
+    a[:, 1::2, 2 * (d + 1) :] = -pd[..., 1:2] * sh
     _, s, vt = np.linalg.svd(a, full_matrices=False)
-    # The system must determine the pose up to scale: rank 11. A smaller rank
-    # means multiple consistent poses (degenerate geometry).
-    full_rank = ~(s[:, 10] < 1e-10 * s[:, 0])
-    p_hat = vt[:, -1].reshape(k, 3, 4)
-    p = np.linalg.inv(t2) @ p_hat @ t3
-    rot, trans = _factor_calibrated(p)
-    return rot, trans, full_rank
+    full_rank = ~(s[:, -2] < 1e-10 * s[:, 0])
+    return np.linalg.inv(td) @ vt[:, -1].reshape(k, 3, d + 1) @ ts, full_rank
 
 
 def _factor_calibrated(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -463,42 +488,3 @@ def _factor_calibrated(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rot = np.where(improper[..., None, None], -rot, rot)
     scale = np.where(improper, -scale, scale)
     return rot, p[..., 3] / scale[..., None]
-
-
-def _init_planar(x3: np.ndarray, xn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Homography-based initialization for coplanar 3D points."""
-    n = x3.shape[0]
-    centroid = x3.mean(axis=0)
-    _, _, vt = np.linalg.svd(x3 - centroid, full_matrices=False)
-    e1, e2 = vt[0], vt[1]
-    plane = np.stack([(x3 - centroid) @ e1, (x3 - centroid) @ e2], axis=1)
-
-    pp, tp = _hartley_normalization(plane)
-    p2, t2 = _hartley_normalization(xn)
-    ph = np.hstack([pp, np.ones((n, 1))])
-    a = np.zeros((2 * n, 9))
-    a[0::2, 0:3] = ph
-    a[0::2, 6:9] = -p2[:, 0:1] * ph
-    a[1::2, 3:6] = ph
-    a[1::2, 6:9] = -p2[:, 1:2] * ph
-    _, s, vt9 = np.linalg.svd(a, full_matrices=False)
-    if s[7] < 1e-10 * s[0]:
-        raise DegenerateConfiguration("rank-deficient homography system")
-    h = np.linalg.inv(t2) @ vt9[-1].reshape(3, 3) @ tp
-
-    # Fix the overall sign so plane points sit in front of the camera.
-    depths = plane @ h[2, :2] + h[2, 2]
-    if np.median(depths) < 0:
-        h = -h
-
-    h1, h2, h3 = h[:, 0], h[:, 1], h[:, 2]
-    scale = 0.5 * (np.linalg.norm(h1) + np.linalg.norm(h2))
-    r1 = h1 / np.linalg.norm(h1)
-    r2 = h2 - (r1 @ h2) * r1
-    r2 /= np.linalg.norm(r2)
-    r3 = np.cross(r1, r2)
-    rot_plane = np.column_stack([r1, r2, r3])
-    basis = np.column_stack([e1, e2, np.cross(e1, e2)])
-    rot = orthonormalize(rot_plane @ basis.T)
-    trans = h3 / scale - rot @ centroid
-    return rot, trans

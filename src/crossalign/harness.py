@@ -70,7 +70,7 @@ class BenchSpec:
             raise InvalidSpec("repetitions must be >= 1")
         if any(self.synchronized) and min(self.person_counts) < 2:
             raise InvalidSpec("synchronized scenes need at least 2 persons")
-        if self.refine_trials < 0 or self.refine_cameras < 1 or self.refine_noise_m < 0:
+        if self.refine_trials < 0 or self.refine_cameras < 1 or not self.refine_noise_m >= 0:
             raise InvalidSpec("refinement settings out of range")
 
     def match_config(self) -> PcmConfig:

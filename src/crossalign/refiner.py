@@ -84,7 +84,7 @@ class RefineProblem:
             raise ValueError(f"initial3d must be ({JOINT_COUNT}, 3)")
         if not np.all(np.isfinite(initial)):
             raise ValueError("initial3d contains non-finite values")
-        if self.lambda1 < 0 or self.lambda2 < 0 or self.lambda3 < 0:
+        if not (self.lambda1 >= 0 and self.lambda2 >= 0 and self.lambda3 >= 0):
             raise InvalidConfig("weights must be >= 0")
         object.__setattr__(self, "initial3d", initial)
         object.__setattr__(self, "observations", tuple(self.observations))

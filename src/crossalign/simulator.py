@@ -70,17 +70,18 @@ class SceneConfig:
             raise InvalidConfig("camera_count must be >= 1")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise InvalidConfig("dropout_rate must lie in [0, 1)")
-        if self.pixel_noise_sigma < 0 or self.joint3d_noise_sigma < 0 or self.pose_noise_degrees < 0:
+        noise = (self.pixel_noise_sigma, self.joint3d_noise_sigma, self.pose_noise_degrees)
+        if not all(sigma >= 0 for sigma in noise):
             raise InvalidConfig("noise levels must be >= 0")
         if not 10.0 <= self.fov_degrees <= 170.0:
             raise InvalidConfig("fov_degrees must lie in [10, 170]")
-        if self.frame_rate <= 0:
+        if not self.frame_rate > 0:
             raise InvalidConfig("frame_rate must be positive")
         if self.image_width < 2 or self.image_height < 2:
             raise InvalidConfig("image size is too small")
         if self.seed < 0:
             raise InvalidConfig("seed must be a non-negative integer")
-        if self.arena_radius <= 0:
+        if not self.arena_radius > 0:
             raise InvalidConfig("arena_radius must be positive")
         seen: set[int] = set()
         for group in self.synchronized_pose_groups:

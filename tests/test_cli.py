@@ -766,6 +766,14 @@ class TestUsage:
     def test_unknown_flag_is_usage_error(self):
         assert run_cli("simulate", "--nope") == 1
 
+    @pytest.mark.parametrize("flags", [["--mode", "bogus"], ["--mode", "KP", "--seed", "-5"]])
+    def test_bad_mode_or_seed_is_usage_error_before_any_output(self, scene_dir, tmp_path, flags):
+        out = tmp_path / "never"
+        lidar, camera = str(scene_dir / "lidar.jsonl"), str(scene_dir / "camera_00.jsonl")
+        argv = ["match", "--lidar", lidar, "--camera", camera, "--out", str(out), *flags]
+        assert run_cli(*argv) == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "target", ["stream", "match document", "run config", "scene config", "bench spec"]
     )

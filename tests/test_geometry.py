@@ -294,6 +294,43 @@ class TestSolvePnpBatch:
         split = solve_pnp_batch(problems, k)
         assert [self.outcome_key(o) for o in split] == reference
 
+    def test_coplanar_problems_share_a_stack(self):
+        rng = np.random.default_rng(71)
+        k = make_intrinsics()
+
+        def tilted_plane(n):
+            axes = random_rotation(rng)[:, :2]  # two orthonormal in-plane directions
+            return rng.uniform(-0.5, 0.5, size=3) + rng.uniform(-2.0, 2.0, size=(n, 2)) @ axes.T
+
+        truths, problems = [], []
+        for n in (12, 12, 12, 20, 20, 9):  # equal counts share a DLT stack
+            extr = random_camera(rng)
+            pts = tilted_plane(n)
+            truths.append(extr)
+            problems.append((pts, project(k, extr, pts)))
+        # 8 pairs on only 3 (coplanar) and 4 (non-coplanar) distinct positions.
+        flat = tilted_plane(3)[[0, 1, 2, 0, 1, 2, 0, 1]]
+        spread = rng.uniform(-2.0, 2.0, size=(4, 3))[[0, 1, 2, 3, 0, 1, 2, 3]]
+        few = tilted_plane(7)
+        for pts in (flat, spread, few):
+            problems.append((pts, project(k, random_camera(rng), pts)))
+
+        batch = solve_pnp_batch(problems, k)
+        for problem, outcome in zip(problems, batch):
+            alone = solve_pnp_batch([problem], k)[0]
+            assert self.outcome_key(outcome) == self.outcome_key(alone)
+            assert str(outcome) == str(alone)
+        for extr, outcome in zip(truths, batch):
+            assert geodesic_rotation_error(outcome.extrinsics.rotation, extr.rotation) < 1e-4
+            assert np.linalg.norm(outcome.extrinsics.translation - extr.translation) < 1e-4
+        homography, dlt, seven = batch[len(truths) :]
+        assert isinstance(homography, DegenerateConfiguration)
+        assert str(homography) == "rank-deficient homography system"
+        assert isinstance(dlt, DegenerateConfiguration)
+        assert str(dlt) == "rank-deficient normal equations in DLT"
+        assert isinstance(seven, DegenerateConfiguration)
+        assert str(seven) == "coplanar points need >= 8 pairs, got 7"
+
     def test_trace_is_non_increasing_per_problem(self):
         problems, k = self.mixed_problems()
         for outcome in solve_pnp_batch(problems, k):
