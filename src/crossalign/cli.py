@@ -122,7 +122,7 @@ def _from_json(cls, payload: dict, path, error: type[CrossAlignError], **given):
             raise error(f"{path}: {key}: {exc}") from None
     try:
         return cls(**values, **given)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, InvalidConfig, InvalidSpec) as exc:
         raise error(f"{path}: {exc}") from None
 
 

@@ -51,7 +51,8 @@ PNP_MAX_ITERATIONS = 100
 # the solver's working memory (a few hundred bytes per point).
 PNP_BATCH_POINTS = 4096
 
-# Problems per stacked DLT decomposition.
+# Problems, of any point count, per stacked linear start; bounds the working
+# memory of ``_initial_poses`` (a few hundred bytes per point).
 DLT_CHUNK = 32
 
 
@@ -211,9 +212,10 @@ def solve_pnp_batch(problems, intrinsics: Intrinsics) -> list:
 
     Returns, per problem and in order, its PnpResult or the GeometryError that
     ``solve_pnp`` raises for it. No problem's outcome depends on the rest of
-    the batch: linear initialization stacks problems of equal point count,
-    and Gauss-Newton pads problems to a common point count with masked rows,
-    summing over points in order so that padding adds exact zeros last.
+    the batch: linear initialization stacks problems of any point count and
+    sums each problem's own points, and Gauss-Newton pads problems to a
+    common point count with masked rows, summing over points in order so that
+    padding adds exact zeros last.
     ``problems`` may be any iterable; its points are copied once.
     """
     outcomes: list = []
@@ -235,28 +237,29 @@ def solve_pnp_batch(problems, intrinsics: Intrinsics) -> list:
     if not kept:
         return outcomes
 
-    # One copy of all points; problems address it by offset and count.
+    # One copy of all points, problems stably ordered by point count: the
+    # linear starts stack DLT_CHUNK consecutive problems of any count, and
+    # Gauss-Newton takes them in this order, so little of a run is padding.
+    kept.sort(key=lambda item: len(item[1]))
     indices = [index for index, _, _ in kept]
     counts = np.array([len(x3) for _, x3, _ in kept])
-    offsets = np.cumsum(counts) - counts
+    ends = np.cumsum(counts)
+    offsets = ends - counts
     points3d = np.concatenate([x3 for _, x3, _ in kept])
     points2d = np.concatenate([x2 for _, _, x2 in kept])
     del kept
 
-    # One stable order by point count: DLT stacks are its runs of equal count,
-    # and Gauss-Newton takes the starts in it, so little of a run is padding.
-    order = np.argsort(counts, kind="stable")
     posed, pose0 = [], []
-    for run in np.split(order, np.flatnonzero(np.diff(counts[order])) + 1):
-        for lo in range(0, len(run), DLT_CHUNK):
-            chunk = run[lo : lo + DLT_CHUNK]
-            rows = offsets[chunk, None] + np.arange(counts[chunk[0]])
-            for k, init in zip(chunk, _initial_poses(points3d[rows], points2d[rows], intrinsics)):
-                if isinstance(init, GeometryError):
-                    outcomes[indices[k]] = init
-                else:
-                    posed.append(k)
-                    pose0.append(init)
+    for lo in range(0, len(counts), DLT_CHUNK):
+        hi = min(lo + DLT_CHUNK, len(counts))
+        rows = slice(offsets[lo], ends[hi - 1])
+        inits = _initial_poses(points3d[rows], points2d[rows], counts[lo:hi], intrinsics)
+        for k, init in zip(range(lo, hi), inits):
+            if isinstance(init, GeometryError):
+                outcomes[indices[k]] = init
+            else:
+                posed.append(k)
+                pose0.append(init)
     if posed:
         pose0 = np.stack(pose0)
         fits = _refine_poses(points3d, points2d, offsets[posed], counts[posed], pose0, intrinsics)
@@ -265,37 +268,60 @@ def solve_pnp_batch(problems, intrinsics: Intrinsics) -> list:
     return outcomes
 
 
-def _initial_poses(x3: np.ndarray, x2: np.ndarray, intrinsics: Intrinsics) -> list:
-    """Linear pose estimates [R | t] (3, 4) or GeometryError for k problems of
-    n finite points each, x3 (k, n, 3) and x2 (k, n, 2): the DLT of the pose
-    for points in general position, of the plane-to-image homography for
-    coplanar points."""
-    k, n = x3.shape[:2]
-    centroid = x3.mean(axis=1, keepdims=True)
-    centered = x3 - centroid
-    spread = np.linalg.svd(centered, compute_uv=False)
+def _initial_poses(
+    x3: np.ndarray, x2: np.ndarray, counts: np.ndarray, intrinsics: Intrinsics
+) -> list:
+    """Linear pose estimates [R | t] (3, 4) or GeometryError for k problems,
+    problem i owning the next ``counts[i]`` finite points of x3 (N, 3) and
+    x2 (N, 2): the DLT of the pose for points in general position, of the
+    plane-to-image homography for coplanar points.
+
+    Every per-problem quantity is a sum over the problem's own points
+    (``np.add.reduceat``), so no start depends on the other problems.
+    """
+    k = len(counts)
+    starts = np.cumsum(counts) - counts
+    centroid = np.add.reduceat(x3, starts) / counts[:, None]
+    centered = x3 - np.repeat(centroid, counts, axis=0)
+    scatter = np.add.reduceat(centered[:, :, None] * centered[:, None, :], starts)
+    # The singular values of each centered point cloud, descending, are the
+    # square roots of its scatter's eigenvalues (clipped: round-off can make
+    # a zero eigenvalue slightly negative).
+    eigval, eigvec = np.linalg.eigh(scatter)
+    spread = np.sqrt(np.maximum(eigval[:, ::-1], 0.0))
     collinear = (spread[:, 0] <= 0) | (spread[:, 1] < PLANARITY_RTOL * spread[:, 0])
     coplanar = ~collinear & (spread[:, 2] < PLANARITY_RTOL * spread[:, 0])
     general = ~collinear & ~coplanar
-    planar = coplanar & (n >= MIN_CORRESPONDENCES_PLANAR)
+    planar = coplanar & (counts >= MIN_CORRESPONDENCES_PLANAR)
     # Normalized image coordinates (intrinsics removed).
     xn = (x2 - [intrinsics.cx, intrinsics.cy]) / [intrinsics.fx, intrinsics.fy]
 
     pose = np.empty((k, 3, 4))
     full_rank = np.zeros(k, dtype=bool)
     if general.any():
-        p, full_rank[general] = _dlt(x3[general], xn[general])
+        rows = np.repeat(general, counts)
+        p, full_rank[general] = _dlt(x3[rows], xn[rows], counts[general])
         pose[general, :, :3], pose[general, :, 3] = _factor_calibrated(p)
     if planar.any():
-        # In-plane coordinates along each plane's first two principal axes.
-        _, _, basis = np.linalg.svd(centered[planar], full_matrices=False)
-        plane = np.concatenate([centered[planar] @ basis[:, i, :, None] for i in (0, 1)], axis=-1)
-        h, full_rank[planar] = _dlt(plane, xn[planar])
+        rows = np.repeat(planar, counts)
+        sizes = counts[planar]
+        # Each plane's principal axes (eigenvectors by descending eigenvalue)
+        # and the in-plane coordinates along its first two.
+        basis = eigvec[planar][:, :, ::-1].transpose(0, 2, 1).copy()
+        plane = (centered[rows, None, :] * np.repeat(basis[:, :2], sizes, axis=0)).sum(axis=-1)
+        h, full_rank[planar] = _dlt(plane, xn[rows], sizes)
         # A rank-deficient homography is discarded; the identity keeps its arithmetic finite.
         h = np.where(full_rank[planar, None, None], h, np.eye(3))
-        # Fix the overall sign so plane points sit in front of the camera.
-        depths = plane @ h[:, 2, :2, None] + h[:, 2, 2, None, None]
-        h = np.where(np.median(depths, axis=1)[..., None] < 0, -h, h)
+        # Fix the overall sign so that the median plane point sits in front of
+        # the camera. Twice a problem's median depth is the sum of its two
+        # middle ranked depths (one and the same depth for an odd count).
+        depths = (plane * np.repeat(h[:, 2, :2], sizes, axis=0)).sum(axis=-1)
+        depths += np.repeat(h[:, 2, 2], sizes)
+        problem = np.repeat(np.arange(len(sizes)), sizes)
+        ranked = depths[np.lexsort((depths, problem))]
+        first = np.cumsum(sizes) - sizes
+        behind = ranked[first + (sizes - 1) // 2] + ranked[first + sizes // 2] < 0
+        h = np.where(behind[:, None, None], -h, h)
 
         def dot(a, b):  # row-wise dot products (m, 1) of (m, 3) stacks
             return (a[:, None, :] @ b[:, :, None])[:, 0]
@@ -310,7 +336,7 @@ def _initial_poses(x3: np.ndarray, x2: np.ndarray, intrinsics: Intrinsics) -> li
         basis[:, 2] = np.cross(basis[:, 0], basis[:, 1])  # right-handed
         rot = orthonormalize(rot_plane @ basis)
         pose[planar, :, :3] = rot
-        pose[planar, :, 3] = h3 / scale - (rot @ centroid[planar].transpose(0, 2, 1))[..., 0]
+        pose[planar, :, 3] = h3 / scale - (rot @ centroid[planar, :, None])[..., 0]
 
     out: list = []
     for i in range(k):
@@ -318,7 +344,7 @@ def _initial_poses(x3: np.ndarray, x2: np.ndarray, intrinsics: Intrinsics) -> li
             out.append(DegenerateConfiguration("3D points are collinear"))
         elif coplanar[i] and not planar[i]:
             out.append(DegenerateConfiguration(
-                f"coplanar points need >= {MIN_CORRESPONDENCES_PLANAR} pairs, got {n}"
+                f"coplanar points need >= {MIN_CORRESPONDENCES_PLANAR} pairs, got {counts[i]}"
             ))
         elif not full_rank[i]:
             out.append(DegenerateConfiguration(
@@ -436,47 +462,63 @@ def _rotvec_matrices(rotvecs: np.ndarray) -> np.ndarray:
     return np.eye(3) + sinc[:, None, None] * skew + cosc[:, None, None] * (skew @ skew)
 
 
-def _hartley_normalization(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Translate each point set (..., n, d) to its centroid and scale its RMS
-    radius to sqrt(d).
+def _hartley_normalization(
+    points: np.ndarray, starts: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Translate each problem's points (its ``counts[i]`` rows of ``points``
+    (N, d) from ``starts[i]`` on) to their centroid and scale their RMS radius
+    to sqrt(d).
 
-    Returns the normalized points and the (..., d+1, d+1) homogeneous
+    Returns the normalized points (N, d) and the (k, d+1, d+1) homogeneous
     transforms applied to them.
     """
-    pts = np.asarray(points, dtype=float)
-    d = pts.shape[-1]
-    centroid = pts.mean(axis=-2, keepdims=True)
-    rms = np.sqrt(((pts - centroid) ** 2).sum(axis=-1).mean(axis=-1))
+    d = points.shape[1]
+    centroid = np.add.reduceat(points, starts) / counts[:, None]
+    centered = points - np.repeat(centroid, counts, axis=0)
+    rms = np.sqrt(np.add.reduceat((centered**2).sum(axis=1), starts) / counts)
     scale = np.where(rms > 0, np.sqrt(d) / np.where(rms > 0, rms, 1.0), 1.0)
-    transform = np.zeros(pts.shape[:-2] + (d + 1, d + 1))
-    transform[..., :d, :d] = np.eye(d) * scale[..., None, None]
-    transform[..., :d, d] = -scale[..., None] * centroid[..., 0, :]
-    transform[..., d, d] = 1.0
-    return (pts - centroid) * scale[..., None, None], transform
+    transform = np.zeros((len(counts), d + 1, d + 1))
+    transform[:, :d, :d] = np.eye(d) * scale[:, None, None]
+    transform[:, :d, d] = -scale[:, None] * centroid
+    transform[:, d, d] = 1.0
+    return centered * np.repeat(scale, counts)[:, None], transform
 
 
-def _dlt(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _dlt(src: np.ndarray, dst: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Direct linear transform, on Hartley-normalized coordinates, of the
-    3x(d+1) matrices M with dst ~ M [src; 1] for k problems of n points src
-    (k, n, d) and normalized image points dst (k, n, 2): the calibrated pose
-    up to scale for d = 3, the plane-to-image homography for d = 2.
+    3x(d+1) matrices M with dst ~ M [src; 1] for k problems, problem i owning
+    the next ``counts[i]`` rows of the points src (N, d) and of the
+    normalized image points dst (N, 2): the calibrated pose up to scale for
+    d = 3, the plane-to-image homography for d = 2.
+
+    M is the eigenvector of the smallest eigenvalue of A^T A, where A is the
+    (2n, 3(d+1)) DLT design matrix. A^T A is summed per problem from four
+    moments sum(w s s^T) of s = [normalized src; 1], with w = 1, u, v and
+    u^2 + v^2 for the normalized image point (u, v).
 
     Returns M (k, 3, d+1) and the mask of problems whose system determines M
     up to scale (rank 3(d+1) - 1); a smaller rank means multiple consistent
     solutions (degenerate geometry).
     """
-    k, n, d = src.shape
-    ps, ts = _hartley_normalization(src)
-    pd, td = _hartley_normalization(dst)
-    sh = np.concatenate([ps, np.ones((k, n, 1))], axis=-1)
-    a = np.zeros((k, 2 * n, 3 * (d + 1)))
-    a[:, 0::2, : d + 1] = sh
-    a[:, 0::2, 2 * (d + 1) :] = -pd[..., 0:1] * sh
-    a[:, 1::2, d + 1 : 2 * (d + 1)] = sh
-    a[:, 1::2, 2 * (d + 1) :] = -pd[..., 1:2] * sh
-    _, s, vt = np.linalg.svd(a, full_matrices=False)
-    full_rank = ~(s[:, -2] < 1e-10 * s[:, 0])
-    return np.linalg.inv(td) @ vt[:, -1].reshape(k, 3, d + 1) @ ts, full_rank
+    k, d = len(counts), src.shape[1]
+    starts = np.cumsum(counts) - counts
+    ps, ts = _hartley_normalization(src, starts, counts)
+    pd, td = _hartley_normalization(dst, starts, counts)
+    sh = np.concatenate([ps, np.ones((len(ps), 1))], axis=1)
+    outer = sh[:, :, None] * sh[:, None, :]  # (N, d+1, d+1)
+    u, v = pd[:, 0, None, None], pd[:, 1, None, None]
+    # One weight at a time keeps the temporaries at the size of ``outer``.
+    s = np.add.reduceat(outer, starts)
+    s_u, s_v, s_uv = (np.add.reduceat(w * outer, starts) for w in (u, v, u * u + v * v))
+    zero = np.zeros_like(s)
+    ata = np.block([[s, zero, -s_u], [zero, s, -s_v], [-s_u, -s_v, s_uv]])
+    eigval, eigvec = np.linalg.eigh(ata)
+    # Rank 3(d+1) - 1 unless the second-smallest eigenvalue vanishes: below
+    # 1e-12 of the largest, a singular-value ratio of 1e-6 (the eigenvalues
+    # carry round-off of about 1e-16 of the largest).
+    full_rank = ~(eigval[:, 1] < 1e-12 * eigval[:, -1])
+    m = eigvec[:, :, 0].reshape(k, 3, d + 1)
+    return np.linalg.inv(td) @ m @ ts, full_rank
 
 
 def _factor_calibrated(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

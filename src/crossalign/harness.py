@@ -22,7 +22,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .errors import CrossAlignError, InvalidSpec, IoFailure
+from .errors import CrossAlignError, InvalidConfig, InvalidSpec, IoFailure
 from .matching import STRATEGIES, PcmConfig, match_with_strategy
 from .refiner import CameraObservation, RefineProblem, refine_batch
 from .simulator import SceneConfig, accuracy, generate
@@ -66,12 +66,35 @@ class BenchSpec:
             raise InvalidSpec("scene grid must be non-empty")
         if not self.seeds:
             raise InvalidSpec("seeds must be non-empty")
+        if min(self.seeds) < 0:
+            raise InvalidSpec("seeds must be >= 0")
         if self.repetitions < 1:
             raise InvalidSpec("repetitions must be >= 1")
         if any(self.synchronized) and min(self.person_counts) < 2:
             raise InvalidSpec("synchronized scenes need at least 2 persons")
         if self.refine_trials < 0 or self.refine_cameras < 1 or not self.refine_noise_m >= 0:
             raise InvalidSpec("refinement settings out of range")
+        # Build every config the sweep will use now, so that a field out of
+        # range fails before any scene runs.
+        try:
+            self.match_config()
+        except InvalidConfig as exc:
+            raise InvalidSpec(str(exc)) from None
+        for pc, noise, sync in self.cells():
+            try:
+                self.scene_config(pc, noise, sync, self.seeds[0], 0)
+            except InvalidConfig as exc:
+                cell = f"person_counts {pc}, pixel_noise_sigmas {noise}, synchronized {sync}"
+                raise InvalidSpec(f"cell {cell}: {exc}") from None
+
+    def cells(self) -> list[tuple[int, float, bool]]:
+        """The scene grid: (person count, pixel noise, synchronized) per cell, in sweep order."""
+        return [
+            (pc, noise, sync)
+            for pc in self.person_counts
+            for noise in self.pixel_noise_sigmas
+            for sync in self.synchronized
+        ]
 
     def match_config(self) -> PcmConfig:
         return PcmConfig(delta=self.delta, lambda0=self.lambda0, n_iter=self.n_iter)
@@ -128,16 +151,10 @@ def run_bench(spec: BenchSpec) -> MetricsReport:
     a cell's wall time spans all its scenes, and its FPS counts the frames of
     the scenes that matched without error."""
     config = spec.match_config()
-    cells = [
-        (pc, noise, sync)
-        for pc in spec.person_counts
-        for noise in spec.pixel_noise_sigmas
-        for sync in spec.synchronized
-    ]
     rows: list[BenchRow] = []
     failures: list[str] = []
     for mode in spec.modes:
-        for pc, noise, sync in cells:
+        for pc, noise, sync in spec.cells():
             scenes = [
                 generate(spec.scene_config(pc, noise, sync, seed, rep))
                 for seed in spec.seeds

@@ -70,9 +70,9 @@ class SceneConfig:
             raise InvalidConfig("camera_count must be >= 1")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise InvalidConfig("dropout_rate must lie in [0, 1)")
-        noise = (self.pixel_noise_sigma, self.joint3d_noise_sigma, self.pose_noise_degrees)
-        if not all(sigma >= 0 for sigma in noise):
-            raise InvalidConfig("noise levels must be >= 0")
+        for name in ("pixel_noise_sigma", "joint3d_noise_sigma", "pose_noise_degrees"):
+            if not getattr(self, name) >= 0:
+                raise InvalidConfig(f"{name} must be >= 0")
         if not 10.0 <= self.fov_degrees <= 170.0:
             raise InvalidConfig("fov_degrees must lie in [10, 170]")
         if not self.frame_rate > 0:

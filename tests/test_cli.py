@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from crossalign import cli
-from crossalign.cli import main
+from crossalign import cli, harness
+from crossalign.cli import load_run_config, main
+from crossalign.errors import InvalidConfig
 from crossalign.refiner import RefineResult
 from crossalign.streams import load_match_output, parse_stream
 
@@ -740,6 +741,28 @@ class TestBench:
         spec.write_text(json.dumps({"modes": [], "person_counts": [2]}))
         assert run_cli("bench", "--spec", str(spec), "--out", str(tmp_path / "r.csv")) == 2
 
+    @pytest.mark.parametrize(
+        "field, value", [("pixel_noise_sigmas", [0.0, -1.0]), ("dropout_rate", 1.5), ("modes", [])]
+    )
+    def test_out_of_range_field_exits_2_naming_file_and_field_before_any_scene(
+        self, tmp_path, monkeypatch, caplog, field, value
+    ):
+        def generate(config):
+            raise AssertionError("a scene was generated")
+
+        monkeypatch.setattr(harness, "generate", generate)
+        payload = {"modes": ["Pose"], "person_counts": [2], "seeds": [1], "duration_frames": 4}
+        payload[field] = value
+        spec = tmp_path / "bench.json"
+        spec.write_text(json.dumps(payload))
+        out = tmp_path / "r.csv"
+        caplog.clear()
+        assert run_cli("bench", "--spec", str(spec), "--out", str(out)) == 2
+        assert not out.exists()
+        message = " ".join(r.getMessage() for r in caplog.records if r.levelname == "ERROR")
+        assert f"{spec}: " in message
+        assert field in message
+
 
 class TestUsage:
     def test_version_runs(self, capsys):
@@ -804,3 +827,11 @@ class TestUsage:
             )
             == 2
         )
+
+    @pytest.mark.parametrize("payload", [{"delta": -1}, {"lambda1": -1}])
+    def test_run_config_out_of_range_names_its_file(self, tmp_path, payload):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(payload))
+        with pytest.raises(InvalidConfig) as info:
+            load_run_config(config)
+        assert str(info.value).startswith(f"{config}: ")

@@ -331,6 +331,79 @@ class TestSolvePnpBatch:
         assert isinstance(seven, DegenerateConfiguration)
         assert str(seven) == "coplanar points need >= 8 pairs, got 7"
 
+    def test_mixed_counts_share_one_linear_stack(self, monkeypatch):
+        rng = np.random.default_rng(73)
+        k = make_intrinsics()
+        problems = []
+        for n in (190, 6, 57, 24, 9):
+            extr = random_camera(rng, distance=rng.uniform(6.0, 14.0))
+            pts = scene_points(rng, n=n)
+            problems.append((pts, project(k, extr, pts) + rng.normal(0.0, 1.0, size=(n, 2))))
+        assert len(problems) <= geometry.DLT_CHUNK
+        calls = []
+        initial_poses = geometry._initial_poses
+
+        def counted(*args):
+            calls.append(args)
+            return initial_poses(*args)
+
+        monkeypatch.setattr(geometry, "_initial_poses", counted)
+        batch = solve_pnp_batch(problems, k)
+        assert len(calls) == 1
+        for problem, outcome in zip(problems, batch):
+            alone = solve_pnp_batch([problem], k)[0]
+            assert self.outcome_key(outcome) == self.outcome_key(alone)
+            assert str(outcome) == str(alone)
+
+    @staticmethod
+    def svd_dlt(x3, xn):
+        """The reference DLT: the right singular vector of the smallest
+        singular value of the Hartley-normalized design matrix."""
+
+        def normalization(points):
+            d = points.shape[1]
+            centroid = points.mean(axis=0)
+            scale = np.sqrt(d) / np.sqrt(((points - centroid) ** 2).sum(axis=1).mean())
+            transform = np.eye(d + 1)
+            transform[:d, :d] *= scale
+            transform[:d, d] = -scale * centroid
+            return (points - centroid) * scale, transform
+
+        ps, ts = normalization(x3)
+        pd, td = normalization(xn)
+        sh = np.hstack([ps, np.ones((len(ps), 1))])
+        a = np.zeros((2 * len(ps), 12))
+        a[0::2, :4] = sh
+        a[0::2, 8:] = -pd[:, :1] * sh
+        a[1::2, 4:8] = sh
+        a[1::2, 8:] = -pd[:, 1:] * sh
+        vt = np.linalg.svd(a)[2]
+        return np.linalg.inv(td) @ vt[-1].reshape(3, 4) @ ts
+
+    def test_linear_start_matches_an_svd_dlt(self):
+        rng = np.random.default_rng(79)
+        k = make_intrinsics()
+        x3s, x2s = [], []
+        for n in (6, 7, 11, 24, 60, 133, 240):
+            extr = random_camera(rng, distance=rng.uniform(6.0, 14.0))
+            pts = scene_points(rng, n=n)
+            x3s.append(pts)
+            x2s.append(project(k, extr, pts) + rng.normal(0.0, 2.0, size=(n, 2)))
+        counts = np.array([len(x3) for x3 in x3s])
+        x3, x2 = np.concatenate(x3s), np.concatenate(x2s)
+        xn = (x2 - [k.cx, k.cy]) / [k.fx, k.fy]
+        dlt, full_rank = geometry._dlt(x3, xn, counts)
+        starts = geometry._initial_poses(x3, x2, counts, k)
+        assert full_rank.all()
+        ends = np.cumsum(counts)
+        for p, start, lo, hi in zip(dlt, starts, ends - counts, ends):
+            reference = self.svd_dlt(x3[lo:hi], xn[lo:hi])
+            reference /= np.linalg.norm(reference)
+            p = p / np.linalg.norm(p)
+            assert np.abs(p - np.sign((p * reference).sum()) * reference).max() < 1e-8
+            rot, t = geometry._factor_calibrated(reference)
+            assert np.abs(start - np.hstack([rot, t[:, None]])).max() < 1e-8
+
     def test_trace_is_non_increasing_per_problem(self):
         problems, k = self.mixed_problems()
         for outcome in solve_pnp_batch(problems, k):

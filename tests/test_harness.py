@@ -47,6 +47,24 @@ class TestBenchSpec:
         with pytest.raises(InvalidSpec):
             tiny_spec(repetitions=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("pixel_noise_sigmas", (0.0, -1.0)),
+            ("pose_noise_degrees", -1.0),
+            ("dropout_rate", 1.5),
+            ("fov_degrees", 5.0),
+            ("duration_frames", 0),
+            ("person_counts", (3, 0)),
+            ("seeds", (1, -2)),
+            ("delta", -1.0),
+            ("n_iter", 0),
+        ],
+    )
+    def test_out_of_range_field_is_named_on_construction(self, field, value):
+        with pytest.raises(InvalidSpec, match=field):
+            tiny_spec(**{field: value})
+
 
 class TestRunBench:
     def test_noiseless_grid_is_perfect(self):
