@@ -31,6 +31,10 @@ logger = logging.getLogger(__name__)
 
 REPORT_VERSION = 1
 
+# A scene's seed is seed * SEED_STRIDE + repetition, so at most SEED_STRIDE
+# repetitions keep the scenes of different seeds apart.
+SEED_STRIDE = 1000
+
 @dataclass(frozen=True)
 class BenchSpec:
     """Sweep definition: the scene grid is the cross product of person
@@ -68,8 +72,8 @@ class BenchSpec:
             raise InvalidSpec("seeds must be non-empty")
         if min(self.seeds) < 0:
             raise InvalidSpec("seeds must be >= 0")
-        if self.repetitions < 1:
-            raise InvalidSpec("repetitions must be >= 1")
+        if not 1 <= self.repetitions <= SEED_STRIDE:
+            raise InvalidSpec(f"repetitions must lie in [1, {SEED_STRIDE}]")
         if any(self.synchronized) and min(self.person_counts) < 2:
             raise InvalidSpec("synchronized scenes need at least 2 persons")
         if self.refine_trials < 0 or self.refine_cameras < 1 or not self.refine_noise_m >= 0:
@@ -109,7 +113,7 @@ class BenchSpec:
             pose_noise_degrees=self.pose_noise_degrees,
             fov_degrees=self.fov_degrees,
             synchronized_pose_groups=groups,
-            seed=seed * 1000 + rep,
+            seed=seed * SEED_STRIDE + rep,
         )
 
 

@@ -1,9 +1,18 @@
 """Damped Gauss-Newton least squares shared by the pose and keypoint refiners.
 
-Both refiners use the same acceptance schedule: a trial step is accepted only
-if it strictly decreases the objective, damping shrinks by 10x on acceptance
-and grows by 10x on rejection. This guarantees a non-increasing objective
-trace, which downstream invariants rely on.
+Both refiners use the same schedule. A trial step solves (JᵀJ + μI)δ = -Jᵀr
+and is accepted only if it strictly decreases the objective f = ‖r‖² (plus
+any constant penalty), so the objective trace never increases, which
+downstream invariants rely on. The damping μ follows Nielsen's rule (Madsen,
+Nielsen & Tingleff, "Methods for Non-Linear Least Squares Problems", 2004,
+§3.1): an accepted step with gain ratio ρ, its actual decrease over the
+predicted decrease -Jᵀr·δ + μ‖δ‖², scales μ by max(1/3, 1 - (2ρ - 1)³); a
+refused step scales μ by ν, which doubles on each refusal and restarts at 2
+on acceptance. A problem ends as converged when an accepted step decreases f
+by less than REL_TOL relative, when a refused step predicts a decrease of at
+most REL_TOL·f (MINPACK's ftol test; Moré, "The Levenberg-Marquardt
+algorithm", 1978), when f reaches zero, or when μ passes MU_CEILING; it ends
+unconverged at the iteration cap.
 
 The schedule is written once, over a batch of independent problems that each
 keep their own damping; ``damped_least_squares`` is its one-problem case. A
@@ -20,10 +29,8 @@ from typing import Any, Callable
 
 import numpy as np
 
-REL_TOL = 1e-10  # an accepted step with a smaller relative decrease ends the solve
+REL_TOL = 1e-10  # a smaller relative decrease, achieved or predicted, ends the solve
 MU_INITIAL = 1e-3
-MU_GROWTH = 10.0
-MU_SHRINK = 0.1
 MU_FLOOR = 1e-12
 MU_CEILING = 1e15
 
@@ -52,10 +59,11 @@ def damped_least_squares(
     include constant penalty terms not represented in the residuals.
 
     Stops when an accepted step's relative decrease falls below ``REL_TOL``,
-    when the objective reaches zero, or when no decreasing step exists at the
-    damping ceiling (counted as converged: the achievable decrease is zero).
-    Returns ``converged=False`` only if the iteration cap was hit while steps
-    were still making progress.
+    when a refused step's predicted decrease is at most ``REL_TOL`` times the
+    objective, when the objective reaches zero, or when no decreasing step
+    exists at the damping ceiling (all counted as converged: the achievable
+    decrease is negligible). Returns ``converged=False`` only if the iteration
+    cap was hit while steps were still making progress.
     """
 
     def one(value):
@@ -106,6 +114,7 @@ def damped_least_squares_batch(
     accepted = np.zeros(count, dtype=int)
     iterations = np.zeros(count, dtype=int)
     mu = np.full(count, MU_INITIAL)
+    nu = np.full(count, 2.0)  # the growth factor of the next refusal
     converged = f == 0.0
     active = np.isfinite(f) & ~converged
     stale = np.ones(count, dtype=bool)  # needs a new linearization
@@ -130,29 +139,42 @@ def damped_least_squares_batch(
             break
         damping = mu[rows].reshape((-1,) + (1,) * (hess.ndim - 1)) * eye
         delta, solved = _solve(hess[rows] + damping, -grad[rows])
-        trial = rows[solved]
-        refused = [rows[~solved]]
+        trial, delta = rows[solved], delta[solved]
+        refused = rows[~solved]  # an unsolvable system is not tried
         if len(trial):
-            x_new = apply_step(x[trial], delta[solved], trial)
+            # The decrease the linear model predicts, -gᵀδ + μ‖δ‖², since
+            # (JᵀJ + μI)δ = -g; it is >= 0 up to round-off.
+            step = delta.reshape(len(trial), -1)
+            predicted = (mu[trial] * (step * step).sum(axis=1)
+                         - (grad[trial].reshape(len(trial), -1) * step).sum(axis=1))
+            x_new = apply_step(x[trial], delta, trial)
             f_new = np.asarray(objective(x_new, trial), dtype=float)
             better = f_new < f[trial]
-            refused.append(trial[~better])
-            took = trial[better]
-            rel_decrease = (f[took] - f_new[better]) / f[took]
+            took, pred = trial[better], predicted[better]
+            decrease = f[took] - f_new[better]
+            small = (f_new[better] == 0.0) | (decrease / f[took] < REL_TOL)
+            # Nielsen's update from the gain ratio rho = decrease / pred; rho
+            # is capped at 1, where the factor reaches its floor of 1/3.
+            rho = np.minimum(np.divide(decrease, pred, out=np.ones_like(pred), where=pred > 0), 1.0)
             x[took] = x_new[better]
             f[took] = f_new[better]
             accepted[took] += 1
             trace[took, accepted[took]] = f[took]
-            mu[took] = np.maximum(mu[took] * MU_SHRINK, MU_FLOOR)
+            mu[took] = np.maximum(mu[took] * np.maximum(1 / 3, 1 - (2 * rho - 1) ** 3), MU_FLOOR)
+            nu[took] = 2.0
             stale[took] = True
-            done = took[(f[took] == 0.0) | (rel_decrease < REL_TOL)]
+            # A refused step whose predicted decrease is below the tolerance
+            # ends the solve, as an accepted step with a small decrease does.
+            worse = trial[~better]
+            flat = predicted[~better] <= REL_TOL * f[worse]
+            done = np.concatenate([took[small], worse[flat]])
             converged[done] = True
             active[done] = False
+            refused = np.concatenate([refused, worse[~flat]])
 
-        refused = np.concatenate(refused)
-        mu[refused] *= MU_GROWTH
-        # No strictly decreasing step exists: the relative decrease is zero,
-        # which meets any positive tolerance.
+        mu[refused] *= nu[refused]
+        nu[refused] *= 2.0
+        # The damping ceiling: no strictly decreasing step was found.
         ceiling = refused[mu[refused] > MU_CEILING]
         converged[ceiling] = True
         active[ceiling] = False

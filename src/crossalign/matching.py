@@ -360,8 +360,8 @@ def reprojection_cost(
         raise ValueError("both tracks must be valid at the frame")
     joints3d, mask3d = _usable3d(track3d.joints[frame][None])
     joints2d, conf2d = _usable2d(track2d.joints[frame][None], track2d.confidence[frame][None])
-    costs = _reprojection_matrix(joints3d, mask3d, joints2d, conf2d, extrinsics, intrinsics)
-    return float(costs[0, 0])
+    costs = _reprojection_matrices(joints3d, mask3d, joints2d, conf2d, [extrinsics], intrinsics)
+    return float(costs[0, 0, 0])
 
 
 def body_pose_cost(
@@ -381,7 +381,7 @@ def body_pose_cost(
     rotations = np.stack([rotations_of(pose3d), rotations_of(pose2d)])
     fk = fk_points(default_skeleton(), rotations, np.zeros((2, 3)))
     roots = np.asarray(root, dtype=float).reshape(1, 3)
-    return float(_body_pose_matrix(roots, fk[:1], fk[1:], extrinsics, intrinsics)[0, 0])
+    return float(_body_pose_matrices(roots, fk[:1], fk[1:], [extrinsics], intrinsics)[0, 0, 0])
 
 
 def weighted_cost(
@@ -485,19 +485,23 @@ def frame_slice(tracks3d, tracks2d, frame: int) -> FrameData:
     )
 
 
-def _reprojection_matrix(
-    joints3d: np.ndarray,
-    mask3d: np.ndarray,
-    joints2d: np.ndarray,
-    conf2d: np.ndarray,
-    extrinsics: Extrinsics,
-    intrinsics: Intrinsics,
-) -> np.ndarray:
-    """(p3, p2) confidence-weighted mean pixel distances under one camera pose.
+def _camera_points(points: np.ndarray, poses) -> np.ndarray:
+    """World points (..., 3) in the camera frame of each of ``poses``
+    (Extrinsics), stacked (pose, ..., 3); each slice equals that pose's
+    ``transform`` bit for bit."""
+    lead = (len(poses),) + (1,) * (points.ndim - 2)
+    rotations = np.array([e.rotation for e in poses]).reshape(lead + (3, 3))
+    translations = np.array([e.translation for e in poses]).reshape(lead + (1, 3))
+    return points @ rotations.swapaxes(-1, -2) + translations
+
+
+def _reprojection_matrices(joints3d, mask3d, joints2d, conf2d, poses, intrinsics) -> np.ndarray:
+    """(pose, p3, p2) confidence-weighted mean pixel distances under each of
+    ``poses``, in one stack.
 
     Inputs are zero-filled and masked as in FrameData.
     """
-    cam = extrinsics.transform(joints3d)[:, None]  # (p3, 1, 24, 3)
+    cam = _camera_points(joints3d, poses)[:, :, None]  # (pose, p3, 1, 24, 3)
     return _reprojection_costs(cam, mask3d[:, None], joints2d[None], conf2d[None], intrinsics)
 
 
@@ -518,30 +522,27 @@ def _reprojection_costs(cam, mask3d, joints2d, conf2d, intrinsics: Intrinsics) -
     return np.where(totals > 0, weighted / np.where(totals > 0, totals, 1.0), penalty)
 
 
-def _body_pose_matrix(
-    roots: np.ndarray,
-    fk3_origin: np.ndarray,
-    fk2_origin: np.ndarray,
-    extrinsics: Extrinsics,
-    intrinsics: Intrinsics,
-) -> np.ndarray:
-    """(p3, p2) mean pixel distances between skeleton poses posed at the
-    origin, each pair rooted at the 3D person's root joint (roots (p3, 3))."""
+def _body_pose_matrices(roots, fk3_origin, fk2_origin, poses, intrinsics) -> np.ndarray:
+    """(pose, p3, p2) mean pixel distances, under each of ``poses``, between
+    skeleton poses posed at the origin, each pair rooted at the 3D person's
+    root joint (roots (p3, 3))."""
     penalty = intrinsics.diagonal
-    uv3, front3 = pinhole(intrinsics, extrinsics.transform(fk3_origin + roots[:, None, :]))
+    uv3, front3 = pinhole(intrinsics, _camera_points(fk3_origin + roots[:, None, :], poses))
     pts2 = fk2_origin[None, :, :, :] + roots[:, None, None, :]  # (p3, p2, 24, 3)
-    uv2, front2 = pinhole(intrinsics, extrinsics.transform(pts2))
-    ok = front3[:, None, :] & front2
-    dist = np.linalg.norm(uv3[:, None, :, :] - uv2, axis=-1)
+    uv2, front2 = pinhole(intrinsics, _camera_points(pts2, poses))
+    ok = front3[:, :, None, :] & front2
+    dist = np.linalg.norm(uv3[:, :, None, :, :] - uv2, axis=-1)
     return np.where(ok, dist, penalty).mean(axis=-1)
 
 
-def _weighted_matrix(fd, extrinsics, intrinsics, lambda0) -> np.ndarray:
-    costs = _reprojection_matrix(
-        fd.joints3d, fd.mask3d, fd.joints2d, fd.conf2d, extrinsics, intrinsics
+def _weighted_matrices(fd, poses, intrinsics, lambda0) -> np.ndarray:
+    """(pose, p3, p2) keypoint costs plus lambda0 times the body-pose costs
+    of frame ``fd`` under each of ``poses``."""
+    costs = _reprojection_matrices(
+        fd.joints3d, fd.mask3d, fd.joints2d, fd.conf2d, poses, intrinsics
     )
     if lambda0 != 0.0:
-        pose = _body_pose_matrix(fd.joints3d[:, 0], *fd.origin_skeletons, extrinsics, intrinsics)
+        pose = _body_pose_matrices(fd.joints3d[:, 0], *fd.origin_skeletons, poses, intrinsics)
         costs = costs + lambda0 * pose
     return costs
 
@@ -590,8 +591,8 @@ def _fit_poses(correspondences, intrinsics: Intrinsics, stats: PcmStats | None =
     pair-aligned, zero-filled and masked as in FrameData; a joint is usable
     where its 3D position is finite and its 2D confidence positive. A set whose
     fit fails gets None; one with fewer than MIN_CORRESPONDENCES usable joints
-    fails as InsufficientCorrespondences. ``stats`` counts the fits and their
-    failures by kind.
+    fails as InsufficientCorrespondences. ``stats`` counts the fits, their
+    failures by kind and the Gauss-Newton iterations of the fits that succeeded.
     """
 
     def usable_pairs():
@@ -603,6 +604,9 @@ def _fit_poses(correspondences, intrinsics: Intrinsics, stats: PcmStats | None =
     failures = [type(o).__name__ for o in outcomes if isinstance(o, GeometryError)]
     if stats is not None:
         stats.pnp_attempted += len(outcomes)
+        stats.pnp_iterations += sum(
+            o.iterations for o in outcomes if not isinstance(o, GeometryError)
+        )
         for kind in failures:
             stats.pnp_failed[kind] = stats.pnp_failed.get(kind, 0) + 1
     return [None if isinstance(o, GeometryError) else o.extrinsics for o in outcomes]
@@ -665,16 +669,15 @@ def _search_frames(fds, intrinsics, config, seed_rows=None, stats=None) -> list:
     for k, frame_seeds in seeds.items():
         fd = fds[k]
         proposals: dict[tuple, None] = {}  # distinct, in seed order
-        for seed in frame_seeds:
-            extr = poses[k, seed]
-            if extr is None:
-                continue
-            costs = _reprojection_matrix(
-                fd.joints3d, fd.mask3d, fd.joints2d, fd.conf2d, extr, intrinsics
+        fitted = [poses[k, seed] for seed in frame_seeds if poses[k, seed] is not None]
+        if fitted:
+            stack = _reprojection_matrices(
+                fd.joints3d, fd.mask3d, fd.joints2d, fd.conf2d, fitted, intrinsics
             )
-            proposal = hungarian(CostMatrix(costs)).pairs
-            if proposal:
-                proposals.setdefault(proposal)
+            for costs in stack:
+                proposal = hungarian(CostMatrix(costs)).pairs
+                if proposal:
+                    proposals.setdefault(proposal)
         if not proposals:
             outcomes[k] = NoViableProposal(f"frame {fd.frame}: every seed pose estimate failed")
             continue
@@ -684,15 +687,19 @@ def _search_frames(fds, intrinsics, config, seed_rows=None, stats=None) -> list:
     for sweep in range(config.n_iter):
         _fit_pairs(fds, poses, [(k, pairs) for k, _, pairs in live], intrinsics, stats)
         following = []
-        for k, q, pairs in live:
-            extr = poses[k, pairs]
-            if extr is None:
+        for k, group in itertools.groupby(live, key=lambda entry: entry[0]):  # frame order
+            fitted = [(q, pairs, poses[k, pairs]) for _, q, pairs in group
+                      if poses[k, pairs] is not None]
+            if not fitted:
                 continue
-            costs = _weighted_matrix(fds[k], extr, intrinsics, config.lambda0)
-            _, score = _pairing_score(costs, pairs, threshold)
-            scored[k].append((q, sweep, score, pairs, extr))
-            if sweep + 1 < config.n_iter:
-                following.append((k, q, hungarian(CostMatrix(costs)).pairs))
+            stack = _weighted_matrices(
+                fds[k], [extr for _, _, extr in fitted], intrinsics, config.lambda0
+            )
+            for (q, pairs, extr), costs in zip(fitted, stack):
+                _, score = _pairing_score(costs, pairs, threshold)
+                scored[k].append((q, sweep, score, pairs, extr))
+                if sweep + 1 < config.n_iter:
+                    following.append((k, q, hungarian(CostMatrix(costs)).pairs))
         live = following
 
     for k, entries in scored.items():
@@ -706,9 +713,9 @@ def _search_frames(fds, intrinsics, config, seed_rows=None, stats=None) -> list:
         if best_pairs is None:
             outcomes[k] = NoViableProposal(f"frame {fd.frame}: no proposal produced a valid pose")
             continue
-        residual_matrix = _reprojection_matrix(
-            fd.joints3d, fd.mask3d, fd.joints2d, fd.conf2d, best_extr, intrinsics
-        )
+        residual_matrix = _reprojection_matrices(
+            fd.joints3d, fd.mask3d, fd.joints2d, fd.conf2d, [best_extr], intrinsics
+        )[0]
         kept, residuals = [], []
         for a, b in best_pairs:
             res = float(residual_matrix[a, b])
@@ -804,9 +811,11 @@ class PcmStats:
 
     ``pnp_attempted`` counts the pose fits tried and ``pnp_failed`` their
     failures by kind; a fit with fewer than MIN_CORRESPONDENCES usable joints
-    fails as InsufficientCorrespondences. ``pairs_rejected`` counts the
-    assigned pairs that the residual filter drops: their mean reprojection
-    residual exceeds the reject threshold, or no frame can measure it.
+    fails as InsufficientCorrespondences. ``pnp_iterations`` sums the
+    Gauss-Newton iterations of the fits that returned a pose.
+    ``pairs_rejected`` counts the assigned pairs that the residual filter
+    drops: their mean reprojection residual exceeds the reject threshold, or
+    no frame can measure it.
     """
 
     gate_variance: float = math.nan
@@ -817,6 +826,7 @@ class PcmStats:
     fallback_to_pose: bool = False
     pnp_attempted: int = 0
     pnp_failed: dict = field(default_factory=lambda: dict.fromkeys(PNP_FAILURE_KINDS, 0))
+    pnp_iterations: int = 0
     pairs_rejected: int = 0
 
 
@@ -1043,7 +1053,7 @@ def _kps_frame(fd, intrinsics, config):
         extr = poses[0, tuple(sorted(pairs))]
         if extr is None:
             continue
-        costs = _weighted_matrix(fd, extr, intrinsics, config.lambda0)
+        costs = _weighted_matrices(fd, [extr], intrinsics, config.lambda0)[0]
         mean_cost, score = _pairing_score(costs, pairs, threshold)
         if mean_cost < best_cost:
             best_cost, best_pairs, best_score = mean_cost, pairs, score

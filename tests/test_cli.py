@@ -763,6 +763,24 @@ class TestBench:
         assert f"{spec}: " in message
         assert field in message
 
+    def test_repetitions_that_would_reuse_a_scene_seed_exit_2_before_any_scene(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        def generate(config):
+            raise AssertionError("a scene was generated")
+
+        monkeypatch.setattr(harness, "generate", generate)
+        spec = tmp_path / "bench.json"
+        spec.write_text(json.dumps(
+            {"modes": ["Pose"], "person_counts": [2], "seeds": [1, 2], "repetitions": 1001}
+        ))
+        out = tmp_path / "r.csv"
+        caplog.clear()
+        assert run_cli("bench", "--spec", str(spec), "--out", str(out)) == 2
+        assert not out.exists()
+        message = " ".join(r.getMessage() for r in caplog.records if r.levelname == "ERROR")
+        assert f"{spec}: " in message and "repetitions" in message
+
 
 class TestUsage:
     def test_version_runs(self, capsys):

@@ -47,6 +47,22 @@ class TestBenchSpec:
         with pytest.raises(InvalidSpec):
             tiny_spec(repetitions=0)
 
+    def test_repetitions_that_would_reuse_a_scene_seed_rejected(self):
+        # Repetition 1000 of seed 1 would be the scene of seed 2, repetition 0.
+        with pytest.raises(InvalidSpec, match="repetitions"):
+            tiny_spec(seeds=(1, 2), repetitions=1001)
+
+    def test_every_scene_of_a_spec_gets_its_own_seed(self):
+        spec = tiny_spec(person_counts=(2, 3), seeds=(0, 1, 2), repetitions=1000)
+        for cell in spec.cells():
+            scene_seeds = [
+                spec.scene_config(*cell, seed, rep).seed
+                for seed in spec.seeds
+                for rep in range(spec.repetitions)
+            ]
+            assert len(set(scene_seeds)) == len(scene_seeds) == 3000
+        assert spec.scene_config(3, 0.0, False, 2, 5).seed == 2005  # unchanged
+
     @pytest.mark.parametrize(
         "field, value",
         [

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from crossalign.leastsq import _solve, damped_least_squares, damped_least_squares_batch
+from crossalign.leastsq import (
+    MU_CEILING,
+    REL_TOL,
+    _solve,
+    damped_least_squares,
+    damped_least_squares_batch,
+)
 
 
 def rosenbrock(p):
@@ -95,3 +101,62 @@ def test_solve_isolates_singular_members_by_bisection(monkeypatch, blocks, singu
     # halves per level for each, fewer solves than one per problem.
     assert len(calls) <= 1 + 2 * len(singular) * int(np.log2(count))
     assert len(calls) < 1 + count
+
+
+def test_a_refused_step_with_no_predicted_decrease_ends_the_solve():
+    # Residuals (1e8 (x - 1), 1): the first step lands exactly on the optimum
+    # x = 1, where the gradient is zero, so the next step predicts no decrease
+    # and its refusal ends the solve: the damping is not raised to its
+    # ceiling one refusal at a time.
+    calls = []
+
+    def objective(p):
+        calls.append(p.copy())
+        return float(1e16 * (p[0] - 1.0) ** 2 + 1.0)
+
+    fit = damped_least_squares(
+        np.array([2.0]),
+        lambda p: (np.array([[1e8], [0.0]]), np.array([1e8 * (p[0] - 1.0), 1.0])),
+        lambda p, delta: p + delta,
+        objective,
+        max_iterations=100,
+    )
+    assert fit.converged
+    assert fit.iterations == 2
+    assert fit.objective_trace == [1e16 + 1.0, 1.0]
+    assert len(calls) == 3  # the start, one accepted and one refused trial
+
+
+def test_refusals_grow_the_damping_by_a_doubling_factor():
+    # A fixed linear model (JᵀJ = 1, Jᵀr = 1) whose trials the objective
+    # refuses twice, accepts once, then refuses from there on. Each trial's
+    # damping follows from its step, delta = -1 / (1 + mu).
+    values = iter([2.0, 2.0, 0.5])
+    mus = []
+
+    def apply_step(x, delta, rows):
+        mus.append(-1.0 / delta[0, 0] - 1.0)
+        return x + delta
+
+    fit = damped_least_squares_batch(
+        np.zeros((1, 1)),
+        lambda x, rows: (np.ones((1, 1, 1)), np.ones((1, 1))),
+        apply_step,
+        lambda x, rows: np.array([next(values, 2.0) if mus else 1.0]),
+        max_iterations=100,
+    )[0]
+    # A refusal whose model predicts a large decrease keeps the solve going:
+    # the damping grows by nu = 2, then by 2 nu, and an accepted step resets
+    # nu to 2. The refusals end once the predicted decrease,
+    # -gᵀδ + mu‖δ‖² = (1 + 2 mu) / (1 + mu)², falls below REL_TOL times the
+    # objective, long before MU_CEILING.
+    assert mus[0] == pytest.approx(1e-3, rel=1e-9)
+    ratios = [b / a for a, b in zip(mus, mus[1:])]
+    assert ratios[:2] == pytest.approx([2.0, 4.0], rel=1e-9)
+    growth = [2.0 ** k for k in range(1, len(ratios) - 2)]
+    assert ratios[3:] == pytest.approx(growth, rel=1e-6)
+    predicted = [(1.0 + 2.0 * mu) / (1.0 + mu) ** 2 for mu in mus[-2:]]
+    assert predicted[1] <= REL_TOL * 0.5 < predicted[0]
+    assert mus[-1] < MU_CEILING
+    assert fit.converged and fit.iterations == 2
+    assert fit.objective_trace == [1.0, 0.5]

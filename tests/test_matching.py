@@ -618,6 +618,33 @@ class TestPosesForPairs:
             assert poses[2] is None  # no pair is valid there
             assert stats.pnp_failed["InsufficientCorrespondences"] == 1
 
+    def test_pnp_iterations_sum_the_fits_that_returned_a_pose(self, monkeypatch):
+        # A cap of 3 iterations makes some fits end as NoConvergence; frame 2
+        # has no valid pair and fails as InsufficientCorrespondences.
+        monkeypatch.setattr(geometry, "PNP_MAX_ITERATIONS", 3)
+        scene, tracks3d, tracks2d = self.dropout_scene(42, 12)
+        pairs = sorted(scene.truth.correspondence[0].items())
+        *arrays, valid = matching._pair_frames(tracks3d, tracks2d, pairs, np.arange(12))
+        sets = [tuple(a[valid[:, t], t] for a in arrays) for t in range(12)]
+        outcomes = []
+        solve = matching.solve_pnp_batch
+
+        def recording(problems, intrinsics):
+            result = solve(problems, intrinsics)
+            outcomes.extend(result)
+            return result
+
+        monkeypatch.setattr(matching, "solve_pnp_batch", recording)
+        stats = matching.PcmStats()
+        poses = matching._fit_poses(sets, scene.intrinsics, stats)
+        fitted = [o for o in outcomes if isinstance(o, geometry.PnpResult)]
+        assert [p is not None for p in poses] == [
+            isinstance(o, geometry.PnpResult) for o in outcomes
+        ]
+        assert stats.pnp_iterations == sum(o.iterations for o in fitted) > 0
+        assert 0 < len(fitted) < len(outcomes)
+        assert stats.pnp_failed["NoConvergence"] > 0
+
     def test_empty_pair_list(self):
         scene, tracks3d, tracks2d = self.dropout_scene(41, 20)
         stats = matching.PcmStats()
@@ -794,6 +821,68 @@ class TestSearchFrames:
         else:
             assert failed == [2, 5, 6]
             assert "every seed pose estimate failed" in str(outcomes[6])
+
+    def test_stacked_costs_equal_a_per_pose_loop(self, monkeypatch):
+        # Twins scene with a body-pose weight; in each frame one 3D joint and
+        # another person's root sit 1 m behind the true camera, so both cost
+        # terms take their behind-the-camera penalty.
+        scene = generate(SceneConfig(
+            person_count=4, duration_frames=2, seed=1, pixel_noise_sigma=2.0,
+            synchronized_pose_groups=((0, 1),), pose_noise_degrees=8.0,
+        ))
+        fds = [frame_slice(scene.tracks3d, scene.tracks2d[0], t) for t in range(2)]
+        behind = []
+        for fd, truth in zip(fds, scene.truth.extrinsics[0]):
+            point = -truth.rotation.T @ truth.translation - truth.rotation[2]
+            fd.joints3d[0, 7] = fd.joints3d[1, 0] = point
+            behind.append(point)
+        calls = {"_reprojection_matrices": [], "_weighted_matrices": []}
+        for name, record in calls.items():
+            def recording(*args, _real=getattr(matching, name), _record=record):
+                out = _real(*args)
+                _record.append((args, out))
+                return out
+
+            monkeypatch.setattr(matching, name, recording)
+        config = PcmConfig(lambda0=0.5, n_iter=2)
+        matching._search_frames(fds, scene.intrinsics, config)
+
+        # Per frame: one seed stack, one weighted stack per sweep (each with a
+        # keypoint stack inside) and the winner's residual matrix.
+        assert len(calls["_weighted_matrices"]) == 2 * config.n_iter
+        assert len(calls["_reprojection_matrices"]) == 2 * (2 + config.n_iter)
+        for (*arrays, poses, intrinsics), stack in calls["_reprojection_matrices"]:
+            expected = [keypoint_costs_one_pose(*arrays, extr, intrinsics) for extr in poses]
+            assert np.array_equal(stack, np.stack(expected))
+        for (fd, poses, intrinsics, lambda0), stack in calls["_weighted_matrices"]:
+            expected = [weighted_costs_one_pose(fd, extr, intrinsics, lambda0) for extr in poses]
+            assert np.array_equal(stack, np.stack(expected))
+        seed_stacks = [calls["_reprojection_matrices"][k][0][4] for k in (0, 1)]
+        assert all(len(poses) > 1 for poses in seed_stacks)
+        for poses, point in zip(seed_stacks, behind):
+            assert any(extr.transform(point)[2] < 0 for extr in poses)
+
+
+def keypoint_costs_one_pose(joints3d, mask3d, joints2d, conf2d, extr, intrinsics):
+    """(p3, p2) keypoint costs under one pose, the reference for the stacks."""
+    cam = extr.transform(joints3d)[:, None]
+    return matching._reprojection_costs(cam, mask3d[:, None], joints2d[None], conf2d[None],
+                                        intrinsics)
+
+
+def weighted_costs_one_pose(fd, extr, intrinsics, lambda0):
+    """(p3, p2) keypoint plus body-pose costs under one pose, the reference
+    for the stacks."""
+    fk3, fk2 = fd.origin_skeletons
+    roots = fd.joints3d[:, 0]
+    uv3, front3 = geometry.pinhole(intrinsics, extr.transform(fk3 + roots[:, None, :]))
+    uv2, front2 = geometry.pinhole(intrinsics, extr.transform(fk2[None] + roots[:, None, None]))
+    dist = np.linalg.norm(uv3[:, None] - uv2, axis=-1)
+    pose = np.where(front3[:, None] & front2, dist, intrinsics.diagonal).mean(axis=-1)
+    costs = keypoint_costs_one_pose(
+        fd.joints3d, fd.mask3d, fd.joints2d, fd.conf2d, extr, intrinsics
+    )
+    return costs + lambda0 * pose
 
 
 # ---------------------------------------------------------------------------
