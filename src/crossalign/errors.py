@@ -38,7 +38,18 @@ class NoCommonFrames(MatchingError):
 
 
 class NoViableProposal(MatchingError):
-    """Every seed pose estimate failed; the frame carries no usable geometry."""
+    """A frame's proposal search found no winner; ``reason`` says where it
+    stopped: one side has no usable person, every seed pose estimate failed,
+    or no proposal produced a valid pose."""
+
+    NO_USABLE_PERSON = "no_usable_person"
+    SEED_FITS_FAILED = "seed_fits_failed"
+    NO_VALID_PROPOSAL = "no_valid_proposal"
+    REASONS = (NO_USABLE_PERSON, SEED_FITS_FAILED, NO_VALID_PROPOSAL)
+
+    def __init__(self, message: str, reason: str):
+        super().__init__(message)
+        self.reason = reason
 
 
 class InvalidConfig(CrossAlignError):

@@ -12,7 +12,10 @@ on acceptance. A problem ends as converged when an accepted step decreases f
 by less than REL_TOL relative, when a refused step predicts a decrease of at
 most REL_TOL·f (MINPACK's ftol test; Moré, "The Levenberg-Marquardt
 algorithm", 1978), when f reaches zero, or when μ passes MU_CEILING; it ends
-unconverged at the iteration cap.
+unconverged at the iteration cap. The stopping rules are shared; the cap is
+each solver's own: ``geometry.PNP_MAX_ITERATIONS`` (20, chosen from a sweep
+of caps over the benchmark pools and the tests) and
+``refiner.REFINE_MAX_ITERATIONS`` (50).
 
 The schedule is written once, over a batch of independent problems that each
 keep their own damping; ``damped_least_squares`` is its one-problem case. A

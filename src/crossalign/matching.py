@@ -640,7 +640,8 @@ def _search_frames(fds, intrinsics, config, seed_rows=None, stats=None) -> list:
     Every frame's seed fits go into one batch, then each refinement sweep's
     re-fits of all frames into one more; the winner is picked in proposal
     order, so every frame gets the result it gets alone. Returns per frame a
-    FrameMatchResult or the NoViableProposal that ended its search.
+    FrameMatchResult or the NoViableProposal that ended its search; ``stats``
+    counts the pose fits and the frames skipped by reason.
 
     ``seed_rows[k]`` restricts which 3D persons may seed proposals in frame
     ``fds[k]`` (used by the single-seed benchmark strategy); the refinement
@@ -652,7 +653,10 @@ def _search_frames(fds, intrinsics, config, seed_rows=None, stats=None) -> list:
     seeds = {}  # frame position -> seed pair sets
     for k, fd in enumerate(fds):
         if not fd.usable:
-            outcomes[k] = NoViableProposal(f"frame {fd.frame}: no usable person on one side")
+            outcomes[k] = NoViableProposal(
+                f"frame {fd.frame}: no usable person on one side",
+                NoViableProposal.NO_USABLE_PERSON,
+            )
             continue
         rows = range(len(fd.idx3d)) if seed_rows is None else seed_rows[k]
         seeds[k] = [
@@ -679,7 +683,10 @@ def _search_frames(fds, intrinsics, config, seed_rows=None, stats=None) -> list:
                 if proposal:
                     proposals.setdefault(proposal)
         if not proposals:
-            outcomes[k] = NoViableProposal(f"frame {fd.frame}: every seed pose estimate failed")
+            outcomes[k] = NoViableProposal(
+                f"frame {fd.frame}: every seed pose estimate failed",
+                NoViableProposal.SEED_FITS_FAILED,
+            )
             continue
         live += [(k, q, proposal) for q, proposal in enumerate(proposals)]
 
@@ -711,7 +718,10 @@ def _search_frames(fds, intrinsics, config, seed_rows=None, stats=None) -> list:
             if score > best_score:
                 best_score, best_pairs, best_extr = score, pairs, extr
         if best_pairs is None:
-            outcomes[k] = NoViableProposal(f"frame {fd.frame}: no proposal produced a valid pose")
+            outcomes[k] = NoViableProposal(
+                f"frame {fd.frame}: no proposal produced a valid pose",
+                NoViableProposal.NO_VALID_PROPOSAL,
+            )
             continue
         residual_matrix = _reprojection_matrices(
             fd.joints3d, fd.mask3d, fd.joints2d, fd.conf2d, [best_extr], intrinsics
@@ -724,6 +734,10 @@ def _search_frames(fds, intrinsics, config, seed_rows=None, stats=None) -> list:
                 residuals.append(res)
         match = build_match_set(kept, residuals, fd.n3d, fd.n2d)
         outcomes[k] = FrameMatchResult(match, best_extr, best_score)
+    if stats is not None:
+        for outcome in outcomes:
+            if isinstance(outcome, NoViableProposal):
+                stats.frames_skipped[outcome.reason] += 1
     return outcomes
 
 
@@ -813,6 +827,8 @@ class PcmStats:
     failures by kind; a fit with fewer than MIN_CORRESPONDENCES usable joints
     fails as InsufficientCorrespondences. ``pnp_iterations`` sums the
     Gauss-Newton iterations of the fits that returned a pose.
+    ``frames_failed`` counts the keypoint-search frames without a winner and
+    ``frames_skipped`` splits them by NoViableProposal reason.
     ``pairs_rejected`` counts the assigned pairs that the residual filter
     drops: their mean reprojection residual exceeds the reject threshold, or
     no frame can measure it.
@@ -823,6 +839,9 @@ class PcmStats:
     frames_total: int = 0
     frames_accumulated: int = 0
     frames_failed: int = 0
+    frames_skipped: dict = field(
+        default_factory=lambda: dict.fromkeys(NoViableProposal.REASONS, 0)
+    )
     fallback_to_pose: bool = False
     pnp_attempted: int = 0
     pnp_failed: dict = field(default_factory=lambda: dict.fromkeys(PNP_FAILURE_KINDS, 0))

@@ -275,6 +275,10 @@ class TestMatch:
         }
         assert all(isinstance(count, int) for count in stats["pnp_failed"].values())
         assert stats["pairs_rejected"] == 0
+        assert set(stats["frames_skipped"]) == {
+            "no_usable_person", "seed_fits_failed", "no_valid_proposal"
+        }
+        assert sum(stats["frames_skipped"].values()) == stats["frames_failed"]
 
     @staticmethod
     def _bad_frame_rate(lines):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from crossalign import geometry
+from crossalign import geometry, matching
 from crossalign.errors import (
     DegenerateConfiguration,
     GeometryError,
@@ -17,6 +17,7 @@ from crossalign.geometry import (
     solve_pnp,
     solve_pnp_batch,
 )
+from crossalign.simulator import SceneConfig, generate
 
 from helpers import (
     make_intrinsics,
@@ -204,6 +205,34 @@ class TestSolvePnp:
         obs[:3] = np.nan  # only 21 usable pairs remain
         result = solve_pnp(pts, obs, k)
         assert geodesic_rotation_error(result.extrinsics.rotation, extr.rotation) < 1e-4
+
+    @pytest.mark.parametrize(
+        "cameras,noise3d", [(1, 0.0), (4, 0.03)], ids=["one camera", "four cameras"]
+    )
+    def test_true_pairs_converge_well_inside_the_cap(self, cameras, noise3d):
+        # Ten persons, 2 px pixel noise and 20% joint dropout, the scenes of
+        # the pose-path and four-camera benchmarks. Fits to the true pairs take
+        # 3-4 iterations there; the cap keeps at least four times that, so it
+        # never ends a well-posed fit.
+        frames = 32
+        for seed in (1, 2, 3):
+            scene = generate(SceneConfig(
+                person_count=10, duration_frames=frames, camera_count=cameras, seed=seed,
+                pixel_noise_sigma=2.0, dropout_rate=0.2, joint3d_noise_sigma=noise3d,
+            ))
+            for camera, tracks2d in enumerate(scene.tracks2d):
+                pairs = sorted(scene.truth.correspondence[camera].items())
+                *arrays, valid = matching._pair_frames(
+                    scene.tracks3d, tracks2d, pairs, np.arange(frames)
+                )
+                problems = []
+                for t in range(frames):
+                    joints3d, mask3d, joints2d, conf2d = (a[valid[:, t], t] for a in arrays)
+                    usable = mask3d & (conf2d > 0)
+                    problems.append((joints3d[usable], joints2d[usable]))
+                for outcome in solve_pnp_batch(problems, scene.intrinsics):
+                    assert isinstance(outcome, PnpResult)
+                    assert outcome.iterations <= geometry.PNP_MAX_ITERATIONS // 4
 
 
 class TestSolvePnpBatch:

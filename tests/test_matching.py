@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossalign import geometry, matching
-from crossalign.errors import GeometryError, InvalidConfig, NoCommonFrames, NoViableProposal
+from crossalign.errors import (
+    GeometryError,
+    InvalidConfig,
+    NoCommonFrames,
+    NoConvergence,
+    NoViableProposal,
+)
 from crossalign.geometry import Extrinsics, project, solve_pnp
 from crossalign.matching import (
     JOINTS,
@@ -861,6 +867,41 @@ class TestSearchFrames:
         assert all(len(poses) > 1 for poses in seed_stacks)
         for poses, point in zip(seed_stacks, behind):
             assert any(extr.transform(point)[2] < 0 for extr in poses)
+
+    @pytest.mark.parametrize("proposal_fits", ["solved", "failed"])
+    def test_stats_count_skipped_frames_by_reason(self, proposal_fits, monkeypatch):
+        # Frames 2 and 5 have no usable person on one side. At frame 6 every
+        # 3D person keeps joints 0-5 only and no 2D person sees joint 0, so no
+        # pair can seed a pose fit.
+        scene, tracks3d, tracks2d = self.edited_scene()
+        for p, track in enumerate(tracks3d):
+            joints = track.joints.copy()
+            joints[6, 6:] = np.nan
+            tracks3d[p] = replace(track, joints=joints)
+        expected = {
+            NoViableProposal.NO_USABLE_PERSON: 2,
+            NoViableProposal.SEED_FITS_FAILED: 1,
+            NoViableProposal.NO_VALID_PROPOSAL: 0,
+        }
+        if proposal_fits == "failed":
+            # Every fit to more than one person fails: the seed fits still
+            # give proposals, but no proposal gives a pose.
+            solve = matching.solve_pnp_batch
+
+            def one_person_fits(problems, intrinsics):
+                problems = list(problems)
+                return [
+                    NoConvergence("stub") if len(points3d) > JOINTS else outcome
+                    for (points3d, _), outcome in zip(problems, solve(problems, intrinsics))
+                ]
+
+            monkeypatch.setattr(matching, "solve_pnp_batch", one_person_fits)
+            expected[NoViableProposal.NO_VALID_PROPOSAL] = 5
+        stats = match_sequences(tracks3d, tracks2d, scene.intrinsics, PcmConfig(delta=0)).stats
+        assert stats.frames_skipped == expected
+        assert sum(stats.frames_skipped.values()) == stats.frames_failed
+        assert stats.frames_accumulated + stats.frames_failed == 8
+        assert stats.fallback_to_pose == (proposal_fits == "failed")
 
 
 def keypoint_costs_one_pose(joints3d, mask3d, joints2d, conf2d, extr, intrinsics):
