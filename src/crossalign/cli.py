@@ -342,7 +342,8 @@ def cmd_refine(args) -> int:
             )
 
     frames = len(lidar.frame_indices)
-    views = []  # (doc, intrinsics, resampled 2D tracks)
+    # Per LiDAR person, its matched (doc, intrinsics, resampled 2D track), in document order.
+    matched = [[] for _ in lidar.tracks]
     documents_of = {}  # resolved camera stream -> the match document naming it
     for match_path in args.match:
         doc = load_match_output(match_path)
@@ -380,26 +381,21 @@ def cmd_refine(args) -> int:
                     f"{match_path}: pair ({i}, {j}) names persons {ids[0]!r} and {ids[1]!r}, "
                     f"but the streams hold {held[0]!r} and {held[1]!r} there"
                 )
+            matched[i].append((doc, cam.intrinsics, tracks2d[j]))
         beyond = [t for t in doc.extrinsics if t >= frames]
         if beyond:
             raise StreamFormatError(
                 f"{match_path}: extrinsics frame {min(beyond)} is beyond the {frames}-frame "
                 "LiDAR timeline"
             )
-        views.append((doc, cam.intrinsics, tracks2d))
 
     problems, slots = [], []  # every person-frame with a camera view, and its (track, frame)
     for idx3, track in enumerate(lidar.tracks):
-        matched = []
-        for doc, intrinsics, tracks2d in views:
-            for i, j in doc.pairs:
-                if i == idx3:
-                    matched.append((doc, intrinsics, tracks2d[j]))
         for t in range(frames):
             if not track.valid[t]:
                 continue
             observations = []
-            for doc, intrinsics, track2d in matched:
+            for doc, intrinsics, track2d in matched[idx3]:
                 extr = doc.extrinsics.get(t)
                 if extr is None or not track2d.valid[t]:
                     continue
@@ -481,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="generate synthetic streams plus ground truth")
     p_sim.add_argument("--config", required=True, help="scene config JSON")
     p_sim.add_argument("--out", required=True, help="output directory")
-    p_sim.add_argument("--seed", type=int, default=None, help="override the config seed")
+    p_sim.add_argument("--seed", type=_seed, default=None, help="override the config seed")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_match = sub.add_parser("match", help="match a lidar stream against camera streams")

@@ -617,13 +617,14 @@ def optimize_frame_match(
 ) -> FrameMatchResult:
     """Best assignment for one frame by seeded proposal search.
 
-    Every candidate pair (i, j) with enough jointly valid joints seeds a
-    camera pose fit to that single person; the full reprojection-cost matrix
-    under that pose is assigned to produce a proposal. Each distinct
-    proposal is then refined ``n_iter`` times (re-fit pose on all its pairs,
-    re-cost with the combined keypoint + body-pose matrix, re-assign) while
-    the best-scoring assignment seen anywhere is tracked. Pairs of the winner
-    whose reprojection residual exceeds the reject threshold are moved to the
+    The search runs in stages of one fit -> cost -> assign step. At stage -1
+    every candidate pair (i, j) with enough jointly valid joints seeds a pose
+    fit to that single person, whose reprojection-cost matrix is assigned into
+    a proposal. Stages 0 ... ``n_iter`` - 1 are the refinement sweeps: each
+    re-fits every distinct proposal's pose on all its pairs, scores it under
+    the combined keypoint + body-pose matrix and assigns that matrix into its
+    next pairs. The first best-scoring (proposal, sweep) wins; its pairs whose
+    reprojection residual exceeds the reject threshold are moved to the
     unmatched lists.
 
     The one-frame case of ``_search_frames``.
@@ -637,107 +638,86 @@ def optimize_frame_match(
 def _search_frames(fds, intrinsics, config, seed_rows=None, stats=None) -> list:
     """The proposal search of ``optimize_frame_match`` over many frames at once.
 
-    Every frame's seed fits go into one batch, then each refinement sweep's
-    re-fits of all frames into one more; the winner is picked in proposal
-    order, so every frame gets the result it gets alone. Returns per frame a
-    FrameMatchResult or the NoViableProposal that ended its search; ``stats``
-    counts the pose fits and the frames skipped by reason.
+    One loop runs stages -1 (the seeds) to ``n_iter`` - 1 (the sweeps); each
+    stage fits the live pairings of every frame in one batch, and every stage
+    but the last assigns their cost matrices into the next stage's pairings.
+    One pass then decides each frame's outcome, so every frame gets the result
+    it gets alone. Returns per frame a FrameMatchResult or the NoViableProposal
+    that ended its search; ``stats`` counts the pose fits and the frames
+    skipped by reason.
 
     ``seed_rows[k]`` restricts which 3D persons may seed proposals in frame
     ``fds[k]`` (used by the single-seed benchmark strategy); the refinement
     always considers everyone.
     """
     threshold = config.resolved_reject_threshold(intrinsics)
-    outcomes: list = [None] * len(fds)
     poses: dict = {}
-    seeds = {}  # frame position -> seed pair sets
+    # Frame position -> its live (proposal, pairs): seeds are numbered in order,
+    # and an assignment keeps the number of the first pairing that gave it.
+    # Pairs are looked up as fitted: seeds hold one pair, ``hungarian`` sorts.
+    live = {}
     for k, fd in enumerate(fds):
-        if not fd.usable:
-            outcomes[k] = NoViableProposal(
-                f"frame {fd.frame}: no usable person on one side",
-                NoViableProposal.NO_USABLE_PERSON,
-            )
-            continue
-        rows = range(len(fd.idx3d)) if seed_rows is None else seed_rows[k]
-        seeds[k] = [
-            ((a, b),)
-            for a in rows
-            for b in range(len(fd.idx2d))
-            if (fd.mask3d[a] & (fd.conf2d[b] > 0)).sum() >= MIN_CORRESPONDENCES
-        ]
-    _fit_pairs(fds, poses, [(k, seed) for k in seeds for seed in seeds[k]], intrinsics, stats)
-
-    # Pairs are looked up as fitted: seeds hold one pair and proposals come
-    # sorted from ``hungarian``.
-    live = []  # (frame position, proposal, current pairs) of the proposals still refining
-    for k, frame_seeds in seeds.items():
-        fd = fds[k]
-        proposals: dict[tuple, None] = {}  # distinct, in seed order
-        fitted = [poses[k, seed] for seed in frame_seeds if poses[k, seed] is not None]
-        if fitted:
-            stack = _reprojection_matrices(
-                fd.joints3d, fd.mask3d, fd.joints2d, fd.conf2d, fitted, intrinsics
-            )
-            for costs in stack:
-                proposal = hungarian(CostMatrix(costs)).pairs
-                if proposal:
-                    proposals.setdefault(proposal)
-        if not proposals:
-            outcomes[k] = NoViableProposal(
-                f"frame {fd.frame}: every seed pose estimate failed",
-                NoViableProposal.SEED_FITS_FAILED,
-            )
-            continue
-        live += [(k, q, proposal) for q, proposal in enumerate(proposals)]
-
-    scored: dict = {k: [] for k in seeds}  # (proposal, sweep, score, pairs, extr)
-    for sweep in range(config.n_iter):
-        _fit_pairs(fds, poses, [(k, pairs) for k, _, pairs in live], intrinsics, stats)
-        following = []
-        for k, group in itertools.groupby(live, key=lambda entry: entry[0]):  # frame order
-            fitted = [(q, pairs, poses[k, pairs]) for _, q, pairs in group
+        if fd.usable:
+            rows = range(len(fd.idx3d)) if seed_rows is None else seed_rows[k]
+            live[k] = list(enumerate(
+                ((a, b),)
+                for a in rows
+                for b in range(len(fd.idx2d))
+                if (fd.mask3d[a] & (fd.conf2d[b] > 0)).sum() >= MIN_CORRESPONDENCES
+            ))
+    # Frame position -> the sweeps' (proposal, sweep, score, pairs, pose); a
+    # frame enters once a seed fit gives it a pose.
+    entries: dict = {}
+    for stage in range(-1, config.n_iter):
+        _fit_pairs(fds, poses, [(k, p) for k in live for _, p in live[k]], intrinsics, stats)
+        following = {}
+        for k, pairings in live.items():
+            fitted = [(q, pairs, poses[k, pairs]) for q, pairs in pairings
                       if poses[k, pairs] is not None]
             if not fitted:
                 continue
-            stack = _weighted_matrices(
-                fds[k], [extr for _, _, extr in fitted], intrinsics, config.lambda0
-            )
+            fd, extrs = fds[k], [extr for _, _, extr in fitted]
+            if stage < 0:  # seeds are costed by their keypoints alone
+                stack = _reprojection_matrices(
+                    fd.joints3d, fd.mask3d, fd.joints2d, fd.conf2d, extrs, intrinsics
+                )
+            else:
+                stack = _weighted_matrices(fd, extrs, intrinsics, config.lambda0)
+            frame_entries, assigned = entries.setdefault(k, []), {}
             for (q, pairs, extr), costs in zip(fitted, stack):
-                _, score = _pairing_score(costs, pairs, threshold)
-                scored[k].append((q, sweep, score, pairs, extr))
-                if sweep + 1 < config.n_iter:
-                    following.append((k, q, hungarian(CostMatrix(costs)).pairs))
+                if stage >= 0:
+                    _, score = _pairing_score(costs, pairs, threshold)
+                    frame_entries.append((q, stage, score, pairs, extr))
+                if stage + 1 < config.n_iter:
+                    assigned.setdefault(hungarian(CostMatrix(costs)).pairs, q)
+            following[k] = [(q, pairs) for pairs, q in assigned.items()]
         live = following
 
-    for k, entries in scored.items():
-        if outcomes[k] is not None:
-            continue
-        fd = fds[k]
+    outcomes = []
+    for k, fd in enumerate(fds):
         best_score, best_pairs, best_extr = -math.inf, None, None
-        for _, _, score, pairs, extr in sorted(entries, key=lambda entry: entry[:2]):
+        for _, _, score, pairs, extr in sorted(entries.get(k, ()), key=lambda e: e[:2]):
             if score > best_score:
                 best_score, best_pairs, best_extr = score, pairs, extr
-        if best_pairs is None:
-            outcomes[k] = NoViableProposal(
-                f"frame {fd.frame}: no proposal produced a valid pose",
-                NoViableProposal.NO_VALID_PROPOSAL,
-            )
+        if best_pairs is not None:
+            residual_matrix = _reprojection_matrices(
+                fd.joints3d, fd.mask3d, fd.joints2d, fd.conf2d, [best_extr], intrinsics
+            )[0]
+            kept = [(a, b) for a, b in best_pairs if residual_matrix[a, b] <= threshold]
+            match = build_match_set([(fd.idx3d[a], fd.idx2d[b]) for a, b in kept],
+                                    [residual_matrix[ab] for ab in kept], fd.n3d, fd.n2d)
+            outcomes.append(FrameMatchResult(match, best_extr, best_score))
             continue
-        residual_matrix = _reprojection_matrices(
-            fd.joints3d, fd.mask3d, fd.joints2d, fd.conf2d, [best_extr], intrinsics
-        )[0]
-        kept, residuals = [], []
-        for a, b in best_pairs:
-            res = float(residual_matrix[a, b])
-            if res <= threshold:
-                kept.append((int(fd.idx3d[a]), int(fd.idx2d[b])))
-                residuals.append(res)
-        match = build_match_set(kept, residuals, fd.n3d, fd.n2d)
-        outcomes[k] = FrameMatchResult(match, best_extr, best_score)
-    if stats is not None:
-        for outcome in outcomes:
-            if isinstance(outcome, NoViableProposal):
-                stats.frames_skipped[outcome.reason] += 1
+        if not fd.usable:
+            reason, message = NoViableProposal.NO_USABLE_PERSON, "no usable person on one side"
+        elif k not in entries:
+            reason, message = NoViableProposal.SEED_FITS_FAILED, "every seed pose estimate failed"
+        else:
+            reason = NoViableProposal.NO_VALID_PROPOSAL
+            message = "no proposal produced a valid pose"
+        outcomes.append(NoViableProposal(f"frame {fd.frame}: {message}", reason))
+        if stats is not None:
+            stats.frames_skipped[reason] += 1
     return outcomes
 
 
@@ -823,6 +803,10 @@ def smooth_extrinsics(sequence, window: int):
 class PcmStats:
     """Instrumentation counters for gate / fallback behavior and pose fits.
 
+    ``gate_variance`` is taken over the initial pairing's per-frame fits that
+    converged within ``geometry.PNP_MAX_ITERATIONS``, so a cap change can move
+    it: cap 100 -> 20 moved it on 6 of 16 ``twins4`` scenes, by up to 17%,
+    with no path change.
     ``pnp_attempted`` counts the pose fits tried and ``pnp_failed`` their
     failures by kind; a fit with fewer than MIN_CORRESPONDENCES usable joints
     fails as InsufficientCorrespondences. ``pnp_iterations`` sums the

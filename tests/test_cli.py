@@ -819,6 +819,13 @@ class TestUsage:
         assert run_cli(*argv) == 1
         assert not out.exists()
 
+    def test_negative_simulate_seed_is_usage_error_before_any_output(self, tmp_path):
+        config = tmp_path / "scene.json"
+        config.write_text(json.dumps(scene_config_payload()))
+        out = tmp_path / "never"
+        assert run_cli("simulate", "--config", str(config), "--out", str(out), "--seed", "-3") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "target", ["stream", "match document", "run config", "scene config", "bench spec"]
     )

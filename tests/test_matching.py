@@ -805,8 +805,16 @@ class TestSearchFrames:
             tracks2d.append(replace(track, confidence=confidence))
         return scene, tracks3d, tracks2d
 
-    @pytest.mark.parametrize("rows", ["every person", "one person per frame"])
-    def test_each_frame_gets_the_result_it_gets_alone(self, rows):
+    # The default config keeps the plain ``rows`` id. At n_iter = 1 the only
+    # sweep is also the last, so it assigns nothing further.
+    @pytest.mark.parametrize("rows, n_iter, lambda0", [
+        pytest.param(rows, n_iter, lambda0, id=rows if (n_iter, lambda0) == (2, 0.1)
+                     else f"{rows}-n_iter{n_iter}-lambda0_{lambda0}")
+        for rows in ("every person", "one person per frame")
+        for n_iter in (1, 2, 3)
+        for lambda0 in (0.0, 0.1)
+    ])
+    def test_each_frame_gets_the_result_it_gets_alone(self, rows, n_iter, lambda0):
         scene, tracks3d, tracks2d = self.edited_scene()
         fds = [frame_slice(tracks3d, tracks2d, t) for t in range(8)]
         assert fds[6].idx3d[0] == 0 and len(fds[6].idx3d) > 1
@@ -816,7 +824,7 @@ class TestSearchFrames:
             seed_rows = [[t % len(fd.idx3d)] if fd.usable else [] for t, fd in enumerate(fds)]
             seed_rows[6] = [0]
             alone_rows = [[r] for r in seed_rows]
-        config = PcmConfig()
+        config = PcmConfig(n_iter=n_iter, lambda0=lambda0)
         outcomes = matching._search_frames(fds, scene.intrinsics, config, seed_rows)
         for fd, frame_rows, outcome in zip(fds, alone_rows, outcomes):
             alone = matching._search_frames([fd], scene.intrinsics, config, frame_rows)[0]
