@@ -59,7 +59,7 @@ from .streams import (
     load_match_output,
     match_output_payload,
     parse_stream,
-    read_utf8,
+    read_json_object,
     require_same_hash,
     resample_to_timeline,
     write_match_output,
@@ -90,19 +90,6 @@ class RunConfig:
     def __post_init__(self):
         if not (self.lambda1 >= 0 and self.lambda2 >= 0 and self.lambda3 >= 0):
             raise InvalidConfig("refinement weights must be >= 0")
-
-
-def _load_json(path: str | Path, error: type[CrossAlignError]) -> dict:
-    """The JSON object in ``path``; a file that is not one raises ``error``."""
-    try:
-        payload = json.loads(read_utf8(path, error))
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise error(f"{path} is not valid JSON: {exc}") from None
-    if not isinstance(payload, dict):
-        raise error(f"{path}: must be a JSON object")
-    return payload
 
 
 def _from_json(cls, payload: dict, path, error: type[CrossAlignError], **given):
@@ -152,19 +139,19 @@ def _json_value(value, kind):
 def load_run_config(path: str | Path | None) -> RunConfig:
     if path is None:
         return RunConfig()
-    payload = _load_json(path, InvalidConfig)
+    payload = read_json_object(path, InvalidConfig)
     pcm = {f.name: payload.pop(f.name) for f in fields(PcmConfig) if f.name in payload}
     pcm_config = _from_json(PcmConfig, pcm, path, InvalidConfig)
     return _from_json(RunConfig, payload, path, InvalidConfig, pcm=pcm_config)
 
 
 def load_scene_config(path: str | Path, seed_override: int | None) -> SceneConfig:
-    config = _from_json(SceneConfig, _load_json(path, InvalidConfig), path, InvalidConfig)
+    config = _from_json(SceneConfig, read_json_object(path, InvalidConfig), path, InvalidConfig)
     return config if seed_override is None else replace(config, seed=seed_override)
 
 
 def load_bench_spec(path: str | Path) -> BenchSpec:
-    return _from_json(BenchSpec, _load_json(path, InvalidSpec), path, InvalidSpec)
+    return _from_json(BenchSpec, read_json_object(path, InvalidSpec), path, InvalidSpec)
 
 
 # ---------------------------------------------------------------------------

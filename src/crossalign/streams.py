@@ -26,6 +26,7 @@ from .errors import (
     CrossAlignError,
     FrameOrderViolation,
     HashMismatch,
+    IoFailure,
     JointArityMismatch,
     MalformedHeader,
     StreamFormatError,
@@ -139,9 +140,32 @@ def read_utf8(path: str | Path, error: type[CrossAlignError]) -> str:
         raise error(f"{path} is not UTF-8 text: {exc}") from None
 
 
+def read_json_object(path: str | Path, error: type[CrossAlignError]) -> dict:
+    """The JSON object in ``path``; a file that is not one raises ``error``,
+    one that cannot be read IoFailure."""
+    try:
+        payload = json.loads(read_utf8(path, error))
+    except OSError as exc:
+        raise IoFailure(f"cannot read {path}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise error(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise error(f"{path}: must be a JSON object")
+    return payload
+
+
 def parse_stream(path: str | Path) -> ParsedStream:
-    """Parse a stream file back into typed tracks on the record timeline."""
+    """Parse a stream file back into typed tracks on the record timeline. A
+    format error names ``path`` before its line."""
     lines = read_utf8(path, StreamFormatError).splitlines()
+    try:
+        return _parse_lines(lines)
+    except StreamFormatError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
+def _parse_lines(lines: list[str]) -> ParsedStream:
     if not lines:
         raise MalformedHeader("empty stream file", 1)
 
@@ -160,9 +184,9 @@ def parse_stream(path: str | Path) -> ParsedStream:
             f"unsupported stream_format_version {header.get('stream_format_version')!r}", 1
         )
     frame_rate = _finite_number(header.get("frame_rate", 10.0))
-    if frame_rate is None:
+    if frame_rate is None or frame_rate <= 0:
         raise MalformedHeader(
-            f"frame_rate must be a finite number, got {header.get('frame_rate')!r}", 1
+            f"frame_rate must be a positive finite number, got {header.get('frame_rate')!r}", 1
         )
     skeleton_hash = str(header.get("skeleton_hash", ""))
     intrinsics = None
@@ -171,54 +195,27 @@ def parse_stream(path: str | Path) -> ParsedStream:
             raise MalformedHeader("camera streams must carry intrinsics", 1)
         intrinsics = _intrinsics_from(header["intrinsics"], 1)
 
+    # Every record and person record is checked where it stands, in file order.
+    box = intrinsics.pixel_box if intrinsics is not None else None
+    width = 3 if kind == KIND_3D else 2
     frame_indices: list[int] = []
-    records: list[dict] = []
-    for offset, raw in enumerate(lines[1:], start=2):
+    owners, joints, quats, confs = [], [], [], []  # per person record: (id, slot, line), arrays
+    for line, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
         try:
             record = json.loads(raw)
         except json.JSONDecodeError as exc:
-            raise StreamFormatError(f"record is not valid JSON: {exc}", offset) from None
+            raise StreamFormatError(f"record is not valid JSON: {exc}", line) from None
         if not isinstance(record, dict) or "frame" not in record:
-            raise StreamFormatError("record must be an object with a 'frame' field", offset)
-        _warn_unknown(record, _RECORD_FIELDS, offset)
+            raise StreamFormatError("record must be an object with a 'frame' field", line)
+        _warn_unknown(record, _RECORD_FIELDS, line)
         frame = record["frame"]
         if isinstance(frame, bool) or not isinstance(frame, int):
-            raise StreamFormatError(f"frame must be an integer, got {frame!r}", offset)
+            raise StreamFormatError(f"frame must be an integer, got {frame!r}", line)
         if frame_indices and frame <= frame_indices[-1]:
-            raise FrameOrderViolation(
-                f"frame {frame} follows frame {frame_indices[-1]}", offset
-            )
+            raise FrameOrderViolation(f"frame {frame} follows frame {frame_indices[-1]}", line)
         frame_indices.append(frame)
-        record["_line"] = offset
-        records.append(record)
-
-    tracks = _tracks_from_records(kind, records, len(frame_indices), intrinsics)
-    return ParsedStream(kind, frame_rate, skeleton_hash, intrinsics, frame_indices, tracks)
-
-
-def _finite_number(value) -> float | None:
-    """``value`` as a float if it is a finite JSON number, else None."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return None
-    try:
-        number = float(value)
-    except OverflowError:
-        return None
-    return number if math.isfinite(number) else None
-
-
-def _warn_unknown(obj: dict, known: set, line_number: int) -> None:
-    for key in obj:
-        if key not in known and not key.startswith("_"):
-            logger.warning("line %d: ignoring unknown field %r", line_number, key)
-
-
-def _tracks_from_records(kind, records, frames, intrinsics):
-    per_person: dict[str, list[tuple[int, int, dict]]] = {}  # in order of first appearance
-    for slot, record in enumerate(records):
-        line = record["_line"]
         persons = record.get("persons", [])
         if not isinstance(persons, list):
             raise StreamFormatError("'persons' must be a list", line)
@@ -231,15 +228,6 @@ def _tracks_from_records(kind, records, frames, intrinsics):
             if pid in in_record:
                 raise StreamFormatError(f"person {pid!r} appears twice in one frame", line)
             in_record.add(pid)
-            per_person.setdefault(pid, []).append((slot, line, person))
-
-    # Each person record is checked where it stands; the body poses of the
-    # whole stream are then converted in one call.
-    box = intrinsics.pixel_box if intrinsics is not None else None
-    width = 3 if kind == KIND_3D else 2
-    joints, quats, confs, owners = [], [], [], []  # per person record, person-major
-    for pid, entries in per_person.items():
-        for slot, line, person in entries:
             try:
                 j = np.asarray(person.get("joints", []), dtype=float)
                 q = np.asarray(person.get("body_pose", []), dtype=float)
@@ -268,37 +256,65 @@ def _tracks_from_records(kind, records, frames, intrinsics):
                         f"person {pid!r} pixel coordinates outside the allowed box", line
                     )
                 confs.append(c)
+            owners.append((pid, len(frame_indices) - 1, line))
             joints.append(j)
             quats.append(q)
-            owners.append((pid, line))
 
+    # The body poses of the whole stream are converted in one call.
     quats = np.array(quats, dtype=float).reshape(-1, JOINTS, 4)
     norms = np.linalg.norm(quats, axis=-1)
     bad = ~(np.isfinite(norms) & (norms > 0)).all(axis=1)
     if bad.any():
-        pid, line = owners[np.argmax(bad)]
+        pid, _, line = owners[np.argmax(bad)]
         raise StreamFormatError(f"person {pid!r} carries a zero or non-finite quaternion", line)
     matrices = batch_matrices_from_quat_wxyz(quats)
 
-    tracks = []
-    start = 0
-    for pid, entries in per_person.items():
-        slots = [slot for slot, _, _ in entries]
-        rows = slice(start, start + len(slots))
-        start += len(slots)
-        track_joints = np.zeros((frames, JOINTS, width))
-        track_joints[slots] = joints[rows]
-        pose = np.broadcast_to(np.eye(3), (frames, JOINTS, 3, 3)).copy()
-        pose[slots] = matrices[rows]
-        valid = np.zeros(frames, dtype=bool)
-        valid[slots] = True
-        if kind == KIND_3D:
-            tracks.append(PersonTrack3D(pid, track_joints, pose, valid))
-        else:
-            conf = np.zeros((frames, JOINTS))
-            conf[slots] = confs[rows]
-            tracks.append(PersonTrack2D(pid, track_joints, conf, pose, valid))
-    return tracks
+    rows_of: dict[str, list[int]] = {}  # in order of first appearance
+    for row, (pid, _, _) in enumerate(owners):
+        rows_of.setdefault(pid, []).append(row)
+    slots = np.array([slot for _, slot, _ in owners], dtype=int)
+    joints = np.array(joints, dtype=float).reshape(-1, JOINTS, width)
+    confs = np.array(confs, dtype=float).reshape(-1, JOINTS) if kind == KIND_2D else None
+    tracks = [
+        _scatter_track(pid, len(frame_indices), slots[rows], joints[rows], matrices[rows],
+                       None if confs is None else confs[rows])
+        for pid, rows in rows_of.items()
+    ]
+    return ParsedStream(kind, frame_rate, skeleton_hash, intrinsics, frame_indices, tracks)
+
+
+def _finite_number(value) -> float | None:
+    """``value`` as a float if it is a finite JSON number, else None."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        number = float(value)
+    except OverflowError:
+        return None
+    return number if math.isfinite(number) else None
+
+
+def _warn_unknown(obj: dict, known: set, line_number: int) -> None:
+    for key in obj:
+        if key not in known:
+            logger.warning("line %d: ignoring unknown field %r", line_number, key)
+
+
+def _scatter_track(pid, frames, slots, joints, body_pose, confidence=None):
+    """A ``frames``-long track holding the given rows at ``slots`` (indices or a
+    mask) and invalid elsewhere: zero joints and confidences, identity poses.
+    With confidences it is a PersonTrack2D, else a PersonTrack3D."""
+    valid = np.zeros(frames, dtype=bool)
+    valid[slots] = True
+    track_joints = np.zeros((frames,) + joints.shape[1:])
+    track_joints[slots] = joints
+    pose = np.broadcast_to(np.eye(3), (frames, JOINTS, 3, 3)).copy()
+    pose[slots] = body_pose
+    if confidence is None:
+        return PersonTrack3D(pid, track_joints, pose, valid)
+    conf = np.zeros((frames, JOINTS))
+    conf[slots] = confidence
+    return PersonTrack2D(pid, track_joints, conf, pose, valid)
 
 
 def resample_to_timeline(
@@ -332,13 +348,8 @@ def resample_to_timeline(
         valid = source_for_target >= 0
         valid[valid] = track.valid[source_for_target[valid]]
         rows = source_for_target[valid]
-        joints = np.zeros((frames,) + track.joints.shape[1:])
-        joints[valid] = track.joints[rows]
-        pose = np.broadcast_to(np.eye(3), (frames, JOINTS, 3, 3)).copy()
-        pose[valid] = track.body_pose[rows]
-        conf = np.zeros((frames, JOINTS))
-        conf[valid] = track.confidence[rows]
-        resampled.append(PersonTrack2D(track.person_id, joints, conf, pose, valid))
+        resampled.append(_scatter_track(track.person_id, frames, valid, track.joints[rows],
+                                        track.body_pose[rows], track.confidence[rows]))
     return resampled
 
 
@@ -410,14 +421,9 @@ class MatchDocument:
 
 
 def load_match_output(path: str | Path) -> MatchDocument:
-    try:
-        payload = json.loads(read_utf8(path, StreamFormatError))
-    except json.JSONDecodeError as exc:
-        raise StreamFormatError(f"match output is not valid JSON: {exc}") from None
-    if not isinstance(payload, dict):
-        raise StreamFormatError(f"{path}: match output must be a JSON object")
+    payload = read_json_object(path, StreamFormatError)
     if payload.get("match_format_version") != MATCH_FORMAT_VERSION:
-        raise StreamFormatError("unsupported match_format_version")
+        raise StreamFormatError(f"{path}: unsupported match_format_version")
     try:
         entries = payload.get("pairs", [])
         pairs = [(_index(p["idx3d"]), _index(p["idx2d"])) for p in entries]
@@ -432,7 +438,9 @@ def load_match_output(path: str | Path) -> MatchDocument:
         quats = quats.reshape(len(frames), 4)
         off_unit = np.abs(np.linalg.norm(quats, axis=1) - 1.0) > 1e-9
         if off_unit.any():
-            raise StreamFormatError(f"non-unit quaternion in frame {frames[np.argmax(off_unit)]}")
+            raise StreamFormatError(
+                f"{path}: non-unit quaternion in frame {frames[np.argmax(off_unit)]}"
+            )
         extrinsics = {
             frame: Extrinsics(rotation, np.asarray(record["translation_m"], dtype=float))
             for frame, record, rotation in zip(
@@ -444,7 +452,7 @@ def load_match_output(path: str | Path) -> MatchDocument:
     except (AttributeError, TypeError, ValueError) as exc:
         raise StreamFormatError(f"{path}: malformed match output: {exc}") from None
     if len({i for i, _ in pairs}) != len(pairs) or len({j for _, j in pairs}) != len(pairs):
-        raise StreamFormatError("match pairs are not injective")
+        raise StreamFormatError(f"{path}: match pairs are not injective")
     return MatchDocument(
         payload=payload,
         pairs=pairs,

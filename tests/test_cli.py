@@ -425,6 +425,38 @@ class TestMatch:
         assert code == 2
         assert any(r.levelname == "ERROR" and "line 3:" in r.getMessage() for r in caplog.records)
 
+    def test_malformed_second_camera_is_named(self, scene_dir, tmp_path, caplog):
+        first, second = scene_dir / "camera_00.jsonl", scene_dir / "camera_01.jsonl"
+        lines = first.read_text().splitlines()
+        second.write_text("\n".join(lines[:3] + lines[2:]) + "\n")  # line 4 repeats frame 1
+        caplog.clear()
+        code = run_cli(
+            "match", "--lidar", str(scene_dir / "lidar.jsonl"), "--camera", str(first),
+            "--camera", str(second), "--out", str(tmp_path / "match"),
+        )
+        assert code == 2
+        message = " ".join(r.getMessage() for r in caplog.records if r.levelname == "ERROR")
+        assert f"{second}: line 4: frame 1 follows frame 1" in message
+        assert str(first) not in message
+
+    @pytest.mark.parametrize("rate", [0, -10.0])
+    def test_non_positive_lidar_frame_rate_is_a_header_error(
+        self, scene_dir, tmp_path, rate, caplog
+    ):
+        lidar = scene_dir / "lidar.jsonl"
+        lines = lidar.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["frame_rate"] = rate
+        lidar.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        caplog.clear()
+        code = run_cli(
+            "match", "--lidar", str(lidar), "--camera", str(scene_dir / "camera_00.jsonl"),
+            "--out", str(tmp_path / "match"),
+        )
+        assert code == 2
+        message = " ".join(r.getMessage() for r in caplog.records if r.levelname == "ERROR")
+        assert f"{lidar}: line 1: frame_rate must be a positive finite number" in message
+
 
 class TestRefine:
     @pytest.fixture()

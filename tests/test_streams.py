@@ -2,21 +2,25 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from crossalign import streams
 from crossalign.errors import (
     FrameOrderViolation,
     HashMismatch,
+    IoFailure,
     JointArityMismatch,
     MalformedHeader,
     StreamFormatError,
 )
-from crossalign.matching import MatchSet, PcmConfig
+from crossalign.matching import MatchSet, PcmConfig, PersonTrack2D
 from crossalign.geometry import Extrinsics
 from crossalign.simulator import SceneConfig, generate
 from crossalign.streams import (
     KIND_2D,
     KIND_3D,
+    ParsedStream,
     load_match_output,
     match_output_payload,
     parse_stream,
@@ -148,7 +152,7 @@ class TestParseErrors:
             parse_stream(path)
         assert err.value.line_number == 3
 
-    @pytest.mark.parametrize("rate", ["abc", None, [10], float("nan")])
+    @pytest.mark.parametrize("rate", ["abc", None, [10], float("nan"), 0, -10.0])
     def test_non_numeric_frame_rate_is_a_header_error(self, tmp_path, rate):
         header = json.loads(self._header())
         header["frame_rate"] = rate
@@ -157,6 +161,29 @@ class TestParseErrors:
         with pytest.raises(MalformedHeader) as err:
             parse_stream(path)
         assert err.value.line_number == 1
+
+    def test_errors_name_the_file(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        records = [self._header()] + [json.dumps({"frame": 0, "persons": []})] * 2
+        path.write_text("\n".join(records) + "\n")
+        with pytest.raises(FrameOrderViolation) as err:
+            parse_stream(path)
+        assert err.value.line_number == 3
+        assert str(err.value) == f"{path}: line 3: frame 0 follows frame 0"
+
+    def test_first_fault_in_file_order_is_reported(self, tmp_path):
+        # Line 2 carries a 23-joint person, line 4 repeats frame 1.
+        records = [
+            self._header(),
+            json.dumps({"frame": 0, "persons": [self._person(joints=23)]}),
+            json.dumps({"frame": 1, "persons": [self._person()]}),
+            json.dumps({"frame": 1, "persons": []}),
+        ]
+        path = tmp_path / "s.jsonl"
+        path.write_text("\n".join(records) + "\n")
+        with pytest.raises(JointArityMismatch) as err:
+            parse_stream(path)
+        assert err.value.line_number == 2
 
     @pytest.mark.parametrize("frame", ["x", "3", 2.5, None, True])
     def test_non_integer_frame_names_line(self, tmp_path, frame):
@@ -207,6 +234,16 @@ class TestParseErrors:
         assert len(parsed.tracks) == 1
         assert "vendor_extra" in caplog.text
         assert "note" in caplog.text
+
+    def test_underscore_fields_warn_too(self, tmp_path, caplog):
+        person = dict(self._person(), _note="person")
+        record = {"frame": 0, "persons": [person], "_note": "record"}
+        path = tmp_path / "s.jsonl"
+        path.write_text(self._header() + "\n" + json.dumps(record) + "\n")
+        with caplog.at_level("WARNING"):
+            parse_stream(path)
+        warned = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert warned == ["line 2: ignoring unknown field '_note'"] * 2
 
     @pytest.mark.parametrize("field", ["joints", "confidence", "body_pose"])
     def test_non_numeric_person_data_names_line(self, tmp_path, field):
@@ -331,6 +368,45 @@ class TestResample:
         for track in resampled:
             assert not track.valid[8:].any()
 
+    @staticmethod
+    def _nearest_source(source_indices, source_rate, target_indices, target_rate):
+        """Brute force: per target frame, the nearest source frame in time (the
+        lower index on a tie), or -1 beyond half a target period."""
+        picks = []
+        for t in target_indices:
+            gaps = [abs(s / source_rate - t / target_rate) for s in source_indices]
+            best = min(range(len(gaps)), key=lambda s: (gaps[s], s), default=-1)
+            picks.append(best if best >= 0 and gaps[best] <= 0.5 / target_rate else -1)
+        return picks
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        source=st.lists(st.integers(0, 40), max_size=12, unique=True).map(sorted),
+        target=st.lists(st.integers(0, 40), max_size=12, unique=True).map(sorted),
+        source_rate=st.sampled_from([5.0, 10.0, 15.0, 30.0]),
+        target_rate=st.sampled_from([5.0, 10.0, 15.0, 30.0]),
+        present=st.lists(st.booleans(), min_size=12, max_size=12),
+    )
+    # Exact in floating point: a gap of half a target period, and a tie.
+    @example(source=[1], target=[0], source_rate=10.0, target_rate=5.0, present=[True] * 12)
+    @example(source=[5, 7], target=[3], source_rate=10.0, target_rate=5.0, present=[True] * 12)
+    def test_mismatched_rates_match_a_brute_force_reference(
+        self, source, target, source_rate, target_rate, present
+    ):
+        frames = len(source)
+        joints = np.arange(frames * 24 * 2, dtype=float).reshape(frames, 24, 2) + 1.0
+        valid = np.array(present[:frames], dtype=bool)
+        pose = np.broadcast_to(np.eye(3), (frames, 24, 3, 3))
+        track = PersonTrack2D("p", joints, np.full((frames, 24), 0.5), pose, valid)
+        parsed = ParsedStream(KIND_2D, source_rate, "h", None, source, [track])
+        (resampled,) = resample_to_timeline(parsed, target, target_rate)
+        picks = self._nearest_source(source, source_rate, target, target_rate)
+        expected_valid = [s >= 0 and bool(valid[s]) for s in picks]
+        assert resampled.valid.tolist() == expected_valid
+        for t, s in enumerate(picks):
+            expected = joints[s] if expected_valid[t] else np.zeros((24, 2))
+            assert np.array_equal(resampled.joints[t], expected)
+
 
 DROP = object()  # marks a key to delete in a document edit
 
@@ -427,6 +503,25 @@ class TestMatchOutput:
         path.write_text(json.dumps(payload))
         with pytest.raises(StreamFormatError):
             load_match_output(path)
+
+    @pytest.mark.parametrize("fault", ["version", "injective", "quaternion"])
+    def test_errors_name_the_file(self, tmp_path, fault):
+        doc = self._payload()
+        if fault == "version":
+            doc["match_format_version"] = 99
+        elif fault == "injective":
+            doc["pairs"][1]["idx3d"] = 0
+        else:
+            doc["extrinsics"][0]["quat_wxyz"] = [2.0, 0.0, 0.0, 0.0]
+        path = tmp_path / "match.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(StreamFormatError) as err:
+            load_match_output(path)
+        assert str(err.value).startswith(f"{path}: ")
+
+    def test_missing_document_is_an_io_failure(self, tmp_path):
+        with pytest.raises(IoFailure, match="absent.json"):
+            load_match_output(tmp_path / "absent.json")
 
     def test_repeated_extrinsics_frame_is_a_format_error(self, tmp_path):
         doc = self._payload()
