@@ -63,15 +63,16 @@ DLT_CHUNK = 32
 
 
 def check_rotation(matrix: np.ndarray) -> np.ndarray:
-    """Validate a 3x3 rotation (orthonormal, det +1) and return it as float64."""
+    """Validate a 3x3 rotation (orthonormal, det +1), or each of a stack
+    (..., 3, 3) of them in one pass, and return it as float64."""
     m = np.asarray(matrix, dtype=float)
-    if m.shape != (3, 3):
+    if m.shape[-2:] != (3, 3):
         raise ValueError(f"rotation must be 3x3, got {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("rotation contains non-finite values")
-    if np.abs(m.T @ m - np.eye(3)).max() > ROTATION_ATOL:
+    if m.size and np.abs(m.swapaxes(-1, -2) @ m - np.eye(3)).max() > ROTATION_ATOL:
         raise ValueError("rotation is not orthonormal")
-    if abs(np.linalg.det(m) - 1.0) > ROTATION_ATOL:
+    if m.size and np.abs(np.linalg.det(m) - 1.0).max() > ROTATION_ATOL:
         raise ValueError("rotation determinant is not +1")
     return m
 
@@ -123,14 +124,23 @@ class Extrinsics:
     translation: np.ndarray
 
     def __post_init__(self):
-        r = check_rotation(self.rotation)
-        t = np.asarray(self.translation, dtype=float).reshape(3)
-        if not np.all(np.isfinite(t)):
-            raise ValueError("translation contains non-finite values")
-        r.setflags(write=False)
-        t.setflags(write=False)
+        r, t = _checked_poses(self.rotation, self.translation, stacked=False)
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
+
+    @classmethod
+    def from_stack(cls, rotations: np.ndarray, translations: np.ndarray) -> list["Extrinsics"]:
+        """One Extrinsics per member of rotations (k, 3, 3) and translations
+        (k, 3), each checked as ``Extrinsics(r, t)`` checks it, with the same
+        errors, in one pass over the stack. The members are read-only views
+        of one copy of each stack."""
+        r, t = _checked_poses(np.array(rotations, dtype=float), np.array(translations, dtype=float),
+                              stacked=True)
+        poses = [object.__new__(cls) for _ in range(len(r))]
+        for pose, rotation, translation in zip(poses, r, t):
+            object.__setattr__(pose, "rotation", rotation)
+            object.__setattr__(pose, "translation", translation)
+        return poses
 
     @classmethod
     def identity(cls) -> "Extrinsics":
@@ -140,6 +150,22 @@ class Extrinsics:
         """Map world points (..., 3) into the camera frame."""
         pts = np.asarray(points, dtype=float)
         return pts @ self.rotation.T + self.translation
+
+
+def _checked_poses(rotation, translation, stacked: bool) -> tuple[np.ndarray, np.ndarray]:
+    """A rotation (3, 3) and translation (3,), or stacks of them (k, 3, 3) and
+    (k, 3), checked and returned read-only as float64."""
+    r = np.asarray(rotation, dtype=float)
+    shape = r.shape[1:] if stacked else r.shape
+    if shape != (3, 3):
+        raise ValueError(f"rotation must be 3x3, got {shape}")
+    check_rotation(r)
+    t = np.asarray(translation, dtype=float).reshape(r.shape[:-1])
+    if not np.all(np.isfinite(t)):
+        raise ValueError("translation contains non-finite values")
+    r.setflags(write=False)
+    t.setflags(write=False)
+    return r, t
 
 
 def project(intrinsics: Intrinsics, extrinsics: Extrinsics, points: np.ndarray) -> np.ndarray:
@@ -225,44 +251,71 @@ def solve_pnp_batch(problems, intrinsics: Intrinsics) -> list:
     sums each problem's own points, and Gauss-Newton pads problems to a
     common point count with masked rows, summing over points in order so that
     padding adds exact zeros last.
-    ``problems`` may be any iterable; its points are copied once.
+    ``problems`` may be any iterable; it is packed end to end for
+    ``solve_pnp_packed``.
     """
-    outcomes: list = []
-    kept = []  # (index, points3d, points2d) of the problems with enough finite pairs
-    for index, (points3d, points2d) in enumerate(problems):
-        x3 = np.asarray(points3d, dtype=float).reshape(-1, 3)
-        x2 = np.asarray(points2d, dtype=float).reshape(-1, 2)
+    points3d, points2d, counts = [], [], []
+    for x3, x2 in problems:
+        x3 = np.asarray(x3, dtype=float).reshape(-1, 3)
+        x2 = np.asarray(x2, dtype=float).reshape(-1, 2)
         if x3.shape[0] != x2.shape[0]:
             raise ValueError("points3d and points2d must pair up one-to-one")
-        keep = np.isfinite(x3).all(axis=1) & np.isfinite(x2).all(axis=1)
-        n = int(keep.sum())
-        if n < MIN_CORRESPONDENCES:
-            outcomes.append(InsufficientCorrespondences(
-                f"{n} valid pairs, need >= {MIN_CORRESPONDENCES}"
-            ))
-            continue
-        outcomes.append(None)
-        kept.append((index, x3[keep], x2[keep]) if n < len(keep) else (index, x3, x2))
-    if not kept:
+        points3d.append(x3)
+        points2d.append(x2)
+        counts.append(len(x3))
+    if not counts:
+        return []
+    return solve_pnp_packed(np.concatenate(points3d), np.concatenate(points2d), counts, intrinsics)
+
+
+def solve_pnp_packed(points3d, points2d, counts, intrinsics: Intrinsics) -> list:
+    """``solve_pnp_batch`` on problems packed end to end: problem i owns the
+    next ``counts[i]`` rows of points3d (N, 3) and points2d (N, 2).
+
+    The finite-pair filter, the pair counts and InsufficientCorrespondences
+    run once over the whole pack, and one gather keeps the problems' finite
+    points, stably ordered by point count.
+    """
+    x3 = np.asarray(points3d, dtype=float).reshape(-1, 3)
+    x2 = np.asarray(points2d, dtype=float).reshape(-1, 2)
+    counts = np.asarray(counts, dtype=np.intp).reshape(-1)
+    if x3.shape[0] != x2.shape[0]:
+        raise ValueError("points3d and points2d must pair up one-to-one")
+    if counts.sum() != x3.shape[0]:
+        raise ValueError("counts must add up to the number of points")
+    problem = np.repeat(np.arange(len(counts)), counts)
+    keep = np.isfinite(x3).all(axis=1) & np.isfinite(x2).all(axis=1)
+    found = np.bincount(problem[keep], minlength=len(counts))
+    enough = found >= MIN_CORRESPONDENCES
+    outcomes: list = [
+        None if ok
+        else InsufficientCorrespondences(f"{n} valid pairs, need >= {MIN_CORRESPONDENCES}")
+        for n, ok in zip(found.tolist(), enough.tolist())
+    ]
+    if not enough.any():
         return outcomes
 
-    # One copy of all points, problems stably ordered by point count: the
+    # One copy of the kept points, problems stably ordered by point count: the
     # linear starts stack DLT_CHUNK consecutive problems of any count, and
     # Gauss-Newton takes them in this order, so little of a run is padding.
-    kept.sort(key=lambda item: len(item[1]))
-    indices = [index for index, _, _ in kept]
-    counts = np.array([len(x3) for _, x3, _ in kept])
+    kept = np.flatnonzero(enough)
+    sizes = found[kept]
+    order = np.argsort(sizes, kind="stable")
+    indices = kept[order].tolist()
+    counts = sizes[order]
     ends = np.cumsum(counts)
     offsets = ends - counts
-    points3d = np.concatenate([x3 for _, x3, _ in kept])
-    points2d = np.concatenate([x2 for _, _, x2 in kept])
-    del kept
+    # Kept problem j's finite rows start at ``first[j]`` among all kept rows.
+    first = np.cumsum(sizes) - sizes
+    rows = np.flatnonzero(keep & enough[problem])
+    rows = np.take(rows, np.repeat(first[order] - offsets, counts) + np.arange(ends[-1]))
+    x3, x2 = np.take(x3, rows, axis=0), np.take(x2, rows, axis=0)
 
     posed, pose0 = [], []
     for lo in range(0, len(counts), DLT_CHUNK):
         hi = min(lo + DLT_CHUNK, len(counts))
         rows = slice(offsets[lo], ends[hi - 1])
-        inits = _initial_poses(points3d[rows], points2d[rows], counts[lo:hi], intrinsics)
+        inits = _initial_poses(x3[rows], x2[rows], counts[lo:hi], intrinsics)
         for k, init in zip(range(lo, hi), inits):
             if isinstance(init, GeometryError):
                 outcomes[indices[k]] = init
@@ -271,7 +324,7 @@ def solve_pnp_batch(problems, intrinsics: Intrinsics) -> list:
                 pose0.append(init)
     if posed:
         pose0 = np.stack(pose0)
-        fits = _refine_poses(points3d, points2d, offsets[posed], counts[posed], pose0, intrinsics)
+        fits = _refine_poses(x3, x2, offsets[posed], counts[posed], pose0, intrinsics)
         for k, outcome in zip(posed, fits):
             outcomes[indices[k]] = outcome
     return outcomes
@@ -308,17 +361,20 @@ def _initial_poses(
     pose = np.empty((k, 3, 4))
     full_rank = np.zeros(k, dtype=bool)
     if general.any():
-        rows = np.repeat(general, counts)
-        p, full_rank[general] = _dlt(x3[rows], xn[rows], counts[general])
+        rows = np.flatnonzero(np.repeat(general, counts))
+        p, full_rank[general] = _dlt(
+            np.take(x3, rows, axis=0), np.take(xn, rows, axis=0), counts[general]
+        )
         pose[general, :, :3], pose[general, :, 3] = _factor_calibrated(p)
     if planar.any():
-        rows = np.repeat(planar, counts)
+        rows = np.flatnonzero(np.repeat(planar, counts))
         sizes = counts[planar]
         # Each plane's principal axes (eigenvectors by descending eigenvalue)
         # and the in-plane coordinates along its first two.
         basis = eigvec[planar][:, :, ::-1].transpose(0, 2, 1).copy()
-        plane = (centered[rows, None, :] * np.repeat(basis[:, :2], sizes, axis=0)).sum(axis=-1)
-        h, full_rank[planar] = _dlt(plane, xn[rows], sizes)
+        plane = np.take(centered, rows, axis=0)[:, None, :]
+        plane = (plane * np.repeat(basis[:, :2], sizes, axis=0)).sum(axis=-1)
+        h, full_rank[planar] = _dlt(plane, np.take(xn, rows, axis=0), sizes)
         # A rank-deficient homography is discarded; the identity keeps its arithmetic finite.
         h = np.where(full_rank[planar, None, None], h, np.eye(3))
         # Fix the overall sign so that the median plane point sits in front of
@@ -390,7 +446,8 @@ def _refine_poses(points3d, points2d, offsets, counts, pose0, intrinsics: Intrin
                 width = np.arange(counts[run_rows[-1]])[:, None]
                 valid = width < counts[run_rows]
                 index = np.where(valid, offsets[run_rows] + width, 0)
-                pieces.append(kernel(points3d[index], points2d[index], valid, pose[lo : lo + step]))
+                pieces.append(kernel(np.take(points3d, index, axis=0),
+                                     np.take(points2d, index, axis=0), valid, pose[lo : lo + step]))
             return tuple(np.concatenate(arrays) for arrays in zip(*pieces))
 
         return run
@@ -400,10 +457,10 @@ def _refine_poses(points3d, points2d, offsets, counts, pose0, intrinsics: Intrin
         cam += x3[..., 1, None] * pose[..., 1]
         cam += x3[..., 2, None] * pose[..., 2]
         uv, front = pinhole(intrinsics, cam)
-        res = uv - x2
-        res[~valid] = 0.0  # padding
-        res[valid & ~front] = penalty  # constant penalty, no gradient
-        return cam, valid & front, res
+        live = valid & front
+        # Padding adds 0; a point behind the camera, the constant penalty (no gradient).
+        res = np.where(live[..., None], uv - x2, penalty * valid[..., None])
+        return cam, live, res
 
     @padded
     def objective(x3, x2, valid, pose):
@@ -441,18 +498,17 @@ def _refine_poses(points3d, points2d, offsets, counts, pose0, intrinsics: Intrin
         lambda pose, rows: objective(pose, rows)[0],
         max_iterations=PNP_MAX_ITERATIONS,
     )
-    rotations = orthonormalize(np.stack([fit.x[:, :3] for fit in fits]))
+    solved = np.array([fit.x for fit in fits if fit.converged]).reshape(-1, 3, 4)
+    poses = iter(Extrinsics.from_stack(orthonormalize(solved[..., :3]), solved[..., 3]))
     out = []
-    for fit, rot, n in zip(fits, rotations, counts):
+    for fit, n in zip(fits, counts):
         if not fit.converged:
             out.append(NoConvergence(
                 f"pose refinement still improving after {fit.iterations} iterations"
             ))
             continue
         rms = float(np.sqrt(fit.objective_trace[-1] / n))
-        out.append(PnpResult(
-            Extrinsics(rot, fit.x[:, 3]), rms, fit.iterations, fit.converged, fit.objective_trace
-        ))
+        out.append(PnpResult(next(poses), rms, fit.iterations, fit.converged, fit.objective_trace))
     return out
 
 

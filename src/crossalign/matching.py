@@ -46,7 +46,7 @@ from .geometry import (  # noqa: F401
     Intrinsics,
     pinhole,
     solve_pnp,
-    solve_pnp_batch,
+    solve_pnp_packed,
 )
 from .rotations import batch_matrices_from_quat_wxyz, batch_quat_wxyz_from_matrices
 from .skeleton import JOINT_COUNT as JOINTS, default_skeleton, fk_points, rotations_of
@@ -570,17 +570,31 @@ def _fit_pairs(fds, poses: dict, requests, intrinsics, stats: PcmStats | None = 
     local to frame ``fds[k]``, that ``poses`` does not hold yet.
 
     ``poses`` maps ``(k, sorted pairs)`` to the fitted Extrinsics, or None
-    where the fit failed; each distinct key is fit once, in request order."""
-    keys = dict.fromkeys((k, tuple(sorted(pairs))) for k, pairs in requests)
-    pending = [key for key in keys if key not in poses]
-
-    def correspondences(k, pairs):
-        fd, rows, cols = fds[k], [a for a, _ in pairs], [b for _, b in pairs]
-        return fd.joints3d[rows], fd.mask3d[rows], fd.joints2d[cols], fd.conf2d[cols]
-
-    sets = (correspondences(k, pairs) for k, pairs in pending)
-    for key, pose in zip(pending, _fit_poses(sets, intrinsics, stats)):
-        poses[key] = pose
+    where the fit failed; each distinct key is fit once. The usable points of
+    a frame's pending pairings are masked and gathered together."""
+    by_frame: dict = {}
+    for k, pairs in requests:
+        key = (k, tuple(sorted(pairs)))
+        if key not in poses:
+            by_frame.setdefault(k, {})[key] = None
+    if not by_frame:
+        return
+    keys, points3d, points2d, counts = [], [], [], []
+    for k, pending in by_frame.items():
+        fd = fds[k]
+        rows = [a for _, pairs in pending for a, _ in pairs]
+        cols = [b for _, pairs in pending for _, b in pairs]
+        usable = fd.mask3d[rows] & (fd.conf2d[cols] > 0)  # (pair, 24)
+        points3d.append(fd.joints3d[rows][usable])
+        points2d.append(fd.joints2d[cols][usable])
+        # Usable points up to each pair, then up to the end of each pairing.
+        through = np.concatenate([[0], np.cumsum(usable.sum(axis=1))])
+        ends = through[np.cumsum([len(pairs) for _, pairs in pending])]
+        counts.append(np.diff(ends, prepend=0))
+        keys.extend(pending)
+    fits = _fit_packed(np.concatenate(points3d), np.concatenate(points2d),
+                       np.concatenate(counts), intrinsics, stats)
+    poses.update(zip(keys, fits))
 
 
 def _fit_poses(correspondences, intrinsics: Intrinsics, stats: PcmStats | None = None) -> list:
@@ -589,18 +603,26 @@ def _fit_poses(correspondences, intrinsics: Intrinsics, stats: PcmStats | None =
 
     Each set is ``(joints3d, mask3d, joints2d, conf2d)``, arrays (k, 24, ...),
     pair-aligned, zero-filled and masked as in FrameData; a joint is usable
-    where its 3D position is finite and its 2D confidence positive. A set whose
-    fit fails gets None; one with fewer than MIN_CORRESPONDENCES usable joints
-    fails as InsufficientCorrespondences. ``stats`` counts the fits, their
-    failures by kind and the Gauss-Newton iterations of the fits that succeeded.
+    where its 3D position is finite and its 2D confidence positive. The list
+    form of ``_fit_packed``.
     """
+    points3d, points2d, counts = [np.zeros((0, 3))], [np.zeros((0, 2))], []
+    for joints3d, mask3d, joints2d, conf2d in correspondences:
+        usable = mask3d & (conf2d > 0)
+        points3d.append(joints3d[usable])
+        points2d.append(joints2d[usable])
+        counts.append(int(usable.sum()))
+    return _fit_packed(np.concatenate(points3d), np.concatenate(points2d), counts, intrinsics,
+                       stats)
 
-    def usable_pairs():
-        for joints3d, mask3d, joints2d, conf2d in correspondences:
-            usable = mask3d & (conf2d > 0)
-            yield joints3d[usable], joints2d[usable]
 
-    outcomes = solve_pnp_batch(usable_pairs(), intrinsics)
+def _fit_packed(points3d, points2d, counts, intrinsics, stats: PcmStats | None = None) -> list:
+    """Camera poses fit, in one batch, to usable points packed as for
+    ``solve_pnp_packed``. A problem whose fit fails gets None; one with fewer
+    than MIN_CORRESPONDENCES points fails as InsufficientCorrespondences.
+    ``stats`` counts the fits, their failures by kind and the Gauss-Newton
+    iterations of the fits that succeeded."""
+    outcomes = solve_pnp_packed(points3d, points2d, counts, intrinsics)
     failures = [type(o).__name__ for o in outcomes if isinstance(o, GeometryError)]
     if stats is not None:
         stats.pnp_attempted += len(outcomes)
@@ -755,11 +777,18 @@ def _pair_frames(tracks3d, tracks2d, pairs, frames) -> tuple[np.ndarray, ...]:
 def _poses_for_pairs(tracks3d, tracks2d, pairs, intrinsics, frames, stats=None) -> list:
     """Per-frame camera poses fit, in one batch, to the pairs valid at each
     frame; None where no pair is valid or the fit fails."""
-    *arrays, valid = _pair_frames(tracks3d, tracks2d, pairs, np.arange(frames))
+    joints3d, mask3d, joints2d, conf2d, valid = _pair_frames(
+        tracks3d, tracks2d, pairs, np.arange(frames)
+    )
     slots = np.flatnonzero(valid.any(axis=0))
-    sets = (tuple(a[valid[:, t], t] for a in arrays) for t in slots)
+    # Frame-major (frame, pair, joint) order gives each frame's points in a
+    # block, pair by pair.
+    usable = (valid[..., None] & mask3d & (conf2d > 0)).transpose(1, 0, 2)
+    points3d = joints3d.transpose(1, 0, 2, 3)[usable]
+    points2d = joints2d.transpose(1, 0, 2, 3)[usable]
+    counts = usable.sum(axis=(1, 2))[slots]
     poses = [None] * frames
-    for t, pose in zip(slots, _fit_poses(sets, intrinsics, stats)):
+    for t, pose in zip(slots, _fit_packed(points3d, points2d, counts, intrinsics, stats)):
         poses[t] = pose
     return poses
 
@@ -794,8 +823,8 @@ def smooth_extrinsics(sequence, window: int):
         medians.append(np.median(window_poses, axis=1))
     medians = np.concatenate(medians)
     rotations = batch_matrices_from_quat_wxyz(medians[:, :4])
-    for t, rotation, translation in zip(np.concatenate(targets), rotations, medians[:, 4:]):
-        out[t] = Extrinsics(rotation, translation)
+    for t, pose in zip(np.concatenate(targets), Extrinsics.from_stack(rotations, medians[:, 4:])):
+        out[t] = pose
     return out
 
 

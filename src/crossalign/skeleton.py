@@ -73,8 +73,7 @@ class BodyPose:
         rot = np.asarray(self.rotations, dtype=float)
         if rot.shape != (JOINT_COUNT, 3, 3):
             raise ValueError(f"body pose must be ({JOINT_COUNT}, 3, 3), got {rot.shape}")
-        for j in range(JOINT_COUNT):
-            check_rotation(rot[j])
+        check_rotation(rot)
         rot = rot.copy()
         rot.setflags(write=False)
         object.__setattr__(self, "rotations", rot)

@@ -159,13 +159,13 @@ def parse_stream(path: str | Path) -> ParsedStream:
     format error names ``path`` before its line."""
     lines = read_utf8(path, StreamFormatError).splitlines()
     try:
-        return _parse_lines(lines)
+        return _parse_lines(path, lines)
     except StreamFormatError as exc:
         exc.args = (f"{path}: {exc}",)
         raise
 
 
-def _parse_lines(lines: list[str]) -> ParsedStream:
+def _parse_lines(path: str | Path, lines: list[str]) -> ParsedStream:
     if not lines:
         raise MalformedHeader("empty stream file", 1)
 
@@ -175,7 +175,8 @@ def _parse_lines(lines: list[str]) -> ParsedStream:
         raise MalformedHeader(f"header is not valid JSON: {exc}", 1) from None
     if not isinstance(header, dict) or "kind" not in header:
         raise MalformedHeader("header must be an object with a 'kind' field", 1)
-    _warn_unknown(header, _HEADER_FIELDS, 1)
+    warned: set = set()  # (level, field) pairs already warned about
+    _warn_unknown(path, header, _HEADER_FIELDS, "header", 1, warned)
     kind = header.get("kind")
     if kind not in (KIND_3D, KIND_2D):
         raise MalformedHeader(f"unknown stream kind {kind!r}", 1)
@@ -209,7 +210,7 @@ def _parse_lines(lines: list[str]) -> ParsedStream:
             raise StreamFormatError(f"record is not valid JSON: {exc}", line) from None
         if not isinstance(record, dict) or "frame" not in record:
             raise StreamFormatError("record must be an object with a 'frame' field", line)
-        _warn_unknown(record, _RECORD_FIELDS, line)
+        _warn_unknown(path, record, _RECORD_FIELDS, "record", line, warned)
         frame = record["frame"]
         if isinstance(frame, bool) or not isinstance(frame, int):
             raise StreamFormatError(f"frame must be an integer, got {frame!r}", line)
@@ -223,7 +224,7 @@ def _parse_lines(lines: list[str]) -> ParsedStream:
         for person in persons:
             if not isinstance(person, dict) or "id" not in person:
                 raise StreamFormatError("person record must be an object with an 'id' field", line)
-            _warn_unknown(person, _PERSON_FIELDS, line)
+            _warn_unknown(path, person, _PERSON_FIELDS, "person", line, warned)
             pid = str(person["id"])
             if pid in in_record:
                 raise StreamFormatError(f"person {pid!r} appears twice in one frame", line)
@@ -294,10 +295,14 @@ def _finite_number(value) -> float | None:
     return number if math.isfinite(number) else None
 
 
-def _warn_unknown(obj: dict, known: set, line_number: int) -> None:
+def _warn_unknown(path, obj: dict, known: set, level: str, line_number: int, warned: set) -> None:
+    """Warn about the fields of ``obj`` that its level does not define, once
+    per stream, level and field, naming the line it first appears on."""
     for key in obj:
-        if key not in known:
-            logger.warning("line %d: ignoring unknown field %r", line_number, key)
+        if key not in known and (level, key) not in warned:
+            warned.add((level, key))
+            logger.warning("%s: ignoring unknown %s field %r, first on line %d",
+                           path, level, key, line_number)
 
 
 def _scatter_track(pid, frames, slots, joints, body_pose, confidence=None):
@@ -441,12 +446,10 @@ def load_match_output(path: str | Path) -> MatchDocument:
             raise StreamFormatError(
                 f"{path}: non-unit quaternion in frame {frames[np.argmax(off_unit)]}"
             )
-        extrinsics = {
-            frame: Extrinsics(rotation, np.asarray(record["translation_m"], dtype=float))
-            for frame, record, rotation in zip(
-                frames, records, batch_matrices_from_quat_wxyz(quats)
-            )
-        }
+        translations = [np.asarray(record["translation_m"], dtype=float).reshape(3)
+                        for record in records]
+        poses = Extrinsics.from_stack(batch_matrices_from_quat_wxyz(quats), translations)
+        extrinsics = dict(zip(frames, poses))
     except KeyError as exc:
         raise StreamFormatError(f"{path}: match output entry lacks field {exc}") from None
     except (AttributeError, TypeError, ValueError) as exc:

@@ -12,10 +12,12 @@ from crossalign.geometry import (
     Extrinsics,
     Intrinsics,
     PnpResult,
+    check_rotation,
     geodesic_rotation_error,
     project,
     solve_pnp,
     solve_pnp_batch,
+    solve_pnp_packed,
 )
 from crossalign.simulator import SceneConfig, generate
 
@@ -47,6 +49,59 @@ class TestExtrinsics:
             Extrinsics(np.eye(3) * 2.0, np.zeros(3))
         with pytest.raises(ValueError):
             Extrinsics(np.diag([1.0, 1.0, -1.0]), np.zeros(3))
+
+    @staticmethod
+    def poses(rng, count=5):
+        return np.stack([random_rotation(rng) for _ in range(count)]), rng.normal(size=(count, 3))
+
+    @pytest.mark.parametrize(
+        "fault", ["non-finite", "non-orthonormal", "improper", "shape", "translation"]
+    )
+    def test_stack_raises_as_one_at_a_time(self, fault):
+        rotations, translations = self.poses(np.random.default_rng(83))
+        if fault == "non-finite":
+            rotations[2, 1, 1] = np.nan
+        elif fault == "non-orthonormal":
+            rotations[2] *= 1.0 + 1e-6
+        elif fault == "improper":  # orthonormal, determinant -1
+            rotations[2] = -rotations[2]
+        elif fault == "shape":
+            rotations = rotations[:, :, :2]
+        else:
+            translations[2, 0] = np.inf
+        with pytest.raises(ValueError) as alone:
+            for rotation, translation in zip(rotations, translations):
+                Extrinsics(rotation.copy(), translation.copy())
+        with pytest.raises(ValueError) as stacked:
+            Extrinsics.from_stack(rotations, translations)
+        assert str(stacked.value) == str(alone.value)
+        if fault != "translation":
+            with pytest.raises(ValueError) as checked:
+                check_rotation(rotations[2])
+            assert str(checked.value) == str(alone.value)
+
+    def test_stack_equals_one_at_a_time_and_is_read_only(self):
+        rotations, translations = self.poses(np.random.default_rng(89))
+        stacked = Extrinsics.from_stack(rotations, translations)
+        assert len(stacked) == len(rotations)
+        for pose, rotation, translation in zip(stacked, rotations, translations):
+            alone = Extrinsics(rotation.copy(), translation.copy())
+            assert type(pose) is Extrinsics
+            assert pose.rotation.dtype == alone.rotation.dtype == np.float64
+            assert pose.rotation.shape == (3, 3) and pose.translation.shape == (3,)
+            assert pose.rotation.tobytes() == alone.rotation.tobytes()
+            assert pose.translation.tobytes() == alone.translation.tobytes()
+            assert not pose.rotation.flags.writeable and not pose.translation.flags.writeable
+            with pytest.raises(ValueError):
+                pose.rotation[0, 0] = 2.0
+            with pytest.raises(ValueError):
+                pose.translation[0] = 2.0
+        # The inputs stay writable, and editing them moves no pose.
+        before = stacked[0].rotation.copy()
+        rotations[0] = np.eye(3)
+        translations[0] = 0.0
+        assert np.array_equal(stacked[0].rotation, before)
+        assert Extrinsics.from_stack(np.zeros((0, 3, 3)), np.zeros((0, 3))) == []
 
 
 class TestProject:
@@ -438,3 +493,62 @@ class TestSolvePnpBatch:
         for outcome in solve_pnp_batch(problems, k):
             if isinstance(outcome, PnpResult):
                 assert np.all(np.diff(outcome.objective_trace) <= 0.0)
+
+
+class TestSolvePnpPacked:
+    """The packed core gives every problem the outcome of the list form and
+    of ``solve_pnp`` alone, bit for bit."""
+
+    @staticmethod
+    def problems():
+        problems, k = TestSolvePnpBatch.mixed_problems()
+        rng = np.random.default_rng(97)
+        empty = (np.zeros((0, 3)), np.zeros((0, 2)))
+        extr = random_camera(rng)
+        pts = scene_points(rng, n=9)
+        obs = project(k, extr, pts)
+        pts[[1, 4, 7], 2] = np.nan  # NaN rows in 3D: 6 finite pairs remain, enough
+        few = scene_points(rng, n=8)
+        few_obs = project(k, random_camera(rng), few)
+        few[[0, 3], 1] = few_obs[5, 0] = np.nan  # NaN rows in 3D and in 2D: 5 finite pairs
+        return [empty] + problems[:4] + [empty, (pts, obs), (few, few_obs)] + problems[4:], k
+
+    def test_equals_the_list_form_and_each_problem_alone(self):
+        problems, k = self.problems()
+        counts = [len(x3) for x3, _ in problems]
+        packed = solve_pnp_packed(
+            np.concatenate([x3 for x3, _ in problems]),
+            np.concatenate([x2 for _, x2 in problems]),
+            counts,
+            k,
+        )
+        listed = solve_pnp_batch(problems, k)
+        assert len(packed) == len(listed) == len(problems)
+        key = TestSolvePnpBatch.outcome_key
+        messages = []
+        for (x3, x2), a, b in zip(problems, packed, listed):
+            try:
+                alone = solve_pnp(x3, x2, k)
+            except GeometryError as exc:
+                alone = exc
+            assert key(a) == key(b) == key(alone)
+            if isinstance(alone, GeometryError):
+                assert str(a) == str(b) == str(alone)
+                messages.append(str(alone))
+        assert messages.count("0 valid pairs, need >= 6") == 2
+        assert "5 valid pairs, need >= 6" in messages
+        assert "3D points are collinear" in messages
+        assert "coplanar points need >= 8 pairs, got 7" in messages
+        assert sum(isinstance(o, PnpResult) for o in packed) >= 6
+
+    def test_empty_batch_and_unpaired_points(self):
+        k = make_intrinsics()
+        assert solve_pnp_packed(np.zeros((0, 3)), np.zeros((0, 2)), [], k) == []
+        assert solve_pnp_batch([], k) == []
+        zero = solve_pnp_packed(np.zeros((0, 3)), np.zeros((0, 2)), [0, 0], k)
+        assert [type(o) for o in zero] == [InsufficientCorrespondences] * 2
+        assert [str(o) for o in zero] == ["0 valid pairs, need >= 6"] * 2
+        with pytest.raises(ValueError):
+            solve_pnp_packed(np.zeros((6, 3)), np.zeros((6, 2)), [3, 2], k)
+        with pytest.raises(ValueError):
+            solve_pnp_packed(np.zeros((6, 3)), np.zeros((5, 2)), [6], k)

@@ -633,14 +633,14 @@ class TestPosesForPairs:
         *arrays, valid = matching._pair_frames(tracks3d, tracks2d, pairs, np.arange(12))
         sets = [tuple(a[valid[:, t], t] for a in arrays) for t in range(12)]
         outcomes = []
-        solve = matching.solve_pnp_batch
+        solve = matching.solve_pnp_packed
 
-        def recording(problems, intrinsics):
-            result = solve(problems, intrinsics)
+        def recording(points3d, points2d, counts, intrinsics):
+            result = solve(points3d, points2d, counts, intrinsics)
             outcomes.extend(result)
             return result
 
-        monkeypatch.setattr(matching, "solve_pnp_batch", recording)
+        monkeypatch.setattr(matching, "solve_pnp_packed", recording)
         stats = matching.PcmStats()
         poses = matching._fit_poses(sets, scene.intrinsics, stats)
         fitted = [o for o in outcomes if isinstance(o, geometry.PnpResult)]
@@ -894,16 +894,15 @@ class TestSearchFrames:
         if proposal_fits == "failed":
             # Every fit to more than one person fails: the seed fits still
             # give proposals, but no proposal gives a pose.
-            solve = matching.solve_pnp_batch
+            solve = matching.solve_pnp_packed
 
-            def one_person_fits(problems, intrinsics):
-                problems = list(problems)
+            def one_person_fits(points3d, points2d, counts, intrinsics):
                 return [
-                    NoConvergence("stub") if len(points3d) > JOINTS else outcome
-                    for (points3d, _), outcome in zip(problems, solve(problems, intrinsics))
+                    NoConvergence("stub") if count > JOINTS else outcome
+                    for count, outcome in zip(counts, solve(points3d, points2d, counts, intrinsics))
                 ]
 
-            monkeypatch.setattr(matching, "solve_pnp_batch", one_person_fits)
+            monkeypatch.setattr(matching, "solve_pnp_packed", one_person_fits)
             expected[NoViableProposal.NO_VALID_PROPOSAL] = 5
         stats = match_sequences(tracks3d, tracks2d, scene.intrinsics, PcmConfig(delta=0)).stats
         assert stats.frames_skipped == expected
@@ -1013,14 +1012,14 @@ class TestMatchSequences:
                 PersonTrack2D(track.person_id, track.joints, confidence, track.body_pose, track.valid)
             )
         outcomes = []
-        solve = matching.solve_pnp_batch
+        solve = matching.solve_pnp_packed
 
-        def recording(problems, intrinsics, **kwargs):
-            result = solve(problems, intrinsics, **kwargs)
+        def recording(points3d, points2d, counts, intrinsics, **kwargs):
+            result = solve(points3d, points2d, counts, intrinsics, **kwargs)
             outcomes.extend(type(o).__name__ for o in result)
             return result
 
-        monkeypatch.setattr(matching, "solve_pnp_batch", recording)
+        monkeypatch.setattr(matching, "solve_pnp_packed", recording)
         config = PcmConfig(delta=0.0)
         stats = match_sequences(scene.tracks3d, tracks2d, scene.intrinsics, config).stats
         assert stats.pnp_attempted == len(outcomes)

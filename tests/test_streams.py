@@ -243,7 +243,28 @@ class TestParseErrors:
         with caplog.at_level("WARNING"):
             parse_stream(path)
         warned = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
-        assert warned == ["line 2: ignoring unknown field '_note'"] * 2
+        assert warned == [
+            f"{path}: ignoring unknown record field '_note', first on line 2",
+            f"{path}: ignoring unknown person field '_note', first on line 2",
+        ]
+
+    def test_unknown_fields_warn_once_per_level(self, tmp_path, caplog):
+        person = dict(self._person(), _note="person")
+        second = dict(self._person(), id="p1", _note="person")
+        lines = [self._header()] + [
+            json.dumps({"frame": frame, "persons": [person, second], "_note": "record"})
+            for frame in range(3)
+        ]
+        path = tmp_path / "s.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with caplog.at_level("WARNING"):
+            parsed = parse_stream(path)
+        assert len(parsed.tracks) == 2
+        warned = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert warned == [
+            f"{path}: ignoring unknown record field '_note', first on line 2",
+            f"{path}: ignoring unknown person field '_note', first on line 2",
+        ]
 
     @pytest.mark.parametrize("field", ["joints", "confidence", "body_pose"])
     def test_non_numeric_person_data_names_line(self, tmp_path, field):
