@@ -124,7 +124,9 @@ class Extrinsics:
     translation: np.ndarray
 
     def __post_init__(self):
-        r, t = _checked_poses(self.rotation, self.translation, stacked=False)
+        # Copies, as from_stack does, so the caller's own arrays stay writable.
+        r, t = _checked_poses(np.array(self.rotation, dtype=float),
+                              np.array(self.translation, dtype=float), stacked=False)
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
 
@@ -154,7 +156,7 @@ class Extrinsics:
 
 def _checked_poses(rotation, translation, stacked: bool) -> tuple[np.ndarray, np.ndarray]:
     """A rotation (3, 3) and translation (3,), or stacks of them (k, 3, 3) and
-    (k, 3), checked and returned read-only as float64."""
+    (k, 3), checked and frozen read-only as float64: pass copies."""
     r = np.asarray(rotation, dtype=float)
     shape = r.shape[1:] if stacked else r.shape
     if shape != (3, 3):

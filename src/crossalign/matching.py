@@ -65,6 +65,16 @@ PNP_FAILURE_KINDS = tuple(
 # Relative tolerance under which two assignment totals count as tied.
 ASSIGNMENT_TIE_RTOL = 1e-9
 
+# Most injective maps (6!) an assignment enumerates; larger matrices are
+# assigned by biased re-solves (``_lexicographic_pairs``).
+ENUMERATED_MAPS_MAX = 720
+
+# Memory bound: the most float64 values (256 KiB) one temporary of a cost or
+# assignment stack holds. Stacks run in slices of whole poses or matrices
+# under it, so their memory does not grow with the frames they cover; on
+# twins4 stacks (2-core Xeon) 1 MiB slices ran 30% slower, out of cache.
+STACK_FLOATS = 1 << 15
+
 STRATEGIES = ("KPs", "KP", "Pose", "P&K", "P&T", "P&T&K")
 
 # Most pairings the exhaustive KPs strategy enumerates per frame (7!).
@@ -292,16 +302,54 @@ def hungarian(cost: CostMatrix) -> MatchSet:
     Among equal-cost optima (totals within a small relative tolerance) the
     assignment that is lexicographically smallest in (idx3d, idx2d) is
     returned, so outputs are reproducible. Empty inputs yield the empty
-    MatchSet.
+    MatchSet. The one-matrix case of ``_assign_stack``.
     """
     values = cost.values
     n, m = values.shape
     if n == 0 or m == 0:
         return MatchSet.empty(n, m)
-    canonical = -values if cost.maximize else values
-    pairs = _lexicographic_pairs(canonical)
-    residuals = [values[i, j] for i, j in pairs]
-    return build_match_set(pairs, residuals, n, m)
+    pairs = _assign_stack((-values if cost.maximize else values)[None])[0]
+    return build_match_set(pairs, [values[i, j] for i, j in pairs], n, m)
+
+
+def _assign_stack(costs: np.ndarray) -> list[tuple]:
+    """The minimizing assignment of each (n, m) matrix of a (k, n, m) stack,
+    as ``hungarian`` picks it: per matrix, its pairs sorted by row.
+
+    Where at most ENUMERATED_MAPS_MAX injective maps exist, every one is
+    totalled and the first in ``_assignment_table`` order whose total is
+    within 0.5 * ASSIGNMENT_TIE_RTOL * max(1, max|c|) of the minimum wins;
+    matrices run in slices whose gathered (matrix, map, pair) costs hold at
+    most STACK_FLOATS values. Larger matrices are assigned one at a time by
+    ``_lexicographic_pairs``.
+    """
+    k, n, m = costs.shape
+    if math.perm(max(n, m), min(n, m)) > ENUMERATED_MAPS_MAX:
+        return [tuple(_lexicographic_pairs(c)) for c in costs]
+    rows, cols, maps = _assignment_table(n, m)
+    scale = np.maximum(1.0, np.abs(costs).max(axis=(1, 2), initial=0.0))
+    chosen = []
+    step = max(1, STACK_FLOATS // max(1, rows.size))
+    for lo in range(0, k, step):
+        totals = costs[lo:lo + step, rows, cols].sum(axis=-1)  # (matrix, map)
+        tol = 0.5 * ASSIGNMENT_TIE_RTOL * scale[lo:lo + step, None]
+        chosen.extend((totals <= totals.min(axis=1, keepdims=True) + tol).argmax(axis=1).tolist())
+    return [maps[a] for a in chosen]
+
+
+@functools.cache
+def _assignment_table(n: int, m: int) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """Every injective map of min(n, m) pairs of an (n, m) matrix, in
+    lexicographic order of its sorted pair sequence: row and column indices
+    (map, pair), read-only since they are cached, and the maps as pair
+    tuples."""
+    maps = tuple(sorted(
+        tuple(sorted(zip(range(n), p) if n <= m else zip(p, range(m))))
+        for p in itertools.permutations(range(max(n, m)), min(n, m))
+    ))
+    index = np.array(maps, dtype=int).reshape(len(maps), min(n, m), 2)
+    index.setflags(write=False)
+    return index[..., 0], index[..., 1], maps
 
 
 def _lexicographic_pairs(cost: np.ndarray) -> list[tuple[int, int]]:
@@ -360,8 +408,9 @@ def reprojection_cost(
         raise ValueError("both tracks must be valid at the frame")
     joints3d, mask3d = _usable3d(track3d.joints[frame][None])
     joints2d, conf2d = _usable2d(track2d.joints[frame][None], track2d.confidence[frame][None])
-    costs = _reprojection_matrices(joints3d, mask3d, joints2d, conf2d, [extrinsics], intrinsics)
-    return float(costs[0, 0, 0])
+    index, pose = np.zeros(1, dtype=int), np.zeros((1, JOINTS, 3, 3))  # poses unused at lambda0 0
+    fd = FrameData(frame, 1, 1, index, joints3d, mask3d, pose, index, joints2d, conf2d, pose)
+    return float(_weighted_matrices(fd, [extrinsics], intrinsics, 0.0)[0, 0, 0])
 
 
 def body_pose_cost(
@@ -380,8 +429,10 @@ def body_pose_cost(
     """
     rotations = np.stack([rotations_of(pose3d), rotations_of(pose2d)])
     fk = fk_points(default_skeleton(), rotations, np.zeros((2, 3)))
-    roots = np.asarray(root, dtype=float).reshape(1, 3)
-    return float(_body_pose_matrices(roots, fk[:1], fk[1:], [extrinsics], intrinsics)[0, 0, 0])
+    roots = np.asarray(root, dtype=float).reshape(1, 1, 3)
+    r, t = extrinsics.rotation[None], extrinsics.translation[None]
+    return float(_body_pose_costs(fk[None, :1] + roots[:, :, None], fk[None, 1:], roots, r, t,
+                                  intrinsics)[0, 0, 0])
 
 
 def weighted_cost(
@@ -485,24 +536,13 @@ def frame_slice(tracks3d, tracks2d, frame: int) -> FrameData:
     )
 
 
-def _camera_points(points: np.ndarray, poses) -> np.ndarray:
-    """World points (..., 3) in the camera frame of each of ``poses``
-    (Extrinsics), stacked (pose, ..., 3); each slice equals that pose's
-    ``transform`` bit for bit."""
-    lead = (len(poses),) + (1,) * (points.ndim - 2)
-    rotations = np.array([e.rotation for e in poses]).reshape(lead + (3, 3))
-    translations = np.array([e.translation for e in poses]).reshape(lead + (1, 3))
-    return points @ rotations.swapaxes(-1, -2) + translations
-
-
-def _reprojection_matrices(joints3d, mask3d, joints2d, conf2d, poses, intrinsics) -> np.ndarray:
-    """(pose, p3, p2) confidence-weighted mean pixel distances under each of
-    ``poses``, in one stack.
-
-    Inputs are zero-filled and masked as in FrameData.
-    """
-    cam = _camera_points(joints3d, poses)[:, :, None]  # (pose, p3, 1, 24, 3)
-    return _reprojection_costs(cam, mask3d[:, None], joints2d[None], conf2d[None], intrinsics)
+def _camera_points(points: np.ndarray, rotations: np.ndarray, translations: np.ndarray):
+    """World points (pose, ..., 3) in the camera frame of their pose, given
+    by rotations (pose, 3, 3) and translations (pose, 3); each slice equals
+    that pose's ``Extrinsics.transform`` bit for bit."""
+    lead = (len(rotations),) + (1,) * (points.ndim - 3)
+    rotations = rotations.reshape(lead + (3, 3)).swapaxes(-1, -2)
+    return points @ rotations + translations.reshape(lead + (1, 3))
 
 
 def _reprojection_costs(cam, mask3d, joints2d, conf2d, intrinsics: Intrinsics) -> np.ndarray:
@@ -516,42 +556,82 @@ def _reprojection_costs(cam, mask3d, joints2d, conf2d, intrinsics: Intrinsics) -
     """
     penalty = intrinsics.diagonal
     uv, front = pinhole(intrinsics, cam)
-    dist = np.where(front & mask3d, np.linalg.norm(uv - joints2d, axis=-1), penalty)
+    dist = np.where(front & mask3d, _pixel_distances(uv, joints2d), penalty)
     weighted = (conf2d * dist).sum(axis=-1)
     totals = conf2d.sum(axis=-1)
     return np.where(totals > 0, weighted / np.where(totals > 0, totals, 1.0), penalty)
 
 
-def _body_pose_matrices(roots, fk3_origin, fk2_origin, poses, intrinsics) -> np.ndarray:
-    """(pose, p3, p2) mean pixel distances, under each of ``poses``, between
-    skeleton poses posed at the origin, each pair rooted at the 3D person's
-    root joint (roots (p3, 3))."""
-    penalty = intrinsics.diagonal
-    uv3, front3 = pinhole(intrinsics, _camera_points(fk3_origin + roots[:, None, :], poses))
-    pts2 = fk2_origin[None, :, :, :] + roots[:, None, None, :]  # (p3, p2, 24, 3)
-    uv2, front2 = pinhole(intrinsics, _camera_points(pts2, poses))
-    ok = front3[:, :, None, :] & front2
-    dist = np.linalg.norm(uv3[:, :, None, :, :] - uv2, axis=-1)
-    return np.where(ok, dist, penalty).mean(axis=-1)
+def _body_pose_costs(skeletons3d, fk2_origin, roots, rotations, translations, intrinsics):
+    """(pose, p3, p2) mean pixel distances, under each pose, between the 3D
+    persons' posed skeletons (pose, p3, 24, 3) and the 2D persons' skeletons
+    posed at the origin (pose, p2, 24, 3), each pair rooted at the 3D
+    person's root (pose, p3, 3); joints behind the camera cost the image
+    diagonal."""
+    uv3, front3 = pinhole(intrinsics, _camera_points(skeletons3d, rotations, translations))
+    pts2 = fk2_origin[:, None] + roots[:, :, None, None, :]  # (pose, p3, p2, 24, 3)
+    uv2, front2 = pinhole(intrinsics, _camera_points(pts2, rotations, translations))
+    dist = _pixel_distances(uv3[:, :, None], uv2)
+    return np.where(front3[:, :, None] & front2, dist, intrinsics.diagonal).mean(axis=-1)
 
 
-def _weighted_matrices(fd, poses, intrinsics, lambda0) -> np.ndarray:
-    """(pose, p3, p2) keypoint costs plus lambda0 times the body-pose costs
-    of frame ``fd`` under each of ``poses``."""
-    costs = _reprojection_matrices(
-        fd.joints3d, fd.mask3d, fd.joints2d, fd.conf2d, poses, intrinsics
+def _pixel_distances(uv: np.ndarray, observed: np.ndarray) -> np.ndarray:
+    """Distances between broadcasting pixel arrays (..., 2); equal bit for bit
+    to ``np.linalg.norm(uv - observed, axis=-1)``, without its slow reduction
+    over a length-2 axis."""
+    du, dv = uv[..., 0] - observed[..., 0], uv[..., 1] - observed[..., 1]
+    return np.sqrt(du * du + dv * dv)
+
+
+def _cost_stack(fds, at, poses, intrinsics, lambda0) -> np.ndarray:
+    """(pose, p3, p2) keypoint costs (``reprojection_cost``) plus lambda0
+    times the body-pose costs (``body_pose_cost``) of frames that share their
+    person counts (p3, p2), pose k (Extrinsics) costed on frame ``fds[at[k]]``.
+
+    Every slice equals that frame's one-pose evaluation bit for bit. Poses
+    run in slices whose (pose, p3, p2, 24, 3) temporaries hold at most
+    STACK_FLOATS values.
+    """
+    p3, p2 = len(fds[0].idx3d), len(fds[0].idx2d)
+    joints3d, mask3d, joints2d, conf2d = (
+        np.stack([getattr(fd, name) for fd in fds])
+        for name in ("joints3d", "mask3d", "joints2d", "conf2d")
     )
     if lambda0 != 0.0:
-        pose = _body_pose_matrices(fd.joints3d[:, 0], *fd.origin_skeletons, poses, intrinsics)
-        costs = costs + lambda0 * pose
+        fk3, fk2 = (np.stack(side) for side in zip(*(fd.origin_skeletons for fd in fds)))
+        roots = joints3d[:, :, 0]
+        skeletons3d = fk3 + roots[:, :, None, :]
+    at = np.asarray(at, dtype=int)
+    rotations = np.array([e.rotation for e in poses]).reshape(-1, 3, 3)
+    translations = np.array([e.translation for e in poses]).reshape(-1, 3)
+    costs = np.empty((len(poses), p3, p2))
+    step = max(1, STACK_FLOATS // (p3 * p2 * JOINTS * 3))
+    for lo in range(0, len(poses), step):
+        take = functools.partial(np.take, indices=at[lo:lo + step], axis=0)
+        r, t = rotations[lo:lo + step], translations[lo:lo + step]
+        cam = _camera_points(take(joints3d), r, t)[:, :, None]  # (pose, p3, 1, 24, 3)
+        run = _reprojection_costs(cam, take(mask3d)[:, :, None], take(joints2d)[:, None],
+                                  take(conf2d)[:, None], intrinsics)
+        if lambda0 != 0.0:
+            pose = _body_pose_costs(take(skeletons3d), take(fk2), take(roots), r, t, intrinsics)
+            run = run + lambda0 * pose
+        costs[lo:lo + step] = run
     return costs
 
 
-def _pairing_score(costs, pairs, threshold) -> tuple[float, float]:
-    """Mean cost of a pairing's (local) pairs and its frame score
-    exp(-mean / threshold)."""
-    mean = float(np.mean([costs[a, b] for a, b in pairs]))
-    return mean, math.exp(-mean / threshold)
+def _weighted_matrices(fd, poses, intrinsics, lambda0) -> np.ndarray:
+    """(pose, p3, p2) costs of frame ``fd`` under each of ``poses``: the
+    one-frame case of ``_cost_stack``."""
+    return _cost_stack([fd], [0] * len(poses), poses, intrinsics, lambda0)
+
+
+def _pairing_scores(costs, pairings, threshold) -> tuple[np.ndarray, list[float]]:
+    """Mean cost of each pairing's (local) pairs under its slice of the
+    (pose, p3, p2) ``costs``, and its frame score exp(-mean / threshold); the
+    pairings hold equally many pairs."""
+    index = np.array(pairings, dtype=int).reshape(len(pairings), -1, 2)
+    means = costs[np.arange(len(costs))[:, None], index[..., 0], index[..., 1]].mean(axis=1)
+    return means, [math.exp(-mean / threshold) for mean in means.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -595,25 +675,6 @@ def _fit_pairs(fds, poses: dict, requests, intrinsics, stats: PcmStats | None = 
     fits = _fit_packed(np.concatenate(points3d), np.concatenate(points2d),
                        np.concatenate(counts), intrinsics, stats)
     poses.update(zip(keys, fits))
-
-
-def _fit_poses(correspondences, intrinsics: Intrinsics, stats: PcmStats | None = None) -> list:
-    """Camera poses fit, in one batch, to the usable joints of each of an
-    iterable of sets of k paired persons.
-
-    Each set is ``(joints3d, mask3d, joints2d, conf2d)``, arrays (k, 24, ...),
-    pair-aligned, zero-filled and masked as in FrameData; a joint is usable
-    where its 3D position is finite and its 2D confidence positive. The list
-    form of ``_fit_packed``.
-    """
-    points3d, points2d, counts = [np.zeros((0, 3))], [np.zeros((0, 2))], []
-    for joints3d, mask3d, joints2d, conf2d in correspondences:
-        usable = mask3d & (conf2d > 0)
-        points3d.append(joints3d[usable])
-        points2d.append(joints2d[usable])
-        counts.append(int(usable.sum()))
-    return _fit_packed(np.concatenate(points3d), np.concatenate(points2d), counts, intrinsics,
-                       stats)
 
 
 def _fit_packed(points3d, points2d, counts, intrinsics, stats: PcmStats | None = None) -> list:
@@ -661,8 +722,9 @@ def _search_frames(fds, intrinsics, config, seed_rows=None, stats=None) -> list:
     """The proposal search of ``optimize_frame_match`` over many frames at once.
 
     One loop runs stages -1 (the seeds) to ``n_iter`` - 1 (the sweeps); each
-    stage fits the live pairings of every frame in one batch, and every stage
-    but the last assigns their cost matrices into the next stage's pairings.
+    stage fits the live pairings of every frame in one batch and costs them
+    in one stack per frame shape, and every stage but the last assigns each
+    stack, in one call, into the next stage's pairings.
     One pass then decides each frame's outcome, so every frame gets the result
     it gets alone. Returns per frame a FrameMatchResult or the NoViableProposal
     that ended its search; ``stats`` counts the pose fits and the frames
@@ -676,7 +738,7 @@ def _search_frames(fds, intrinsics, config, seed_rows=None, stats=None) -> list:
     poses: dict = {}
     # Frame position -> its live (proposal, pairs): seeds are numbered in order,
     # and an assignment keeps the number of the first pairing that gave it.
-    # Pairs are looked up as fitted: seeds hold one pair, ``hungarian`` sorts.
+    # Pairs are looked up as fitted: seeds hold one pair, assignments sort.
     live = {}
     for k, fd in enumerate(fds):
         if fd.usable:
@@ -692,28 +754,28 @@ def _search_frames(fds, intrinsics, config, seed_rows=None, stats=None) -> list:
     entries: dict = {}
     for stage in range(-1, config.n_iter):
         _fit_pairs(fds, poses, [(k, p) for k in live for _, p in live[k]], intrinsics, stats)
-        following = {}
+        groups: dict = {}  # frame shape (p3, p2) -> its frames' fitted pairings
         for k, pairings in live.items():
-            fitted = [(q, pairs, poses[k, pairs]) for q, pairs in pairings
+            fitted = [(k, q, pairs, poses[k, pairs]) for q, pairs in pairings
                       if poses[k, pairs] is not None]
-            if not fitted:
-                continue
-            fd, extrs = fds[k], [extr for _, _, extr in fitted]
-            if stage < 0:  # seeds are costed by their keypoints alone
-                stack = _reprojection_matrices(
-                    fd.joints3d, fd.mask3d, fd.joints2d, fd.conf2d, extrs, intrinsics
-                )
-            else:
-                stack = _weighted_matrices(fd, extrs, intrinsics, config.lambda0)
-            frame_entries, assigned = entries.setdefault(k, []), {}
-            for (q, pairs, extr), costs in zip(fitted, stack):
-                if stage >= 0:
-                    _, score = _pairing_score(costs, pairs, threshold)
-                    frame_entries.append((q, stage, score, pairs, extr))
-                if stage + 1 < config.n_iter:
-                    assigned.setdefault(hungarian(CostMatrix(costs)).pairs, q)
-            following[k] = [(q, pairs) for pairs, q in assigned.items()]
-        live = following
+            if fitted:
+                entries.setdefault(k, [])
+                groups.setdefault((len(fds[k].idx3d), len(fds[k].idx2d)), []).extend(fitted)
+        following: dict = {}
+        for group in groups.values():
+            ks, qs, pairings, extrs = zip(*group)
+            frames, at = np.unique(ks, return_inverse=True)
+            costs = _cost_stack(  # seeds are costed by their keypoints alone
+                [fds[k] for k in frames], at, extrs, intrinsics, 0.0 if stage < 0 else config.lambda0
+            )
+            if stage >= 0:
+                scores = _pairing_scores(costs, pairings, threshold)[1]
+                for k, q, pairs, extr, score in zip(ks, qs, pairings, extrs, scores):
+                    entries[k].append((q, stage, score, pairs, extr))
+            if stage + 1 < config.n_iter:
+                for k, q, assigned in zip(ks, qs, _assign_stack(costs)):
+                    following.setdefault(k, {}).setdefault(assigned, q)
+        live = {k: [(q, pairs) for pairs, q in following[k].items()] for k in sorted(following)}
 
     outcomes = []
     for k, fd in enumerate(fds):
@@ -722,9 +784,7 @@ def _search_frames(fds, intrinsics, config, seed_rows=None, stats=None) -> list:
             if score > best_score:
                 best_score, best_pairs, best_extr = score, pairs, extr
         if best_pairs is not None:
-            residual_matrix = _reprojection_matrices(
-                fd.joints3d, fd.mask3d, fd.joints2d, fd.conf2d, [best_extr], intrinsics
-            )[0]
+            residual_matrix = _weighted_matrices(fd, [best_extr], intrinsics, 0.0)[0]
             kept = [(a, b) for a, b in best_pairs if residual_matrix[a, b] <= threshold]
             match = build_match_set([(fd.idx3d[a], fd.idx2d[b]) for a, b in kept],
                                     [residual_matrix[ab] for ab in kept], fd.n3d, fd.n2d)
@@ -1080,15 +1140,11 @@ def _kps_frame(fd, intrinsics, config):
         candidates = [tuple(zip(rows, range(p2))) for rows in itertools.permutations(range(p3), p2)]
     poses: dict = {}
     _fit_pairs([fd], poses, [(0, pairs) for pairs in candidates], intrinsics)
-    best_cost, best_pairs, best_score = math.inf, None, None
-    for pairs in candidates:
-        extr = poses[0, tuple(sorted(pairs))]
-        if extr is None:
-            continue
-        costs = _weighted_matrices(fd, [extr], intrinsics, config.lambda0)[0]
-        mean_cost, score = _pairing_score(costs, pairs, threshold)
-        if mean_cost < best_cost:
-            best_cost, best_pairs, best_score = mean_cost, pairs, score
-    if best_pairs is None:
+    fitted = [(pairs, poses[0, tuple(sorted(pairs))]) for pairs in candidates]
+    fitted = [(pairs, extr) for pairs, extr in fitted if extr is not None]
+    if not fitted:
         return None
-    return tuple((int(fd.idx3d[a]), int(fd.idx2d[b])) for a, b in best_pairs), best_score
+    costs = _weighted_matrices(fd, [extr for _, extr in fitted], intrinsics, config.lambda0)
+    means, scores = _pairing_scores(costs, [pairs for pairs, _ in fitted], threshold)
+    best = int(np.argmin(means))  # the first cheapest pairing
+    return tuple((int(fd.idx3d[a]), int(fd.idx2d[b])) for a, b in fitted[best][0]), scores[best]

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import crossalign
 from crossalign import cli, harness
 from crossalign.cli import load_run_config, main
 from crossalign.errors import InvalidConfig
@@ -896,3 +901,45 @@ class TestUsage:
         with pytest.raises(InvalidConfig) as info:
             load_run_config(config)
         assert str(info.value).startswith(f"{config}: ")
+
+
+class TestBlasThreads:
+    def test_written_files_are_identical_at_one_and_two_threads(self, tmp_path):
+        # simulate -> match (keypoint search forced on) -> refine, once per
+        # OpenBLAS thread count, each in one fresh interpreter. Paths are
+        # relative so that the match documents record the same stream paths.
+        (tmp_path / "scene.json").write_text(json.dumps(scene_config_payload(
+            person_count=3, camera_count=2, duration_frames=6, pixel_noise_sigma=1.5,
+            joint3d_noise_sigma=0.03,
+        )))
+        (tmp_path / "run.json").write_text(json.dumps({"delta": 0.0}))
+        cameras = ["--camera", "scene/camera_00.jsonl", "--camera", "scene/camera_01.jsonl"]
+        commands = [
+            ["simulate", "--config", "../scene.json", "--out", "scene"],
+            ["match", "--lidar", "scene/lidar.jsonl", *cameras, "--config", "../run.json",
+             "--out", "match"],
+            ["refine", "--lidar", "scene/lidar.jsonl", "--match",
+             "match/match_00_camera_00.json", "--match", "match/match_01_camera_01.json",
+             "--out", "refined.jsonl"],
+        ]
+        script = (
+            "import json, sys\n"
+            "from crossalign.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert main(argv) == 0, argv\n"
+        )
+        src = str(Path(crossalign.__file__).resolve().parents[1])
+        written = {}
+        for threads in ("1", "2"):
+            run = tmp_path / f"threads{threads}"
+            run.mkdir()
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            subprocess.run([sys.executable, "-c", script, json.dumps(commands)], cwd=run, env=env,
+                           check=True, timeout=120)
+            written[threads] = {
+                str(path.relative_to(run)): path.read_bytes()
+                for path in sorted(run.rglob("*")) if path.is_file()
+            }
+        assert "refined.jsonl" in written["1"] and "match/match_01_camera_01.json" in written["1"]
+        assert written["1"] == written["2"]

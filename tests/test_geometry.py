@@ -103,6 +103,15 @@ class TestExtrinsics:
         assert np.array_equal(stacked[0].rotation, before)
         assert Extrinsics.from_stack(np.zeros((0, 3, 3)), np.zeros((0, 3))) == []
 
+    def test_one_pose_leaves_the_callers_arrays_writable(self):
+        rotation, translation = np.eye(3), np.zeros(3)
+        pose = Extrinsics(rotation, translation)
+        rotation[0, 0] = 2.0
+        translation[0] = 5.0
+        assert np.array_equal(pose.rotation, np.eye(3))
+        assert np.array_equal(pose.translation, np.zeros(3))
+        assert not pose.rotation.flags.writeable and not pose.translation.flags.writeable
+
 
 class TestProject:
     def test_axis_aligned_pinhole(self):

@@ -237,6 +237,95 @@ class TestHungarian:
         assert used2 == list(range(6))
 
 
+def re_solved(costs):
+    """The reference for ``_assign_stack``: each matrix of the stack assigned
+    alone by the biased ``linear_sum_assignment`` re-solves."""
+    return [tuple(matching._lexicographic_pairs(c)) for c in costs]
+
+
+def near_tied(rng, n, m, gap):
+    """An (n, m) matrix whose two cheapest maps, both drawn from the
+    enumeration table, total 0 (the earlier one) and -gap * rtol * scale; every
+    other entry costs 10-20."""
+    costs = rng.uniform(10.0, 20.0, size=(n, m))
+    maps = matching._assignment_table(n, m)[2]
+    first, second = sorted(rng.choice(len(maps), size=2, replace=False))
+    for i, j in maps[first] + maps[second]:
+        costs[i, j] = 0.0
+    i, j = next(p for p in maps[second] if p not in maps[first])
+    costs[i, j] = -gap * matching.ASSIGNMENT_TIE_RTOL * max(1.0, np.abs(costs).max())
+    return costs
+
+
+# Enumerated shapes: at most 5! = 120 maps each.
+SHAPES = st.tuples(st.integers(1, 5), st.integers(1, 5))
+
+
+class TestAssignStack:
+    @settings(max_examples=40, deadline=None)
+    @given(SHAPES, st.integers(1, 8), st.integers(0, 2**31 - 1))
+    def test_random_matrices_equal_the_re_solves(self, shape, k, seed):
+        costs = np.random.default_rng(seed).normal(0.0, 10.0, size=(k,) + shape)
+        assert matching._assign_stack(costs) == re_solved(costs)
+
+    @settings(max_examples=40, deadline=None)
+    @given(SHAPES, st.integers(1, 8), st.integers(1, 3), st.integers(0, 2**31 - 1))
+    def test_integer_matrices_with_exact_ties(self, shape, k, top, seed):
+        costs = np.random.default_rng(seed).integers(0, top + 1, size=(k,) + shape).astype(float)
+        assert matching._assign_stack(costs) == re_solved(costs)
+
+    @settings(max_examples=40, deadline=None)
+    @given(SHAPES.filter(lambda s: s != (1, 1)), st.sampled_from([0.01, 4.0]),
+           st.integers(0, 2**31 - 1))
+    def test_near_ties_on_both_sides_of_the_tolerance(self, shape, gap, seed):
+        # A gap of 0.01 rtol * scale is a tie to both (the earlier map wins);
+        # one of 4 rtol * scale is a difference to both (the cheaper map wins).
+        rng = np.random.default_rng(seed)
+        costs = np.stack([near_tied(rng, *shape, gap) for _ in range(3)])
+        chosen = matching._assign_stack(costs)
+        assert chosen == re_solved(costs)
+        rows, cols, maps = matching._assignment_table(*shape)
+        for matrix, pairs in zip(costs, chosen):
+            totals = matrix[rows, cols].sum(axis=-1)
+            best = totals.min() if gap > 1 else 0.0
+            assert pairs == maps[np.flatnonzero(totals <= best)[0]]
+
+    def test_inside_the_band_the_earlier_map_wins(self):
+        # The one class where the two differ: totals apart by more than the
+        # re-solves' column bias (rtol * scale / 12 here) but within the
+        # enumeration's tolerance (rtol * scale / 2). The enumeration keeps
+        # the lexicographically first map; the re-solves take the cheaper one.
+        gap = 0.3 * matching.ASSIGNMENT_TIE_RTOL
+        costs = np.array([[[0.0, 0.0], [-gap, 0.0]]])
+        assert matching._assign_stack(costs) == [((0, 0), (1, 1))]
+        assert re_solved(costs) == [((0, 1), (1, 0))]
+
+    @settings(max_examples=30, deadline=None)
+    @given(SHAPES, st.booleans(), st.integers(0, 2**31 - 1))
+    def test_maximize_through_hungarian(self, shape, integer, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.integers(0, 3, size=shape) if integer else rng.normal(size=shape)
+        values = values.astype(float)
+        result = hungarian(CostMatrix(values, maximize=True))
+        assert result.pairs == re_solved(-values[None])[0]
+        assert result.residuals == tuple(values[i, j] for i, j in result.pairs)
+
+    def test_table_order_and_the_enumeration_bound(self, monkeypatch):
+        assert matching._assignment_table(3, 2)[2] == (
+            ((0, 0), (1, 1)), ((0, 0), (2, 1)), ((0, 1), (1, 0)),
+            ((0, 1), (2, 0)), ((1, 0), (2, 1)), ((1, 1), (2, 0)),
+        )
+        rng = np.random.default_rng(11)
+        # 3 x 6 enumerates 120 maps, 6 x 6 720; 7 x 7 and 4 x 10 re-solve.
+        for shape in ((3, 6), (6, 6), (7, 7), (4, 10)):
+            costs = rng.integers(0, 3, size=(4,) + shape).astype(float)
+            assert matching._assign_stack(costs) == re_solved(costs)
+            monkeypatch.setattr(matching, "STACK_FLOATS", 1)  # one matrix per slice
+            assert matching._assign_stack(costs) == re_solved(costs)
+            monkeypatch.undo()
+        assert matching._assign_stack(np.zeros((2, 0, 3))) == [(), ()]
+
+
 class TestMatchSet:
     def test_rejects_duplicate_indices(self):
         with pytest.raises(ValueError):
@@ -545,6 +634,18 @@ class TestPairResiduals:
         assert result.stats.pairs_rejected == 1
 
 
+def packed(sets):
+    """Usable points of each set of paired persons (joints3d, mask3d, joints2d,
+    conf2d), packed for ``_fit_packed``: points3d, points2d, counts."""
+    points3d, points2d, counts = [np.zeros((0, 3))], [np.zeros((0, 2))], []
+    for joints3d, mask3d, joints2d, conf2d in sets:
+        usable = mask3d & (conf2d > 0)
+        points3d.append(joints3d[usable])
+        points2d.append(joints2d[usable])
+        counts.append(int(usable.sum()))
+    return np.concatenate(points3d), np.concatenate(points2d), counts
+
+
 def poses_for_pairs_loop(tracks3d, tracks2d, pairs, intrinsics, frames, stats):
     """Reference for the per-frame pose fits: each frame's valid pairs stacked
     one frame at a time, then fit in one batch."""
@@ -562,7 +663,7 @@ def poses_for_pairs_loop(tracks3d, tracks2d, pairs, intrinsics, frames, stats):
         sets.append((joints3d, mask3d, joints2d, conf2d))
         slots.append(t)
     poses = [None] * frames
-    for t, pose in zip(slots, matching._fit_poses(sets, intrinsics, stats)):
+    for t, pose in zip(slots, matching._fit_packed(*packed(sets), intrinsics, stats)):
         poses[t] = pose
     return poses
 
@@ -642,7 +743,7 @@ class TestPosesForPairs:
 
         monkeypatch.setattr(matching, "solve_pnp_packed", recording)
         stats = matching.PcmStats()
-        poses = matching._fit_poses(sets, scene.intrinsics, stats)
+        poses = matching._fit_packed(*packed(sets), scene.intrinsics, stats)
         fitted = [o for o in outcomes if isinstance(o, geometry.PnpResult)]
         assert [p is not None for p in poses] == [
             isinstance(o, geometry.PnpResult) for o in outcomes
@@ -850,31 +951,44 @@ class TestSearchFrames:
             point = -truth.rotation.T @ truth.translation - truth.rotation[2]
             fd.joints3d[0, 7] = fd.joints3d[1, 0] = point
             behind.append(point)
-        calls = {"_reprojection_matrices": [], "_weighted_matrices": []}
-        for name, record in calls.items():
-            def recording(*args, _real=getattr(matching, name), _record=record):
-                out = _real(*args)
-                _record.append((args, out))
-                return out
+        assert len({(len(fd.idx3d), len(fd.idx2d)) for fd in fds}) == 1
+        calls = []
+        real = matching._cost_stack
 
-            monkeypatch.setattr(matching, name, recording)
+        def recording(*args):
+            out = real(*args)
+            calls.append((args, out))
+            return out
+
+        monkeypatch.setattr(matching, "_cost_stack", recording)
         config = PcmConfig(lambda0=0.5, n_iter=2)
         matching._search_frames(fds, scene.intrinsics, config)
 
-        # Per frame: one seed stack, one weighted stack per sweep (each with a
-        # keypoint stack inside) and the winner's residual matrix.
-        assert len(calls["_weighted_matrices"]) == 2 * config.n_iter
-        assert len(calls["_reprojection_matrices"]) == 2 * (2 + config.n_iter)
-        for (*arrays, poses, intrinsics), stack in calls["_reprojection_matrices"]:
-            expected = [keypoint_costs_one_pose(*arrays, extr, intrinsics) for extr in poses]
+        # One stack for both frames per stage: the seeds' keypoint stack and
+        # one weighted stack per sweep; then each winner's residual matrix.
+        assert [args[4] for args, _ in calls] == [0.0] + [0.5] * config.n_iter + [0.0, 0.0]
+        assert [len(args[0]) for args, _ in calls] == [2] * (1 + config.n_iter) + [1, 1]
+        for (stack_fds, at, poses, intrinsics, lambda0), stack in calls:
+            expected = [
+                keypoint_costs_one_pose(fd.joints3d, fd.mask3d, fd.joints2d, fd.conf2d, extr,
+                                        intrinsics)
+                if lambda0 == 0.0 else weighted_costs_one_pose(fd, extr, intrinsics, lambda0)
+                for fd, extr in zip([stack_fds[f] for f in at], poses)
+            ]
             assert np.array_equal(stack, np.stack(expected))
-        for (fd, poses, intrinsics, lambda0), stack in calls["_weighted_matrices"]:
-            expected = [weighted_costs_one_pose(fd, extr, intrinsics, lambda0) for extr in poses]
-            assert np.array_equal(stack, np.stack(expected))
-        seed_stacks = [calls["_reprojection_matrices"][k][0][4] for k in (0, 1)]
-        assert all(len(poses) > 1 for poses in seed_stacks)
-        for poses, point in zip(seed_stacks, behind):
+        (_, seed_at, seed_poses, _, _), _ = calls[0]
+        for frame, point in enumerate(behind):
+            poses = [extr for f, extr in zip(seed_at, seed_poses) if f == frame]
+            assert len(poses) > 1
             assert any(extr.transform(point)[2] < 0 for extr in poses)
+
+    def test_slices_leave_the_search_unchanged(self, monkeypatch):
+        scene, tracks3d, tracks2d = self.edited_scene()
+        fds = [frame_slice(tracks3d, tracks2d, t) for t in range(8)]
+        whole = matching._search_frames(fds, scene.intrinsics, PcmConfig())
+        monkeypatch.setattr(matching, "STACK_FLOATS", 1)  # one pose or matrix per slice
+        sliced = matching._search_frames(fds, scene.intrinsics, PcmConfig())
+        assert [search_outcome(o) for o in sliced] == [search_outcome(o) for o in whole]
 
     @pytest.mark.parametrize("proposal_fits", ["solved", "failed"])
     def test_stats_count_skipped_frames_by_reason(self, proposal_fits, monkeypatch):
