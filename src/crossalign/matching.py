@@ -406,11 +406,10 @@ def reprojection_cost(
     """
     if not (track3d.valid[frame] and track2d.valid[frame]):
         raise ValueError("both tracks must be valid at the frame")
-    joints3d, mask3d = _usable3d(track3d.joints[frame][None])
-    joints2d, conf2d = _usable2d(track2d.joints[frame][None], track2d.confidence[frame][None])
-    index, pose = np.zeros(1, dtype=int), np.zeros((1, JOINTS, 3, 3))  # poses unused at lambda0 0
-    fd = FrameData(frame, 1, 1, index, joints3d, mask3d, pose, index, joints2d, conf2d, pose)
-    return float(_weighted_matrices(fd, [extrinsics], intrinsics, 0.0)[0, 0, 0])
+    joints3d, mask3d = _usable3d(track3d.joints[frame])
+    joints2d, conf2d = _usable2d(track2d.joints[frame], track2d.confidence[frame])
+    cam = extrinsics.transform(joints3d)
+    return float(_reprojection_costs(cam, mask3d, joints2d, conf2d, intrinsics))
 
 
 def body_pose_cost(
@@ -461,7 +460,7 @@ def weighted_cost(
 # Per-frame data and vectorized cost matrices
 
 
-@dataclass
+@dataclass(frozen=True)
 class FrameData:
     """Per-frame slices of every usable person, with original track indices."""
 
@@ -480,15 +479,6 @@ class FrameData:
     @property
     def usable(self) -> bool:
         return len(self.idx3d) > 0 and len(self.idx2d) > 0
-
-    @functools.cached_property
-    def origin_skeletons(self) -> tuple[np.ndarray, np.ndarray]:
-        """Forward kinematics of each side's body poses rooted at the origin,
-        (p3, 24, 3) and (p2, 24, 3); computed on first use."""
-        return (
-            fk_points(default_skeleton(), self.pose3d, np.zeros((len(self.idx3d), 3))),
-            fk_points(default_skeleton(), self.pose2d, np.zeros((len(self.idx2d), 3))),
-        )
 
 
 def _usable3d(joints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -583,10 +573,11 @@ def _pixel_distances(uv: np.ndarray, observed: np.ndarray) -> np.ndarray:
     return np.sqrt(du * du + dv * dv)
 
 
-def _cost_stack(fds, at, poses, intrinsics, lambda0) -> np.ndarray:
-    """(pose, p3, p2) keypoint costs (``reprojection_cost``) plus lambda0
-    times the body-pose costs (``body_pose_cost``) of frames that share their
-    person counts (p3, p2), pose k (Extrinsics) costed on frame ``fds[at[k]]``.
+def _cost_stack(fds, at, poses, intrinsics, lambda0) -> tuple[np.ndarray, np.ndarray]:
+    """(pose, p3, p2) keypoint costs (``reprojection_cost``), and the totals
+    that add lambda0 times the body-pose costs (``body_pose_cost``), of frames
+    that share their person counts (p3, p2), pose k (Extrinsics) costed on
+    frame ``fds[at[k]]``. At lambda0 0 the totals are the keypoint array.
 
     Every slice equals that frame's one-pose evaluation bit for bit. Poses
     run in slices whose (pose, p3, p2, 24, 3) temporaries hold at most
@@ -598,13 +589,16 @@ def _cost_stack(fds, at, poses, intrinsics, lambda0) -> np.ndarray:
         for name in ("joints3d", "mask3d", "joints2d", "conf2d")
     )
     if lambda0 != 0.0:
-        fk3, fk2 = (np.stack(side) for side in zip(*(fd.origin_skeletons for fd in fds)))
-        roots = joints3d[:, :, 0]
-        skeletons3d = fk3 + roots[:, :, None, :]
+        # Both sides' skeletons rooted at the origin, in one pass over every person.
+        bodies = np.stack([np.concatenate([fd.pose3d, fd.pose2d]) for fd in fds])
+        fk = fk_points(default_skeleton(), bodies, np.zeros(bodies.shape[:2] + (3,)))
+        fk2, roots = fk[:, p3:], joints3d[:, :, 0]
+        skeletons3d = fk[:, :p3] + roots[:, :, None, :]
     at = np.asarray(at, dtype=int)
     rotations = np.array([e.rotation for e in poses]).reshape(-1, 3, 3)
     translations = np.array([e.translation for e in poses]).reshape(-1, 3)
-    costs = np.empty((len(poses), p3, p2))
+    keypoint = np.empty((len(poses), p3, p2))
+    total = keypoint if lambda0 == 0.0 else np.empty_like(keypoint)
     step = max(1, STACK_FLOATS // (p3 * p2 * JOINTS * 3))
     for lo in range(0, len(poses), step):
         take = functools.partial(np.take, indices=at[lo:lo + step], axis=0)
@@ -612,17 +606,11 @@ def _cost_stack(fds, at, poses, intrinsics, lambda0) -> np.ndarray:
         cam = _camera_points(take(joints3d), r, t)[:, :, None]  # (pose, p3, 1, 24, 3)
         run = _reprojection_costs(cam, take(mask3d)[:, :, None], take(joints2d)[:, None],
                                   take(conf2d)[:, None], intrinsics)
+        keypoint[lo:lo + step] = run
         if lambda0 != 0.0:
             pose = _body_pose_costs(take(skeletons3d), take(fk2), take(roots), r, t, intrinsics)
-            run = run + lambda0 * pose
-        costs[lo:lo + step] = run
-    return costs
-
-
-def _weighted_matrices(fd, poses, intrinsics, lambda0) -> np.ndarray:
-    """(pose, p3, p2) costs of frame ``fd`` under each of ``poses``: the
-    one-frame case of ``_cost_stack``."""
-    return _cost_stack([fd], [0] * len(poses), poses, intrinsics, lambda0)
+            total[lo:lo + step] = run + lambda0 * pose
+    return keypoint, total
 
 
 def _pairing_scores(costs, pairings, threshold) -> tuple[np.ndarray, list[float]]:
@@ -749,8 +737,8 @@ def _search_frames(fds, intrinsics, config, seed_rows=None, stats=None) -> list:
                 for b in range(len(fd.idx2d))
                 if (fd.mask3d[a] & (fd.conf2d[b] > 0)).sum() >= MIN_CORRESPONDENCES
             ))
-    # Frame position -> the sweeps' (proposal, sweep, score, pairs, pose); a
-    # frame enters once a seed fit gives it a pose.
+    # Frame position -> the sweeps' (proposal, sweep, score, pairs, pose,
+    # keypoint matrix); a frame enters once a seed fit gives it a pose.
     entries: dict = {}
     for stage in range(-1, config.n_iter):
         _fit_pairs(fds, poses, [(k, p) for k in live for _, p in live[k]], intrinsics, stats)
@@ -765,13 +753,14 @@ def _search_frames(fds, intrinsics, config, seed_rows=None, stats=None) -> list:
         for group in groups.values():
             ks, qs, pairings, extrs = zip(*group)
             frames, at = np.unique(ks, return_inverse=True)
-            costs = _cost_stack(  # seeds are costed by their keypoints alone
+            keypoint, costs = _cost_stack(  # seeds are costed by their keypoints alone
                 [fds[k] for k in frames], at, extrs, intrinsics, 0.0 if stage < 0 else config.lambda0
             )
             if stage >= 0:
                 scores = _pairing_scores(costs, pairings, threshold)[1]
-                for k, q, pairs, extr, score in zip(ks, qs, pairings, extrs, scores):
-                    entries[k].append((q, stage, score, pairs, extr))
+                for k, q, pairs, extr, score, residuals in zip(ks, qs, pairings, extrs, scores,
+                                                               keypoint):
+                    entries[k].append((q, stage, score, pairs, extr, residuals))
             if stage + 1 < config.n_iter:
                 for k, q, assigned in zip(ks, qs, _assign_stack(costs)):
                     following.setdefault(k, {}).setdefault(assigned, q)
@@ -779,16 +768,14 @@ def _search_frames(fds, intrinsics, config, seed_rows=None, stats=None) -> list:
 
     outcomes = []
     for k, fd in enumerate(fds):
-        best_score, best_pairs, best_extr = -math.inf, None, None
-        for _, _, score, pairs, extr in sorted(entries.get(k, ()), key=lambda e: e[:2]):
-            if score > best_score:
-                best_score, best_pairs, best_extr = score, pairs, extr
-        if best_pairs is not None:
-            residual_matrix = _weighted_matrices(fd, [best_extr], intrinsics, 0.0)[0]
-            kept = [(a, b) for a, b in best_pairs if residual_matrix[a, b] <= threshold]
+        ordered = sorted(entries.get(k, ()), key=lambda e: e[:2])
+        best = max(ordered, key=lambda e: e[2], default=None)  # the first best entry
+        if best is not None:
+            _, _, score, pairs, extr, residuals = best
+            kept = [(a, b) for a, b in pairs if residuals[a, b] <= threshold]
             match = build_match_set([(fd.idx3d[a], fd.idx2d[b]) for a, b in kept],
-                                    [residual_matrix[ab] for ab in kept], fd.n3d, fd.n2d)
-            outcomes.append(FrameMatchResult(match, best_extr, best_score))
+                                    [residuals[ab] for ab in kept], fd.n3d, fd.n2d)
+            outcomes.append(FrameMatchResult(match, extr, score))
             continue
         if not fd.usable:
             reason, message = NoViableProposal.NO_USABLE_PERSON, "no usable person on one side"
@@ -1144,7 +1131,8 @@ def _kps_frame(fd, intrinsics, config):
     fitted = [(pairs, extr) for pairs, extr in fitted if extr is not None]
     if not fitted:
         return None
-    costs = _weighted_matrices(fd, [extr for _, extr in fitted], intrinsics, config.lambda0)
+    extrs = [extr for _, extr in fitted]
+    costs = _cost_stack([fd], [0] * len(extrs), extrs, intrinsics, config.lambda0)[1]
     means, scores = _pairing_scores(costs, [pairs for pairs, _ in fitted], threshold)
     best = int(np.argmin(means))  # the first cheapest pairing
     return tuple((int(fd.idx3d[a]), int(fd.idx2d[b])) for a, b in fitted[best][0]), scores[best]

@@ -37,7 +37,7 @@ from crossalign.matching import (
     weighted_cost,
 )
 from crossalign.simulator import SceneConfig, accuracy, generate
-from crossalign.skeleton import default_skeleton, forward_kinematics
+from crossalign.skeleton import default_skeleton, fk_points, forward_kinematics
 
 from helpers import make_intrinsics, random_camera, random_rotation
 
@@ -965,22 +965,53 @@ class TestSearchFrames:
         matching._search_frames(fds, scene.intrinsics, config)
 
         # One stack for both frames per stage: the seeds' keypoint stack and
-        # one weighted stack per sweep; then each winner's residual matrix.
-        assert [args[4] for args, _ in calls] == [0.0] + [0.5] * config.n_iter + [0.0, 0.0]
-        assert [len(args[0]) for args, _ in calls] == [2] * (1 + config.n_iter) + [1, 1]
-        for (stack_fds, at, poses, intrinsics, lambda0), stack in calls:
+        # one weighted stack per sweep; the winners' residuals are read from
+        # the sweeps' keypoint stacks, with no further call.
+        assert [args[4] for args, _ in calls] == [0.0] + [0.5] * config.n_iter
+        assert [len(args[0]) for args, _ in calls] == [2] * (1 + config.n_iter)
+        for (stack_fds, at, poses, intrinsics, lambda0), (keypoint, total) in calls:
+            posed = list(zip([stack_fds[f] for f in at], poses))
             expected = [
                 keypoint_costs_one_pose(fd.joints3d, fd.mask3d, fd.joints2d, fd.conf2d, extr,
                                         intrinsics)
-                if lambda0 == 0.0 else weighted_costs_one_pose(fd, extr, intrinsics, lambda0)
-                for fd, extr in zip([stack_fds[f] for f in at], poses)
+                for fd, extr in posed
             ]
-            assert np.array_equal(stack, np.stack(expected))
+            assert np.array_equal(keypoint, np.stack(expected))
+            if lambda0 == 0.0:
+                assert total is keypoint
+            else:
+                expected = [weighted_costs_one_pose(fd, extr, intrinsics, lambda0)
+                            for fd, extr in posed]
+                assert np.array_equal(total, np.stack(expected))
         (_, seed_at, seed_poses, _, _), _ = calls[0]
         for frame, point in enumerate(behind):
             poses = [extr for f, extr in zip(seed_at, seed_poses) if f == frame]
             assert len(poses) > 1
             assert any(extr.transform(point)[2] < 0 for extr in poses)
+
+    def test_residuals_are_the_winners_keypoint_costs(self):
+        # The search scores keypoint plus body-pose costs, but a winner's
+        # residuals are its kept pairs' keypoint costs alone. The scene's body
+        # poses are noiseless, so each 2D person takes the next one's poses
+        # to make the body-pose term nonzero on every pair.
+        scene, tracks3d, tracks2d = self.edited_scene()
+        tracks2d = [replace(t, body_pose=tracks2d[(j + 1) % len(tracks2d)].body_pose)
+                    for j, t in enumerate(tracks2d)]
+        fds = [frame_slice(tracks3d, tracks2d, t) for t in range(8)]
+        config = PcmConfig(lambda0=0.5)
+        threshold = config.resolved_reject_threshold(scene.intrinsics)
+        outcomes = matching._search_frames(fds, scene.intrinsics, config)
+        results = [(fd, o) for fd, o in zip(fds, outcomes) if not isinstance(o, NoViableProposal)]
+        assert len(results) == 6
+        for fd, result in results:
+            match = result.match
+            assert match.pairs
+            assert match.residuals == tuple(
+                reprojection_cost(tracks3d[i], tracks2d[j], result.extrinsics, scene.intrinsics,
+                                  fd.frame)
+                for i, j in match.pairs
+            )
+            assert max(match.residuals) <= threshold
 
     def test_slices_leave_the_search_unchanged(self, monkeypatch):
         scene, tracks3d, tracks2d = self.edited_scene()
@@ -1035,7 +1066,8 @@ def keypoint_costs_one_pose(joints3d, mask3d, joints2d, conf2d, extr, intrinsics
 def weighted_costs_one_pose(fd, extr, intrinsics, lambda0):
     """(p3, p2) keypoint plus body-pose costs under one pose, the reference
     for the stacks."""
-    fk3, fk2 = fd.origin_skeletons
+    fk3, fk2 = (fk_points(default_skeleton(), pose, np.zeros((len(pose), 3)))
+                for pose in (fd.pose3d, fd.pose2d))
     roots = fd.joints3d[:, 0]
     uv3, front3 = geometry.pinhole(intrinsics, extr.transform(fk3 + roots[:, None, :]))
     uv2, front2 = geometry.pinhole(intrinsics, extr.transform(fk2[None] + roots[:, None, None]))
