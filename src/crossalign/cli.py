@@ -248,6 +248,8 @@ def cmd_match(args) -> int:
         *(cam.skeleton_hash for _, cam in cameras),
     )
 
+    if not lidar.tracks:
+        logger.warning("%s: no persons in LiDAR stream; writing empty matches", args.lidar)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 

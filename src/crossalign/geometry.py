@@ -100,6 +100,8 @@ class Intrinsics:
     def __post_init__(self):
         if not (self.fx > 0 and self.fy > 0):
             raise ValueError("focal lengths must be positive")
+        if not (self.width >= 1 and self.height >= 1):
+            raise ValueError("image width and height must be at least 1")
         if not (0 <= self.cx <= self.width and 0 <= self.cy <= self.height):
             raise ValueError("principal point must lie inside the image")
 

@@ -802,16 +802,16 @@ def variance_of_translations(extrinsics) -> float:
     return float(ts.var(axis=0, ddof=1).sum())
 
 
-def _pair_frames(tracks3d, tracks2d, pairs, frames) -> tuple[np.ndarray, ...]:
-    """Every pair's joints on the ``frames`` (frame indices): arrays joints3d,
-    mask3d, joints2d, conf2d of shape (pair, frame, 24, ...), zero-filled and
-    masked as in FrameData, and the (pair, frame) mask of where both tracks
-    are valid."""
+def _pair_frames(tracks3d, tracks2d, pairs, frames: int) -> tuple[np.ndarray, ...]:
+    """Every pair's joints over the whole ``frames``-long timeline: arrays
+    joints3d, mask3d, joints2d, conf2d of shape (pair, frame, 24, ...),
+    zero-filled and masked as in FrameData, and the (pair, frame) mask of where
+    both tracks are valid."""
     tracks3, tracks2 = [tracks3d[i] for i, _ in pairs], [tracks2d[j] for _, j in pairs]
 
     def gather(tracks, name, tail=()):
-        values = np.array([getattr(t, name)[frames] for t in tracks])
-        return values.reshape((len(pairs), len(frames)) + tail)  # shaped even without pairs
+        values = np.array([getattr(t, name) for t in tracks])
+        return values.reshape((len(pairs), frames) + tail)  # shaped even without pairs
 
     joints3d, mask3d = _usable3d(gather(tracks3, "joints", (JOINTS, 3)))
     joints2d, conf2d = _usable2d(
@@ -821,12 +821,11 @@ def _pair_frames(tracks3d, tracks2d, pairs, frames) -> tuple[np.ndarray, ...]:
     return joints3d, mask3d, joints2d, conf2d, valid
 
 
-def _poses_for_pairs(tracks3d, tracks2d, pairs, intrinsics, frames, stats=None) -> list:
+def _poses_for_pairs(arrays, intrinsics, stats=None) -> list:
     """Per-frame camera poses fit, in one batch, to the pairs valid at each
-    frame; None where no pair is valid or the fit fails."""
-    joints3d, mask3d, joints2d, conf2d, valid = _pair_frames(
-        tracks3d, tracks2d, pairs, np.arange(frames)
-    )
+    frame of the ``_pair_frames`` arrays; None where no pair is valid or the
+    fit fails."""
+    joints3d, mask3d, joints2d, conf2d, valid = arrays
     slots = np.flatnonzero(valid.any(axis=0))
     # Frame-major (frame, pair, joint) order gives each frame's points in a
     # block, pair by pair.
@@ -834,7 +833,7 @@ def _poses_for_pairs(tracks3d, tracks2d, pairs, intrinsics, frames, stats=None) 
     points3d = joints3d.transpose(1, 0, 2, 3)[usable]
     points2d = joints2d.transpose(1, 0, 2, 3)[usable]
     counts = usable.sum(axis=(1, 2))[slots]
-    poses = [None] * frames
+    poses = [None] * valid.shape[1]
     for t, pose in zip(slots, _fit_packed(points3d, points2d, counts, intrinsics, stats)):
         poses[t] = pose
     return poses
@@ -917,13 +916,12 @@ class SequenceMatchResult:
 
 
 def _common_timeline(tracks3d, tracks2d) -> int:
+    """Shared timeline length; it may be 0 only when one side has no tracks."""
     lengths = {t.frames for t in tracks3d} | {t.frames for t in tracks2d}
     if len(lengths) > 1:
         raise ValueError(f"tracks disagree on timeline length: {sorted(lengths)}")
-    if not lengths:
-        return 0
-    t = lengths.pop()
-    if t < 1:
+    t = lengths.pop() if lengths else 0
+    if t < 1 and tracks3d and tracks2d:
         raise ValueError("timeline must have at least one frame")
     return t
 
@@ -953,7 +951,8 @@ def match_sequences(
 
     similarity = pose_similarity_matrix(tracks3d, tracks2d)
     c_init = hungarian(CostMatrix(similarity, maximize=True))
-    m_init = _poses_for_pairs(tracks3d, tracks2d, c_init.pairs, intrinsics, frames, stats)
+    arrays = _pair_frames(tracks3d, tracks2d, c_init.pairs, frames)
+    m_init = _poses_for_pairs(arrays, intrinsics, stats)
     available = [e for e in m_init if e is not None]
     stats.gate_variance = variance_of_translations(available) if available else math.inf
 
@@ -973,18 +972,15 @@ def match_sequences(
             stats.fallback_to_pose = True
             c_final, m_final = c_init, m_init
         else:
-            m_final = _poses_for_pairs(
-                tracks3d, tracks2d, c_final.pairs, intrinsics, frames, stats
-            )
+            arrays = _pair_frames(tracks3d, tracks2d, c_final.pairs, frames)
+            m_final = _poses_for_pairs(arrays, intrinsics, stats)
     else:
         c_final, m_final = c_init, m_init
 
     smoothed = smooth_extrinsics(m_final, config.smoothing_window)
     threshold = config.resolved_reject_threshold(intrinsics)
     kept, residuals = [], []
-    for pair, res in zip(
-        c_final.pairs, _pair_residuals(tracks3d, tracks2d, c_final.pairs, smoothed, intrinsics)
-    ):
+    for pair, res in zip(c_final.pairs, _pair_residuals(arrays, smoothed, intrinsics)):
         if res <= threshold:
             kept.append(pair)
             residuals.append(res)
@@ -996,24 +992,24 @@ def match_sequences(
 def extrinsics_for_match(tracks3d, tracks2d, pairs, intrinsics, smoothing_window: int):
     """Per-frame smoothed extrinsics implied by a fixed pairing, with each
     pair's mean reprojection residual under them."""
-    frames = _common_timeline(tracks3d, tracks2d)
-    raw = _poses_for_pairs(tracks3d, tracks2d, pairs, intrinsics, frames)
-    smoothed = smooth_extrinsics(raw, smoothing_window)
-    return smoothed, _pair_residuals(tracks3d, tracks2d, pairs, smoothed, intrinsics)
+    arrays = _pair_frames(tracks3d, tracks2d, pairs, _common_timeline(tracks3d, tracks2d))
+    smoothed = smooth_extrinsics(_poses_for_pairs(arrays, intrinsics), smoothing_window)
+    return smoothed, _pair_residuals(arrays, smoothed, intrinsics)
 
 
-def _pair_residuals(tracks3d, tracks2d, pairs, extrinsics_seq, intrinsics) -> list[float]:
+def _pair_residuals(arrays, extrinsics_seq, intrinsics) -> list[float]:
     """Each pair's mean ``reprojection_cost`` over the frames where the pose
     and both tracks exist, or inf where there is none.
 
-    Every pair's joints on every posed frame are projected in one masked
-    pass over (pair, frame, joint) arrays."""
+    Every pair's joints on every posed frame of the ``_pair_frames`` arrays
+    are projected in one masked pass over (pair, frame, joint) arrays."""
+    n_pairs = len(arrays[0])
     posed = [t for t, e in enumerate(extrinsics_seq) if e is not None]
-    if not pairs or not posed:
-        return [math.inf] * len(pairs)
+    if not n_pairs or not posed:
+        return [math.inf] * n_pairs
     rotations = np.array([extrinsics_seq[t].rotation for t in posed])  # (f, 3, 3)
     translations = np.array([extrinsics_seq[t].translation for t in posed])  # (f, 3)
-    joints3d, mask3d, joints2d, conf2d, measured = _pair_frames(tracks3d, tracks2d, pairs, posed)
+    joints3d, mask3d, joints2d, conf2d, measured = (np.take(a, posed, axis=1) for a in arrays)
     cam = joints3d @ rotations.transpose(0, 2, 1) + translations[:, None, :]
     costs = _reprojection_costs(cam, mask3d, joints2d, conf2d, intrinsics)  # (pair, f)
     # Each pair's measured frames are compacted before the mean: a masked row

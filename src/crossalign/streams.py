@@ -345,7 +345,7 @@ def resample_to_timeline(
                 source_for_target[t] = s
     used = set(source_for_target[source_for_target >= 0].tolist())
     dropped = len(source_times) - len(used)
-    if dropped > 0:
+    if dropped > 0 and frames > 0:  # an empty timeline drops all, and is no misalignment
         logger.warning("%d camera frames have no timeline counterpart and were dropped", dropped)
 
     resampled = []

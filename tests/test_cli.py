@@ -233,6 +233,27 @@ class TestMatch:
         doc = load_match_output(next(iter(sorted(out.iterdir()))))
         assert doc.pairs == []
 
+    @pytest.mark.parametrize("mode", [None, "KPs"])
+    def test_empty_lidar_stream_warns_once_but_succeeds(self, scene_dir, tmp_path, mode, caplog):
+        empty_lidar = tmp_path / "empty_lidar.jsonl"
+        empty_lidar.write_text((scene_dir / "lidar.jsonl").read_text().splitlines()[0] + "\n")
+        camera = scene_dir / "camera_00.jsonl"
+        out = tmp_path / "match_empty"
+        args = ["--mode", mode] if mode else []
+        code = run_cli(
+            "match", "--lidar", str(empty_lidar), "--camera", str(camera), "--camera", str(camera),
+            "--out", str(out), *args,
+        )
+        assert code == 0
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == 1 and "no persons in LiDAR stream" in warnings[0]
+        documents = sorted(out.iterdir())
+        assert len(documents) == 2
+        for path in documents:
+            doc = load_match_output(path)
+            assert (doc.pairs, doc.extrinsics) == ([], {})
+            assert doc.payload["unmatched3d"] == [] and len(doc.payload["unmatched2d"]) == 3
+
     def test_wrong_kind_exits_2(self, scene_dir, tmp_path):
         code = run_cli(
             "match",
@@ -321,7 +342,8 @@ class TestMatch:
     @pytest.mark.parametrize(
         "field, value",
         [("fx", True), ("fy", "1000"), ("cx", float("nan")), ("cy", None), ("cy", DROP),
-         ("width", 1920.7), ("width", True), ("height", "1080"), ("height", 1080.0)],
+         ("width", 1920.7), ("width", True), ("height", "1080"), ("height", 1080.0),
+         ("width", 0), ("height", 0)],
     )
     def test_mistyped_intrinsics_exit_2(self, scene_dir, tmp_path, field, value, caplog):
         camera = scene_dir / "camera_00.jsonl"

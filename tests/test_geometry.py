@@ -41,6 +41,12 @@ class TestIntrinsics:
             make_intrinsics(fx=-1.0)
         with pytest.raises(ValueError):
             make_intrinsics(cx=5000.0)
+        # An image without pixels has a zero diagonal, which would make the
+        # behind-camera penalty and the default reject threshold 0.
+        for width, height in ((0, 0), (0, 1080), (1920, 0)):
+            with pytest.raises(ValueError, match="at least 1"):
+                make_intrinsics(cx=0.0, cy=0.0, width=width, height=height)
+        assert make_intrinsics(cx=0.0, cy=0.0, width=1, height=1).diagonal > 0
 
 
 class TestExtrinsics:
@@ -286,9 +292,7 @@ class TestSolvePnp:
             ))
             for camera, tracks2d in enumerate(scene.tracks2d):
                 pairs = sorted(scene.truth.correspondence[camera].items())
-                *arrays, valid = matching._pair_frames(
-                    scene.tracks3d, tracks2d, pairs, np.arange(frames)
-                )
+                *arrays, valid = matching._pair_frames(scene.tracks3d, tracks2d, pairs, frames)
                 problems = []
                 for t in range(frames):
                     joints3d, mask3d, joints2d, conf2d = (a[valid[:, t], t] for a in arrays)

@@ -611,13 +611,15 @@ class TestPairResiduals:
         k = scene.intrinsics
         pairs = list(itertools.product(range(len(tracks3d)), range(len(tracks2d))))
         expected = [pair_residual_loop(tracks3d[i], tracks2d[j], extrinsics, k) for i, j in pairs]
-        assert matching._pair_residuals(tracks3d, tracks2d, pairs, extrinsics, k) == expected
+        arrays = matching._pair_frames(tracks3d, tracks2d, pairs, frames)
+        assert matching._pair_residuals(arrays, extrinsics, k) == expected
         # The zero-confidence 2D person costs the image diagonal at frame 0.
         assert reprojection_cost(tracks3d[0], tracks2d[1], extrinsics[0], k, 0) == k.diagonal
 
     def test_empty_pair_list(self):
         scene, tracks3d, tracks2d, extrinsics = self.edited_scene(31, 20)
-        assert matching._pair_residuals(tracks3d, tracks2d, [], extrinsics, scene.intrinsics) == []
+        arrays = matching._pair_frames(tracks3d, tracks2d, [], 20)
+        assert matching._pair_residuals(arrays, extrinsics, scene.intrinsics) == []
 
     def test_pair_without_a_common_frame_is_inf_and_unmatched(self):
         scene = generate(SceneConfig(person_count=1, duration_frames=6, seed=34))
@@ -626,7 +628,8 @@ class TestPairResiduals:
         t2 = replace(scene.tracks2d[0][0], valid=scene.tracks2d[0][0].valid & ~early)
         extrinsics = scene.truth.extrinsics[0]
         k = scene.intrinsics
-        assert matching._pair_residuals([t3], [t2], [(0, 0)], extrinsics, k) == [math.inf]
+        arrays = matching._pair_frames([t3], [t2], [(0, 0)], 6)
+        assert matching._pair_residuals(arrays, extrinsics, k) == [math.inf]
         assert pair_residual_loop(t3, t2, extrinsics, k) == math.inf
         result = match_sequences([t3], [t2], k)
         assert result.match.pairs == ()
@@ -711,9 +714,8 @@ class TestPosesForPairs:
         expected = poses_for_pairs_loop(
             tracks3d, tracks2d, pairs, scene.intrinsics, frames, expected_stats
         )
-        poses = matching._poses_for_pairs(
-            tracks3d, tracks2d, pairs, scene.intrinsics, frames, stats
-        )
+        arrays = matching._pair_frames(tracks3d, tracks2d, pairs, frames)
+        poses = matching._poses_for_pairs(arrays, scene.intrinsics, stats)
         assert [pose_bytes(p) for p in poses] == [pose_bytes(p) for p in expected]
         assert stats.pnp_attempted == expected_stats.pnp_attempted > 0
         assert stats.pnp_failed == expected_stats.pnp_failed
@@ -731,7 +733,7 @@ class TestPosesForPairs:
         monkeypatch.setattr(geometry, "PNP_MAX_ITERATIONS", 3)
         scene, tracks3d, tracks2d = self.dropout_scene(42, 12)
         pairs = sorted(scene.truth.correspondence[0].items())
-        *arrays, valid = matching._pair_frames(tracks3d, tracks2d, pairs, np.arange(12))
+        *arrays, valid = matching._pair_frames(tracks3d, tracks2d, pairs, 12)
         sets = [tuple(a[valid[:, t], t] for a in arrays) for t in range(12)]
         outcomes = []
         solve = matching.solve_pnp_packed
@@ -755,7 +757,8 @@ class TestPosesForPairs:
     def test_empty_pair_list(self):
         scene, tracks3d, tracks2d = self.dropout_scene(41, 20)
         stats = matching.PcmStats()
-        poses = matching._poses_for_pairs(tracks3d, tracks2d, [], scene.intrinsics, 20, stats)
+        arrays = matching._pair_frames(tracks3d, tracks2d, [], 20)
+        poses = matching._poses_for_pairs(arrays, scene.intrinsics, stats)
         assert poses == [None] * 20
         assert stats.pnp_attempted == 0
 
@@ -1204,6 +1207,23 @@ class TestMatchSequences:
         assert result.match.pairs == ()
         assert result.match.unmatched3d == (0, 1)
 
+    @pytest.mark.parametrize("frames", [0, 3])
+    def test_an_empty_side_gives_empty_results_on_any_timeline(self, frames):
+        # A stream without records resamples the other side to a 0-frame timeline.
+        rng = np.random.default_rng(29)
+        k = make_intrinsics()
+        t3, t2 = track3d_from(rng, frames), track2d_from(rng, frames)
+        for tracks3d, tracks2d in (([t3], []), ([], [t2])):
+            empty = MatchSet.empty(len(tracks3d), len(tracks2d))
+            result = match_sequences(tracks3d, tracks2d, k)
+            assert (result.match, result.extrinsics) == (empty, [None] * frames)
+            assert result.stats.frames_total == frames
+            for strategy in matching.STRATEGIES:
+                assert match_with_strategy(strategy, tracks3d, tracks2d, k) == empty
+            assert matching.extrinsics_for_match(tracks3d, tracks2d, [], k, 9) == (
+                [None] * frames, []
+            )
+
     def test_extrinsics_track_true_camera(self):
         scene = generate(SceneConfig(person_count=5, duration_frames=16, seed=17))
         result = match_sequences(
@@ -1243,6 +1263,57 @@ class TestMatchSequences:
         t2 = track2d_from(rng, 5)
         with pytest.raises(ValueError):
             match_sequences([t3], [t2], make_intrinsics())
+
+    @pytest.mark.parametrize("frames3d,frames2d", [(0, 5), (4, 0), (0, 0)])
+    def test_a_zero_length_timeline_beside_tracks_is_rejected(self, frames3d, frames2d):
+        rng = np.random.default_rng(23)
+        tracks3d, tracks2d = [track3d_from(rng, frames3d)], [track2d_from(rng, frames2d)]
+        k = make_intrinsics()
+        with pytest.raises(ValueError, match="timeline"):
+            match_sequences(tracks3d, tracks2d, k)
+        with pytest.raises(ValueError, match="timeline"):
+            match_with_strategy("P&T", tracks3d, tracks2d, k)
+        with pytest.raises(ValueError, match="timeline"):
+            matching.extrinsics_for_match(tracks3d, tracks2d, [(0, 0)], k, 9)
+
+
+class TestGatherCount:
+    """A match gathers each pairing's (pair, frame, joint) arrays once, for
+    its pose fits and its residual filter together."""
+
+    @pytest.fixture
+    def gathered(self, monkeypatch):
+        pairings = []
+        gather = matching._pair_frames
+
+        def counting(tracks3d, tracks2d, pairs, frames):
+            pairings.append(tuple(pairs))
+            return gather(tracks3d, tracks2d, pairs, frames)
+
+        monkeypatch.setattr(matching, "_pair_frames", counting)
+        return pairings
+
+    @pytest.mark.parametrize("path", ["pose", "keypoint", "fallback"])
+    def test_match_sequences(self, path, gathered, monkeypatch):
+        scene = generate(SceneConfig(person_count=3, duration_frames=6, seed=9, pixel_noise_sigma=1.0))
+        if path == "fallback":
+
+            def no_winner(fds, *args, **kwargs):
+                return [NoViableProposal("stub", NoViableProposal.SEED_FITS_FAILED)] * len(fds)
+
+            monkeypatch.setattr(matching, "_search_frames", no_winner)
+        config = PcmConfig(delta=math.inf if path == "pose" else 0.0)
+        result = match_sequences(scene.tracks3d, scene.tracks2d[0], scene.intrinsics, config)
+        assert result.stats.keypoint_path == (path != "pose")
+        assert result.stats.fallback_to_pose == (path == "fallback")
+        assert len(gathered) == (2 if path == "keypoint" else 1)
+        assert result.match.pairs and set(result.match.pairs) <= set(gathered[-1])
+
+    def test_extrinsics_for_match(self, gathered):
+        scene = generate(SceneConfig(person_count=3, duration_frames=6, seed=9))
+        pairs = sorted(scene.truth.correspondence[0].items())
+        matching.extrinsics_for_match(scene.tracks3d, scene.tracks2d[0], pairs, scene.intrinsics, 3)
+        assert gathered == [tuple(pairs)]
 
 
 # ---------------------------------------------------------------------------
