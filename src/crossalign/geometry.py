@@ -53,13 +53,9 @@ MIN_CORRESPONDENCES_PLANAR = 8
 # benchmark pair or extrinsic differs from those at cap 100.
 PNP_MAX_ITERATIONS = 20
 
-# Most padded points one Gauss-Newton evaluation of a pose batch covers; bounds
-# the solver's working memory (a few hundred bytes per point).
+# Most points one linear-start stack or padded Gauss-Newton evaluation covers,
+# unless one problem has more; bounds working memory (a few hundred bytes each).
 PNP_BATCH_POINTS = 4096
-
-# Problems, of any point count, per stacked linear start; bounds the working
-# memory of ``_initial_poses`` (a few hundred bytes per point).
-DLT_CHUNK = 32
 
 
 def check_rotation(matrix: np.ndarray) -> np.ndarray:
@@ -238,43 +234,26 @@ def solve_pnp(points3d: np.ndarray, points2d: np.ndarray, intrinsics: Intrinsics
     PNP_MAX_ITERATIONS iterations: the cap leaves fits to true pairs several
     times the iterations they take and ends the long fits, mostly to wrong
     pairs, that would hold their batch open. The one-problem case of
-    ``solve_pnp_batch``.
+    ``solve_pnp_packed``.
     """
-    outcome = solve_pnp_batch([(points3d, points2d)], intrinsics)[0]
+    x3 = np.asarray(points3d, dtype=float).reshape(-1, 3)
+    outcome = solve_pnp_packed(x3, points2d, [len(x3)], intrinsics)[0]
     if isinstance(outcome, GeometryError):
         raise outcome
     return outcome
 
 
-def solve_pnp_batch(problems, intrinsics: Intrinsics) -> list:
-    """Solve independent pose problems ``(points3d, points2d)`` under one camera.
+def solve_pnp_packed(points3d, points2d, counts, intrinsics: Intrinsics) -> list:
+    """Solve independent pose problems under one camera, packed end to end:
+    problem i owns the next ``counts[i]`` rows of points3d (N, 3) and
+    points2d (N, 2).
 
     Returns, per problem and in order, its PnpResult or the GeometryError that
     ``solve_pnp`` raises for it. No problem's outcome depends on the rest of
-    the batch: linear initialization stacks problems of any point count and
+    the pack: linear initialization stacks problems of any point count and
     sums each problem's own points, and Gauss-Newton pads problems to a
     common point count with masked rows, summing over points in order so that
     padding adds exact zeros last.
-    ``problems`` may be any iterable; it is packed end to end for
-    ``solve_pnp_packed``.
-    """
-    points3d, points2d, counts = [], [], []
-    for x3, x2 in problems:
-        x3 = np.asarray(x3, dtype=float).reshape(-1, 3)
-        x2 = np.asarray(x2, dtype=float).reshape(-1, 2)
-        if x3.shape[0] != x2.shape[0]:
-            raise ValueError("points3d and points2d must pair up one-to-one")
-        points3d.append(x3)
-        points2d.append(x2)
-        counts.append(len(x3))
-    if not counts:
-        return []
-    return solve_pnp_packed(np.concatenate(points3d), np.concatenate(points2d), counts, intrinsics)
-
-
-def solve_pnp_packed(points3d, points2d, counts, intrinsics: Intrinsics) -> list:
-    """``solve_pnp_batch`` on problems packed end to end: problem i owns the
-    next ``counts[i]`` rows of points3d (N, 3) and points2d (N, 2).
 
     The finite-pair filter, the pair counts and InsufficientCorrespondences
     run once over the whole pack, and one gather keeps the problems' finite
@@ -300,8 +279,8 @@ def solve_pnp_packed(points3d, points2d, counts, intrinsics: Intrinsics) -> list
         return outcomes
 
     # One copy of the kept points, problems stably ordered by point count: the
-    # linear starts stack DLT_CHUNK consecutive problems of any count, and
-    # Gauss-Newton takes them in this order, so little of a run is padding.
+    # linear starts and Gauss-Newton take them in runs of consecutive problems,
+    # so little of a run is padding.
     kept = np.flatnonzero(enough)
     sizes = found[kept]
     order = np.argsort(sizes, kind="stable")
@@ -315,9 +294,10 @@ def solve_pnp_packed(points3d, points2d, counts, intrinsics: Intrinsics) -> list
     rows = np.take(rows, np.repeat(first[order] - offsets, counts) + np.arange(ends[-1]))
     x3, x2 = np.take(x3, rows, axis=0), np.take(x2, rows, axis=0)
 
+    step = max(1, PNP_BATCH_POINTS // counts[-1])
     posed, pose0 = [], []
-    for lo in range(0, len(counts), DLT_CHUNK):
-        hi = min(lo + DLT_CHUNK, len(counts))
+    for lo in range(0, len(counts), step):
+        hi = min(lo + step, len(counts))
         rows = slice(offsets[lo], ends[hi - 1])
         inits = _initial_poses(x3[rows], x2[rows], counts[lo:hi], intrinsics)
         for k, init in zip(range(lo, hi), inits):

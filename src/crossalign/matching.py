@@ -228,14 +228,18 @@ class PcmConfig:
     smoothing_window: int = 9
 
     def __post_init__(self):
+        for name in ("n_iter", "smoothing_window"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise InvalidConfig(f"{name} must be an integer, got {value!r}")
         if math.isnan(self.delta) or self.delta < 0:
             raise InvalidConfig("delta must be >= 0 (0 disables the variance gate)")
-        if not self.lambda0 >= 0:
-            raise InvalidConfig("lambda0 must be >= 0")
+        if not 0 <= self.lambda0 < math.inf:
+            raise InvalidConfig("lambda0 must be finite and >= 0")
         if self.n_iter < 1:
             raise InvalidConfig("n_iter must be >= 1")
-        if self.reject_threshold is not None and not self.reject_threshold > 0:
-            raise InvalidConfig("reject_threshold must be positive")
+        if self.reject_threshold is not None and not 0 < self.reject_threshold < math.inf:
+            raise InvalidConfig("reject_threshold must be positive and finite")
         if self.smoothing_window < 1 or self.smoothing_window % 2 == 0:
             raise InvalidConfig("smoothing_window must be odd and >= 1")
 

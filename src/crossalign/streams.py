@@ -225,7 +225,9 @@ def _parse_lines(path: str | Path, lines: list[str]) -> ParsedStream:
             if not isinstance(person, dict) or "id" not in person:
                 raise StreamFormatError("person record must be an object with an 'id' field", line)
             _warn_unknown(path, person, _PERSON_FIELDS, "person", line, warned)
-            pid = str(person["id"])
+            pid = person["id"]
+            if not isinstance(pid, str):
+                raise StreamFormatError(f"person id must be a string, got {pid!r}", line)
             if pid in in_record:
                 raise StreamFormatError(f"person {pid!r} appears twice in one frame", line)
             in_record.add(pid)

@@ -327,7 +327,13 @@ class TestMatch:
                     del person["id"]
         return lines[:1] + [json.dumps(record) for record in records]
 
-    @pytest.mark.parametrize("edit", ["_bad_frame_rate", "_bad_frame", "_missing_ids"])
+    @staticmethod
+    def _integer_id(lines):
+        record = json.loads(lines[2])
+        record["persons"][0]["id"] = 7
+        return lines[:2] + [json.dumps(record)] + lines[3:]
+
+    @pytest.mark.parametrize("edit", ["_bad_frame_rate", "_bad_frame", "_missing_ids", "_integer_id"])
     def test_malformed_camera_stream_exits_2(self, scene_dir, tmp_path, edit, caplog):
         camera = scene_dir / "camera_00.jsonl"
         lines = camera.read_text().splitlines()

@@ -16,7 +16,6 @@ from crossalign.geometry import (
     geodesic_rotation_error,
     project,
     solve_pnp,
-    solve_pnp_batch,
     solve_pnp_packed,
 )
 from crossalign.simulator import SceneConfig, generate
@@ -29,6 +28,17 @@ from helpers import (
     random_rotation,
     rot_z,
 )
+
+
+def solve_pnp_list(problems, intrinsics):
+    """``solve_pnp_packed`` on a list of problems ``(points3d, points2d)``,
+    packed end to end."""
+    x3 = [np.asarray(x3, dtype=float).reshape(-1, 3) for x3, _ in problems]
+    x2 = [np.asarray(x2, dtype=float).reshape(-1, 2) for _, x2 in problems]
+    return solve_pnp_packed(
+        np.concatenate([np.zeros((0, 3))] + x3), np.concatenate([np.zeros((0, 2))] + x2),
+        [len(x) for x in x3], intrinsics,
+    )
 
 
 def scene_points(rng, n=24, spread=2.0, center=(0.0, 0.0, 0.0)):
@@ -298,7 +308,7 @@ class TestSolvePnp:
                     joints3d, mask3d, joints2d, conf2d = (a[valid[:, t], t] for a in arrays)
                     usable = mask3d & (conf2d > 0)
                     problems.append((joints3d[usable], joints2d[usable]))
-                for outcome in solve_pnp_batch(problems, scene.intrinsics):
+                for outcome in solve_pnp_list(problems, scene.intrinsics):
                     assert isinstance(outcome, PnpResult)
                     assert outcome.iterations <= geometry.PNP_MAX_ITERATIONS // 4
 
@@ -360,7 +370,7 @@ class TestSolvePnpBatch:
     def test_each_problem_matches_solve_pnp(self, max_iterations, monkeypatch):
         monkeypatch.setattr(geometry, "PNP_MAX_ITERATIONS", max_iterations)
         problems, k = self.mixed_problems()
-        batch = solve_pnp_batch(problems, k)
+        batch = solve_pnp_list(problems, k)
         kinds = set()
         for (pts, obs), outcome in zip(problems, batch):
             try:
@@ -380,16 +390,35 @@ class TestSolvePnpBatch:
 
     def test_order_and_split_change_no_outcome(self, monkeypatch):
         problems, k = self.mixed_problems()
-        reference = [self.outcome_key(o) for o in solve_pnp_batch(problems, k)]
+        calls = []
+        initial_poses = geometry._initial_poses
+
+        def counted(x3, x2, counts, intrinsics):
+            calls.append((len(x3), len(counts)))
+            return initial_poses(x3, x2, counts, intrinsics)
+
+        def assert_bounded():
+            # Every linear-start stack holds at most PNP_BATCH_POINTS points,
+            # unless it holds one problem.
+            assert calls
+            for points, problem_count in calls:
+                assert points <= geometry.PNP_BATCH_POINTS or problem_count == 1
+            calls.clear()
+
+        monkeypatch.setattr(geometry, "_initial_poses", counted)
+        reference = [self.outcome_key(o) for o in solve_pnp_list(problems, k)]
+        assert_bounded()
         order = np.random.default_rng(67).permutation(len(problems))
-        shuffled = solve_pnp_batch([problems[i] for i in order], k)
+        shuffled = solve_pnp_list([problems[i] for i in order], k)
         assert [self.outcome_key(o) for o in shuffled] == [reference[i] for i in order]
+        assert_bounded()
         # A point cap below every problem's size splits the batch into single
-        # problems; one-problem DLT stacks do the same for the linear step.
+        # problems, for the linear starts and for Gauss-Newton.
         monkeypatch.setattr(geometry, "PNP_BATCH_POINTS", 8)
-        monkeypatch.setattr(geometry, "DLT_CHUNK", 1)
-        split = solve_pnp_batch(problems, k)
+        split = solve_pnp_list(problems, k)
         assert [self.outcome_key(o) for o in split] == reference
+        assert all(problem_count == 1 for _, problem_count in calls)
+        assert_bounded()
 
     def test_coplanar_problems_share_a_stack(self):
         rng = np.random.default_rng(71)
@@ -412,9 +441,9 @@ class TestSolvePnpBatch:
         for pts in (flat, spread, few):
             problems.append((pts, project(k, random_camera(rng), pts)))
 
-        batch = solve_pnp_batch(problems, k)
+        batch = solve_pnp_list(problems, k)
         for problem, outcome in zip(problems, batch):
-            alone = solve_pnp_batch([problem], k)[0]
+            alone = solve_pnp_list([problem], k)[0]
             assert self.outcome_key(outcome) == self.outcome_key(alone)
             assert str(outcome) == str(alone)
         for extr, outcome in zip(truths, batch):
@@ -436,7 +465,7 @@ class TestSolvePnpBatch:
             extr = random_camera(rng, distance=rng.uniform(6.0, 14.0))
             pts = scene_points(rng, n=n)
             problems.append((pts, project(k, extr, pts) + rng.normal(0.0, 1.0, size=(n, 2))))
-        assert len(problems) <= geometry.DLT_CHUNK
+        assert len(problems) * max(len(x3) for x3, _ in problems) <= geometry.PNP_BATCH_POINTS
         calls = []
         initial_poses = geometry._initial_poses
 
@@ -445,10 +474,10 @@ class TestSolvePnpBatch:
             return initial_poses(*args)
 
         monkeypatch.setattr(geometry, "_initial_poses", counted)
-        batch = solve_pnp_batch(problems, k)
+        batch = solve_pnp_list(problems, k)
         assert len(calls) == 1
         for problem, outcome in zip(problems, batch):
-            alone = solve_pnp_batch([problem], k)[0]
+            alone = solve_pnp_list([problem], k)[0]
             assert self.outcome_key(outcome) == self.outcome_key(alone)
             assert str(outcome) == str(alone)
 
@@ -503,7 +532,7 @@ class TestSolvePnpBatch:
 
     def test_trace_is_non_increasing_per_problem(self):
         problems, k = self.mixed_problems()
-        for outcome in solve_pnp_batch(problems, k):
+        for outcome in solve_pnp_list(problems, k):
             if isinstance(outcome, PnpResult):
                 assert np.all(np.diff(outcome.objective_trace) <= 0.0)
 
@@ -535,7 +564,7 @@ class TestSolvePnpPacked:
             counts,
             k,
         )
-        listed = solve_pnp_batch(problems, k)
+        listed = solve_pnp_list(problems, k)
         assert len(packed) == len(listed) == len(problems)
         key = TestSolvePnpBatch.outcome_key
         messages = []
@@ -557,7 +586,7 @@ class TestSolvePnpPacked:
     def test_empty_batch_and_unpaired_points(self):
         k = make_intrinsics()
         assert solve_pnp_packed(np.zeros((0, 3)), np.zeros((0, 2)), [], k) == []
-        assert solve_pnp_batch([], k) == []
+        assert solve_pnp_list([], k) == []
         zero = solve_pnp_packed(np.zeros((0, 3)), np.zeros((0, 2)), [0, 0], k)
         assert [type(o) for o in zero] == [InsufficientCorrespondences] * 2
         assert [str(o) for o in zero] == ["0 valid pairs, need >= 6"] * 2

@@ -1102,6 +1102,14 @@ class TestPcmConfig:
             PcmConfig(smoothing_window=4)
         with pytest.raises(InvalidConfig):
             PcmConfig(reject_threshold=0.0)
+        # Values the matcher cannot run are refused at construction.
+        for fields in ({"lambda0": math.inf}, {"reject_threshold": math.inf},
+                       {"reject_threshold": math.nan}, {"n_iter": 2.5}, {"n_iter": True},
+                       {"n_iter": "2"}, {"smoothing_window": 9.0}, {"smoothing_window": False}):
+            with pytest.raises(InvalidConfig):
+                PcmConfig(delta=0.0, **fields)
+        # An infinite delta keeps the variance gate closed.
+        assert PcmConfig(delta=math.inf).delta == math.inf
 
     def test_nan_lambda0_is_rejected(self):
         with pytest.raises(InvalidConfig):

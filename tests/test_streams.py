@@ -204,6 +204,24 @@ class TestParseErrors:
             parse_stream(path)
         assert err.value.line_number == 2
 
+    @pytest.mark.parametrize("pid", [7, None, True])
+    def test_non_string_id_names_line(self, tmp_path, pid):
+        # An integer id would otherwise share a track with its string form.
+        other = dict(self._person(), id=pid)
+        records = [self._header(), json.dumps({"frame": 0, "persons": [self._person()]}),
+                   json.dumps({"frame": 1, "persons": [self._person(), other]})]
+        path = tmp_path / "s.jsonl"
+        path.write_text("\n".join(records) + "\n")
+        with pytest.raises(StreamFormatError, match="person id must be a string") as err:
+            parse_stream(path)
+        assert err.value.line_number == 3
+
+    def test_string_id_parses(self, tmp_path):
+        records = [self._header(), json.dumps({"frame": 0, "persons": [dict(self._person(), id="7")]})]
+        path = tmp_path / "s.jsonl"
+        path.write_text("\n".join(records) + "\n")
+        assert [t.person_id for t in parse_stream(path).tracks] == ["7"]
+
     def test_repeated_id_in_one_frame_is_rejected(self, tmp_path):
         path = tmp_path / "s.jsonl"
         record = {"frame": 0, "persons": [self._person(), self._person()]}
