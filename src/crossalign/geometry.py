@@ -57,6 +57,15 @@ PNP_MAX_ITERATIONS = 20
 # unless one problem has more; bounds working memory (a few hundred bytes each).
 PNP_BATCH_POINTS = 4096
 
+# Points per BLAS product of the Gauss-Newton normal equations (2 * 128 = 256
+# Jacobian rows). A product's sums follow the BLAS library's own blocking of
+# its rows, which may change with the row count, so one product over a padded
+# problem need not equal the product over the problem alone: with OpenBLAS
+# 0.3.31 (Haswell kernels) a single syrk first differed at 386 padded rows.
+# Blocks start at point 0 and are summed in block order, so padding only adds
+# zero rows inside a block and all-zero blocks after it.
+PNP_BLOCK_POINTS = 128
+
 
 def check_rotation(matrix: np.ndarray) -> np.ndarray:
     """Validate a 3x3 rotation (orthonormal, det +1), or each of a stack
@@ -412,74 +421,38 @@ def _refine_poses(points3d, points2d, offsets, counts, pose0, intrinsics: Intrin
 
     Problem i owns the ``counts[i]`` points from ``offsets[i]`` on; counts
     ascend. Each evaluation pads the problems it covers to their largest
-    count, in runs of at most PNP_BATCH_POINTS padded points, point-major:
-    arrays are (point, problem, ...), so sums over points run in point order
-    and the padding adds exact zeros last.
+    count, in runs of at most PNP_BATCH_POINTS padded points, and hands each
+    run to ``_pose_kernel``, point-major: arrays are (point, problem, ...), so
+    the objective's sums over points run in point order and the padding adds
+    exact zeros last. The normal equations JᵀJ and Jᵀr are BLAS products of
+    the problem-major Jacobian in blocks of PNP_BLOCK_POINTS points, aligned
+    at point 0 and summed in block order, so padding adds exact zeros there
+    too: no problem's steps depend on the rest of the pack.
     """
-    penalty = intrinsics.diagonal
 
-    def padded(kernel):
-        """Apply ``kernel(x3, x2, valid, pose)`` to the padded points of runs
-        of the (ascending) ``rows``."""
+    def padded(pose, rows, linearize):
+        """``_pose_kernel`` over the padded points of runs of the (ascending)
+        ``rows``; one run covers the call where the bound allows."""
 
-        def run(pose, rows):
-            step = max(1, PNP_BATCH_POINTS // counts[rows[-1]])
-            pieces = []
-            for lo in range(0, len(rows), step):
-                run_rows = rows[lo : lo + step]
-                width = np.arange(counts[run_rows[-1]])[:, None]
-                valid = width < counts[run_rows]
-                index = np.where(valid, offsets[run_rows] + width, 0)
-                pieces.append(kernel(np.take(points3d, index, axis=0),
-                                     np.take(points2d, index, axis=0), valid, pose[lo : lo + step]))
-            return tuple(np.concatenate(arrays) for arrays in zip(*pieces))
+        def block(pose, rows):
+            width = np.arange(counts[rows[-1]])[:, None]
+            valid = width < counts[rows]
+            index = np.where(valid, offsets[rows] + width, 0)
+            return _pose_kernel(intrinsics, np.take(points3d, index, axis=0),
+                                np.take(points2d, index, axis=0), valid, pose, linearize)
 
-        return run
-
-    def residual_block(x3, x2, valid, pose):
-        cam = pose[..., 3] + x3[..., 0, None] * pose[..., 0]
-        cam += x3[..., 1, None] * pose[..., 1]
-        cam += x3[..., 2, None] * pose[..., 2]
-        uv, front = pinhole(intrinsics, cam)
-        live = valid & front
-        # Padding adds 0; a point behind the camera, the constant penalty (no gradient).
-        res = np.where(live[..., None], uv - x2, penalty * valid[..., None])
-        return cam, live, res
-
-    @padded
-    def objective(x3, x2, valid, pose):
-        res = residual_block(x3, x2, valid, pose)[2]
-        return ((res * res).sum(axis=0).sum(axis=1),)
-
-    @padded
-    def system(x3, x2, valid, pose):
-        cam, live, res = residual_block(x3, x2, valid, pose)
-        # Left-multiplicative rotation update: dcam/dw = -[cam - t]x and
-        # dcam/dt = I, so a pixel row's rotation part is (cam - t) x duv/dcam.
-        duv = pinhole_jacobian(intrinsics, cam, live)
-        r = (cam - pose[..., 3])[..., None, :]
-        jac = np.empty(duv.shape[:-1] + (6,))  # (point, problem, pixel axis, 6)
-        jac[..., 0] = r[..., 1] * duv[..., 2] - r[..., 2] * duv[..., 1]
-        jac[..., 1] = r[..., 2] * duv[..., 0] - r[..., 0] * duv[..., 2]
-        jac[..., 2] = r[..., 0] * duv[..., 1] - r[..., 1] * duv[..., 0]
-        jac[..., 3:] = duv
-        jac[~live] = 0.0
-        # One column at a time keeps the temporaries at the size of ``jac``.
-        hess = np.stack([(jac[..., i : i + 1] * jac).sum(axis=0) for i in range(6)], axis=1)
-        grad = (jac * res[..., None]).sum(axis=0)
-        return hess.sum(axis=2), grad.sum(axis=1)
-
-    def apply_step(pose, delta, rows):
-        stepped = np.empty_like(pose)
-        stepped[..., :3] = _rotvec_matrices(delta[:, :3]) @ pose[..., :3]
-        stepped[..., 3] = pose[..., 3] + delta[:, 3:]
-        return stepped
+        step = max(1, PNP_BATCH_POINTS // counts[rows[-1]])
+        if len(rows) <= step:
+            return block(pose, rows)
+        pieces = [block(pose[lo : lo + step], rows[lo : lo + step])
+                  for lo in range(0, len(rows), step)]
+        return tuple(map(np.concatenate, zip(*pieces))) if linearize else np.concatenate(pieces)
 
     fits = damped_least_squares_batch(
         pose0,
-        system,
-        apply_step,
-        lambda pose, rows: objective(pose, rows)[0],
+        lambda pose, rows: padded(pose, rows, True),
+        lambda pose, delta, rows: _step_poses(pose, delta),
+        lambda pose, rows: padded(pose, rows, False),
         max_iterations=PNP_MAX_ITERATIONS,
     )
     solved = np.array([fit.x for fit in fits if fit.converged]).reshape(-1, 3, 4)
@@ -494,6 +467,59 @@ def _refine_poses(points3d, points2d, offsets, counts, pose0, intrinsics: Intrin
         rms = float(np.sqrt(fit.objective_trace[-1] / n))
         out.append(PnpResult(next(poses), rms, fit.iterations, fit.converged, fit.objective_trace))
     return out
+
+
+def _pose_kernel(intrinsics: Intrinsics, x3, x2, valid, pose, linearize: bool):
+    """The PnP objective of the poses [R | t] ``pose`` (k, 3, 4) over padded
+    points x3 (n, k, 3) and x2 (n, k, 2), ``valid`` (n, k) masking the padding:
+    each problem's summed squared pixel residuals (k,). A point behind the
+    camera adds the constant penalty, the image diagonal, on each pixel axis
+    and no gradient; padding adds exact zeros.
+
+    With ``linearize``, returns instead the Gauss-Newton normal equations
+    JᵀJ (k, 6, 6) and Jᵀr (k, 6) of the residuals r in the step coordinates
+    of ``_step_poses``, so that the objective's gradient is 2 Jᵀr.
+    """
+    cam = pose[..., 3] + x3[..., 0, None] * pose[..., 0]
+    cam += x3[..., 1, None] * pose[..., 1]
+    cam += x3[..., 2, None] * pose[..., 2]
+    uv, front = pinhole(intrinsics, cam)
+    live = valid & front
+    res = np.where(live[..., None], uv - x2, intrinsics.diagonal * valid[..., None])
+    if not linearize:
+        return (res * res).sum(axis=0).sum(axis=1)
+    # Left-multiplicative rotation update: dcam/dw = -[cam - t]x and
+    # dcam/dt = I, so a pixel row's rotation part is (cam - t) x duv/dcam.
+    duv = pinhole_jacobian(intrinsics, cam, live)
+    r = (cam - pose[..., 3])[..., None, :]
+    # The Jacobian problem-major, (problem, point, pixel axis, 6), written
+    # through a point-major view: each problem's rows are one BLAS operand.
+    jac = np.empty((len(pose), len(cam), 2, 6))
+    point_major = jac.transpose(1, 0, 2, 3)
+    point_major[..., 0] = r[..., 1] * duv[..., 2] - r[..., 2] * duv[..., 1]
+    point_major[..., 1] = r[..., 2] * duv[..., 0] - r[..., 0] * duv[..., 2]
+    point_major[..., 2] = r[..., 0] * duv[..., 1] - r[..., 1] * duv[..., 0]
+    point_major[..., 3:] = duv
+    point_major[~live] = 0.0
+    jac = jac.reshape(len(pose), -1, 6)
+    res = np.ascontiguousarray(res.swapaxes(0, 1)).reshape(len(pose), -1, 1)
+    # JᵀJ and Jᵀr summed block by block, in block order.
+    size = 2 * PNP_BLOCK_POINTS
+    hess = grad = 0.0
+    for lo in range(0, jac.shape[1], size):
+        jt = jac[:, lo : lo + size].transpose(0, 2, 1)
+        hess = hess + jt @ jac[:, lo : lo + size]
+        grad = grad + jt @ res[:, lo : lo + size]
+    return hess, grad[..., 0]
+
+
+def _step_poses(pose: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """Poses (k, 3, 4) retracted by steps ``delta`` (k, 6): the rotation
+    vector delta[:, :3] applied on the left of R, then delta[:, 3:] added to t."""
+    stepped = np.empty_like(pose)
+    stepped[..., :3] = _rotvec_matrices(delta[:, :3]) @ pose[..., :3]
+    stepped[..., 3] = pose[..., 3] + delta[:, 3:]
+    return stepped
 
 
 def _rotvec_matrices(rotvecs: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import crossalign
-from crossalign import cli, harness
+from crossalign import cli, geometry, harness
 from crossalign.cli import load_run_config, main
 from crossalign.errors import InvalidConfig
 from crossalign.refiner import RefineResult
@@ -941,6 +941,11 @@ class TestBlasThreads:
             joint3d_noise_sigma=0.03,
         )))
         (tmp_path / "run.json").write_text(json.dumps({"delta": 0.0}))
+        # Eight persons without dropout: each frame's pose fit holds at least
+        # 6 pairs of 24 joints, more than one BLAS block of the normal equations.
+        (tmp_path / "crowd.json").write_text(json.dumps(scene_config_payload(
+            person_count=8, duration_frames=4, pixel_noise_sigma=1.5, joint3d_noise_sigma=0.03,
+        )))
         cameras = ["--camera", "scene/camera_00.jsonl", "--camera", "scene/camera_01.jsonl"]
         commands = [
             ["simulate", "--config", "../scene.json", "--out", "scene"],
@@ -949,6 +954,9 @@ class TestBlasThreads:
             ["refine", "--lidar", "scene/lidar.jsonl", "--match",
              "match/match_00_camera_00.json", "--match", "match/match_01_camera_01.json",
              "--out", "refined.jsonl"],
+            ["simulate", "--config", "../crowd.json", "--out", "crowd"],
+            ["match", "--lidar", "crowd/lidar.jsonl", "--camera", "crowd/camera_00.jsonl",
+             "--out", "crowd_match"],
         ]
         script = (
             "import json, sys\n"
@@ -970,4 +978,6 @@ class TestBlasThreads:
                 for path in sorted(run.rglob("*")) if path.is_file()
             }
         assert "refined.jsonl" in written["1"] and "match/match_01_camera_01.json" in written["1"]
+        crowd = json.loads(written["1"]["crowd_match/match_00_camera_00.json"])
+        assert len(crowd["pairs"]) * 24 > geometry.PNP_BLOCK_POINTS
         assert written["1"] == written["2"]

@@ -594,3 +594,129 @@ class TestSolvePnpPacked:
             solve_pnp_packed(np.zeros((6, 3)), np.zeros((6, 2)), [3, 2], k)
         with pytest.raises(ValueError):
             solve_pnp_packed(np.zeros((6, 3)), np.zeros((5, 2)), [6], k)
+
+    def test_pose10_sizes_alone_packed_and_split(self, monkeypatch):
+        # Problems of 130-300 points, as pose10's frames fit: padding a run to
+        # its largest problem reaches hundreds of Jacobian rows, where the
+        # order of a BLAS product's sums depends on its row count.
+        rng = np.random.default_rng(131)
+        k = make_intrinsics()
+        problems = []
+        for n in (211, 130, 300, 167, 254, 142, 193, 278, 236):
+            extr = random_camera(rng, distance=rng.uniform(6.0, 14.0))
+            pts = scene_points(rng, n=n)
+            problems.append((pts, project(k, extr, pts) + rng.normal(0.0, 1.5, size=(n, 2))))
+        key = TestSolvePnpBatch.outcome_key
+        alone = [key(solve_pnp(x3, x2, k)) for x3, x2 in problems]
+        assert [a[0] for a in alone] == ["PnpResult"] * len(problems)
+        assert [key(o) for o in solve_pnp_list(problems, k)] == alone
+        # Runs of two problems, each padded to its larger count.
+        monkeypatch.setattr(geometry, "PNP_BATCH_POINTS", 600)
+        assert [key(o) for o in solve_pnp_list(problems, k)] == alone
+
+
+class TestPoseKernel:
+    """``_pose_kernel``, the objective and normal equations that Gauss-Newton
+    uses, against central differences of its own objective along the steps
+    that ``_step_poses`` takes."""
+
+    @staticmethod
+    def padded_problems(rng, k, noise):
+        """Four problems padded to 30 points, point-major as ``_refine_poses``
+        hands them to the kernel, with junk in the padding rows; problem 3's
+        camera sits inside its points, so some lie behind it."""
+        counts = np.array([30, 22, 17, 9])
+        width = counts.max()
+        x3 = rng.uniform(-50.0, 50.0, size=(width, len(counts), 3))
+        x2 = rng.uniform(-1e4, 1e4, size=(width, len(counts), 2))
+        valid = np.arange(width)[:, None] < counts
+        poses = []
+        for i, n in enumerate(counts):
+            inside = i == 3
+            extr = random_camera(rng, distance=1.0 if inside else rng.uniform(6.0, 14.0))
+            pts = scene_points(rng, n=n, spread=3.0 if inside else 2.0)
+            cam = extr.transform(pts)
+            front = cam[:, 2] > 0.0
+            obs = np.full((n, 2), 500.0)
+            obs[front] = project(k, extr, pts[front])
+            obs[front] += rng.normal(0.0, noise, size=(front.sum(), 2))
+            x3[:n, i], x2[:n, i] = pts, obs
+            poses.append(np.column_stack([extr.rotation, extr.translation]))
+        return x3, x2, valid, np.array(poses)
+
+    @staticmethod
+    def objective(k, x3, x2, valid, pose, delta):
+        return geometry._pose_kernel(k, x3, x2, valid, geometry._step_poses(pose, delta), False)
+
+    def test_gradient_is_half_the_objectives_central_difference(self):
+        rng = np.random.default_rng(137)
+        k = make_intrinsics()
+        x3, x2, valid, pose = self.padded_problems(rng, k, noise=2.0)
+        depth = (x3 * pose[:, 2, :3]).sum(axis=-1) + pose[:, 2, 3]
+        behind = valid & (depth <= 0.0)
+        # Points behind the camera, well clear of its plane, so that no step
+        # below moves one across it.
+        assert behind[:, 3].sum() >= 3 and not behind[:, :3].any()
+        assert np.abs(depth[valid]).min() > 1e-2
+        hess, grad = geometry._pose_kernel(k, x3, x2, valid, pose, True)
+        h = 1e-6
+        for j in range(6):
+            delta = np.zeros((len(pose), 6))
+            delta[:, j] = h
+            diff = (self.objective(k, x3, x2, valid, pose, delta)
+                    - self.objective(k, x3, x2, valid, pose, -delta)) / (2 * h)
+            assert np.abs(0.5 * diff - grad[:, j]).max() <= 1e-5 * np.abs(grad).max()
+        # JᵀJ is symmetric to the last bit and positive semi-definite.
+        assert np.array_equal(hess, hess.swapaxes(1, 2))
+        eigval = np.linalg.eigvalsh(hess)
+        assert (eigval >= -1e-12 * eigval[:, -1:]).all()
+
+    def test_normal_matrix_is_half_the_objectives_hessian_at_zero_residual(self):
+        rng = np.random.default_rng(139)
+        k = make_intrinsics()
+        x3, x2, valid, pose = self.padded_problems(rng, k, noise=0.0)
+        # Points behind the camera add a constant; the others fit exactly.
+        hess = geometry._pose_kernel(k, x3, x2, valid, pose, True)[0]
+        h = 1e-5
+        steps = np.eye(6) * h
+        fd = np.empty_like(hess)
+        for i in range(6):
+            for j in range(6):
+                f = [self.objective(k, x3, x2, valid, pose,
+                                    np.tile(si * steps[i] + sj * steps[j], (len(pose), 1)))
+                     for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
+                fd[:, i, j] = (f[0] - f[1] - f[2] + f[3]) / (4 * h * h)
+        scale = np.sqrt(np.einsum("kii,kjj->kij", hess, hess))
+        assert np.abs(0.5 * fd - hess).max() <= 1e-5 * scale.max()
+        assert (np.abs(0.5 * fd - hess) <= 1e-4 * scale).all()
+
+    def test_solver_starts_from_the_kernels_objective(self):
+        rng = np.random.default_rng(149)
+        k = make_intrinsics()
+        extr = random_camera(rng)
+        pts = scene_points(rng, n=40)
+        obs = project(k, extr, pts) + rng.normal(0.0, 2.0, size=(40, 2))
+        start = geometry._initial_poses(pts, obs, np.array([40]), k)[0]
+        f0 = geometry._pose_kernel(k, pts[:, None], obs[:, None], np.ones((40, 1), dtype=bool),
+                                   start[None], False)
+        assert solve_pnp(pts, obs, k).objective_trace[0] == f0[0]
+
+    def test_normal_equations_do_not_depend_on_padding(self):
+        # Each problem of 130-300 points alone and padded, in stacks of three,
+        # to up to 300 points more: the same normal equations, bit for bit.
+        rng = np.random.default_rng(151)
+        k = make_intrinsics()
+        for _ in range(40):
+            counts = rng.integers(130, 301, size=3)
+            width = counts.max() + int(rng.integers(0, 301))
+            x3 = rng.uniform(-2.0, 2.0, size=(width, 3, 3))
+            x2 = rng.uniform(0.0, 1000.0, size=(width, 3, 2))
+            valid = np.arange(width)[:, None] < counts
+            pose = np.array([np.column_stack([e.rotation, e.translation])
+                             for e in (random_camera(rng) for _ in counts)])
+            hess, grad = geometry._pose_kernel(k, x3, x2, valid, pose, True)
+            for i, n in enumerate(counts):
+                alone = geometry._pose_kernel(k, x3[:n, i : i + 1], x2[:n, i : i + 1],
+                                              valid[:n, i : i + 1], pose[i : i + 1], True)
+                assert alone[0][0].tobytes() == hess[i].tobytes()
+                assert alone[1][0].tobytes() == grad[i].tobytes()
