@@ -422,23 +422,32 @@ def _refine_poses(points3d, points2d, offsets, counts, pose0, intrinsics: Intrin
     Problem i owns the ``counts[i]`` points from ``offsets[i]`` on; counts
     ascend. Each evaluation pads the problems it covers to their largest
     count, in runs of at most PNP_BATCH_POINTS padded points, and hands each
-    run to ``_pose_kernel``, point-major: arrays are (point, problem, ...), so
-    the objective's sums over points run in point order and the padding adds
-    exact zeros last. The normal equations JᵀJ and Jᵀr are BLAS products of
-    the problem-major Jacobian in blocks of PNP_BLOCK_POINTS points, aligned
-    at point 0 and summed in block order, so padding adds exact zeros there
-    too: no problem's steps depend on the rest of the pack.
+    run to ``_pose_kernel`` in coordinate planes: the 3D points are copied
+    once per call into one contiguous (3, N) array, one row per coordinate,
+    and each run gathers its padded points from it. The objective's run is
+    point-major, planes (3, point, problem), so its sums over points run in
+    point order and the padding adds exact zeros last. The normal equations'
+    run is problem-major, planes (3, problem, point), so each problem's
+    Jacobian rows are one BLAS operand; JᵀJ and Jᵀr are summed in blocks of
+    PNP_BLOCK_POINTS points, aligned at point 0 and in block order, so
+    padding adds exact zeros there too: no problem's steps depend on the
+    rest of the pack.
     """
+    planes = np.ascontiguousarray(points3d.T)
 
     def padded(pose, rows, linearize):
         """``_pose_kernel`` over the padded points of runs of the (ascending)
         ``rows``; one run covers the call where the bound allows."""
 
         def block(pose, rows):
-            width = np.arange(counts[rows[-1]])[:, None]
-            valid = width < counts[rows]
-            index = np.where(valid, offsets[rows] + width, 0)
-            return _pose_kernel(intrinsics, np.take(points3d, index, axis=0),
+            width, sizes = np.arange(counts[rows[-1]]), counts[rows]
+            if linearize:
+                valid = width < sizes[:, None]
+                index = np.where(valid, offsets[rows][:, None] + width, 0)
+            else:
+                valid = width[:, None] < sizes
+                index = np.where(valid, offsets[rows] + width[:, None], 0)
+            return _pose_kernel(intrinsics, np.take(planes, index, axis=1),
                                 np.take(points2d, index, axis=0), valid, pose, linearize)
 
         step = max(1, PNP_BATCH_POINTS // counts[rows[-1]])
@@ -471,38 +480,56 @@ def _refine_poses(points3d, points2d, offsets, counts, pose0, intrinsics: Intrin
 
 def _pose_kernel(intrinsics: Intrinsics, x3, x2, valid, pose, linearize: bool):
     """The PnP objective of the poses [R | t] ``pose`` (k, 3, 4) over padded
-    points x3 (n, k, 3) and x2 (n, k, 2), ``valid`` (n, k) masking the padding:
-    each problem's summed squared pixel residuals (k,). A point behind the
-    camera adds the constant penalty, the image diagonal, on each pixel axis
-    and no gradient; padding adds exact zeros.
+    points in coordinate planes x3 (3, n, k) with pixels x2 (n, k, 2),
+    ``valid`` (n, k) masking the padding: each problem's summed squared pixel
+    residuals (k,). A point behind the camera adds the constant penalty, the
+    image diagonal, on each pixel axis and no gradient; padding adds exact
+    zeros.
 
-    With ``linearize``, returns instead the Gauss-Newton normal equations
-    JᵀJ (k, 6, 6) and Jᵀr (k, 6) of the residuals r in the step coordinates
-    of ``_step_poses``, so that the objective's gradient is 2 Jᵀr.
+    With ``linearize``, the points come problem-major, x3 (3, k, n), x2
+    (k, n, 2) and ``valid`` (k, n), and the kernel returns instead the
+    Gauss-Newton normal equations JᵀJ (k, 6, 6) and Jᵀr (k, 6) of the
+    residuals r in the step coordinates of ``_step_poses``, so that the
+    objective's gradient is 2 Jᵀr.
     """
-    cam = pose[..., 3] + x3[..., 0, None] * pose[..., 0]
-    cam += x3[..., 1, None] * pose[..., 1]
-    cam += x3[..., 2, None] * pose[..., 2]
-    uv, front = pinhole(intrinsics, cam)
+    # Camera coordinates plane by plane, cam_i = t_i + X R_i0 + Y R_i1 + Z R_i2,
+    # with each problem's pose entries broadcast along its axis of the planes
+    # (a contiguous copy, so that the planes come out contiguous too).
+    coef = np.ascontiguousarray(pose.T)
+    coef = coef[..., None] if linearize else coef[:, :, None, :]
+    cam = coef[3] + x3[0] * coef[0]
+    cam += x3[1] * coef[1]
+    cam += x3[2] * coef[2]
+    # ``pinhole`` and its Jacobian take points coordinate-last: a view.
+    uv, front = pinhole(intrinsics, cam.transpose(1, 2, 0))
     live = valid & front
-    res = np.where(live[..., None], uv - x2, intrinsics.diagonal * valid[..., None])
+    # Most runs have neither padding nor points behind the camera. Results
+    # overwrite the kernel's own temporaries: at these sizes a fresh array
+    # costs about as much as the arithmetic that fills it.
+    dead = None if live.all() else ~live
+    res = np.subtract(uv, x2, out=uv)
+    if dead is not None:
+        res[dead] = intrinsics.diagonal * valid[dead, None]
     if not linearize:
-        return (res * res).sum(axis=0).sum(axis=1)
+        res *= res
+        return res.sum(axis=0).sum(axis=1)
     # Left-multiplicative rotation update: dcam/dw = -[cam - t]x and
     # dcam/dt = I, so a pixel row's rotation part is (cam - t) x duv/dcam.
-    duv = pinhole_jacobian(intrinsics, cam, live)
-    r = (cam - pose[..., 3])[..., None, :]
-    # The Jacobian problem-major, (problem, point, pixel axis, 6), written
-    # through a point-major view: each problem's rows are one BLAS operand.
-    jac = np.empty((len(pose), len(cam), 2, 6))
-    point_major = jac.transpose(1, 0, 2, 3)
-    point_major[..., 0] = r[..., 1] * duv[..., 2] - r[..., 2] * duv[..., 1]
-    point_major[..., 1] = r[..., 2] * duv[..., 0] - r[..., 0] * duv[..., 2]
-    point_major[..., 2] = r[..., 0] * duv[..., 1] - r[..., 1] * duv[..., 0]
-    point_major[..., 3:] = duv
-    point_major[~live] = 0.0
+    duv = pinhole_jacobian(intrinsics, cam.transpose(1, 2, 0), live)
+    r = np.subtract(cam, coef[3], out=cam)
+    # The Jacobian problem-major, (problem, point, pixel axis, 6), one pixel
+    # axis at a time, so that each operation runs along a problem's points.
+    jac = np.empty(duv.shape[:-1] + (6,))
+    for axis in range(2):
+        d, j = duv[:, :, axis], jac[:, :, axis]
+        np.subtract(r[1] * d[..., 2], r[2] * d[..., 1], out=j[..., 0])
+        np.subtract(r[2] * d[..., 0], r[0] * d[..., 2], out=j[..., 1])
+        np.subtract(r[0] * d[..., 1], r[1] * d[..., 0], out=j[..., 2])
+    jac[..., 3:] = duv
+    if dead is not None:
+        jac[dead] = 0.0
     jac = jac.reshape(len(pose), -1, 6)
-    res = np.ascontiguousarray(res.swapaxes(0, 1)).reshape(len(pose), -1, 1)
+    res = res.reshape(len(pose), -1, 1)
     # JᵀJ and Jᵀr summed block by block, in block order.
     size = 2 * PNP_BLOCK_POINTS
     hess = grad = 0.0
@@ -531,9 +558,10 @@ def _rotvec_matrices(rotvecs: np.ndarray) -> np.ndarray:
     sinc = np.where(nonzero, np.sin(safe) / safe, 1.0)
     half = np.sin(0.5 * safe) / (0.5 * safe)
     cosc = np.where(nonzero, 0.5 * half * half, 0.5)
-    wx, wy, wz = rotvecs[:, 0], rotvecs[:, 1], rotvecs[:, 2]
-    zero = np.zeros_like(wx)
-    skew = np.stack([zero, -wz, wy, wz, zero, -wx, -wy, wx, zero], axis=-1).reshape(-1, 3, 3)
+    # K = [[0, -wz, wy], [wz, 0, -wx], [-wy, wx, 0]], written into one array.
+    skew = np.zeros((len(rotvecs), 3, 3))
+    skew[:, 2, 1], skew[:, 0, 2], skew[:, 1, 0] = rotvecs.T
+    skew[:, 1, 2], skew[:, 2, 0], skew[:, 0, 1] = -rotvecs.T
     return np.eye(3) + sinc[:, None, None] * skew + cosc[:, None, None] * (skew @ skew)
 
 

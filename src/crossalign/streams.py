@@ -116,17 +116,17 @@ def write_stream(
         np.array(poses, dtype=float).reshape(-1, JOINTS, 3, 3)
     ).tolist())
     for t in range(frames):
+        present = [track for track in tracks if track.valid[t]]
+        # The frame's joints (and confidences) as nested lists, one ``tolist``
+        # per field: holding every frame's lists at once would cost memory.
+        joints = np.array([track.joints[t] for track in present]).tolist()
+        confidence = (np.array([track.confidence[t] for track in present]).tolist()
+                      if kind == KIND_2D else None)
         persons = []
-        for track in tracks:
-            if not track.valid[t]:
-                continue
-            entry = {
-                "id": track.person_id,
-                "joints": np.asarray(track.joints[t]).tolist(),
-                "body_pose": next(quats),
-            }
-            if kind == KIND_2D:
-                entry["confidence"] = np.asarray(track.confidence[t]).tolist()
+        for i, track in enumerate(present):
+            entry = {"id": track.person_id, "joints": joints[i], "body_pose": next(quats)}
+            if confidence is not None:
+                entry["confidence"] = confidence[i]
             persons.append(entry)
         lines.append(_dump({"frame": indices[t], "persons": persons}))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

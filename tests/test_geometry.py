@@ -41,6 +41,52 @@ def solve_pnp_list(problems, intrinsics):
     )
 
 
+def kernel(intrinsics, x3, x2, valid, pose, linearize):
+    """``_pose_kernel`` on point-major padded points x3 (n, k, 3) and x2
+    (n, k, 2) with ``valid`` (n, k), handed over as ``_refine_poses`` gathers
+    them: coordinate planes (3, n, k) for the objective, and problem-major
+    planes (3, k, n), pixels (k, n, 2) and mask (k, n) for the normal
+    equations."""
+    if linearize:
+        x3, x2, valid = x3.transpose(2, 1, 0), x2.swapaxes(0, 1), valid.T
+    else:
+        x3 = x3.transpose(2, 0, 1)
+    return geometry._pose_kernel(intrinsics, np.ascontiguousarray(x3), np.ascontiguousarray(x2),
+                                 np.ascontiguousarray(valid), pose, linearize)
+
+
+def point_major_kernel(intrinsics, x3, x2, valid, pose, linearize):
+    """The kernel's earlier point-major formula, on x3 (n, k, 3), x2
+    (n, k, 2) and ``valid`` (n, k): the reference that ``_pose_kernel``
+    must equal bit for bit."""
+    cam = pose[..., 3] + x3[..., 0, None] * pose[..., 0]
+    cam += x3[..., 1, None] * pose[..., 1]
+    cam += x3[..., 2, None] * pose[..., 2]
+    uv, front = geometry.pinhole(intrinsics, cam)
+    live = valid & front
+    res = np.where(live[..., None], uv - x2, intrinsics.diagonal * valid[..., None])
+    if not linearize:
+        return (res * res).sum(axis=0).sum(axis=1)
+    duv = geometry.pinhole_jacobian(intrinsics, cam, live)
+    r = (cam - pose[..., 3])[..., None, :]
+    jac = np.empty((len(pose), len(cam), 2, 6))
+    point_major = jac.transpose(1, 0, 2, 3)
+    point_major[..., 0] = r[..., 1] * duv[..., 2] - r[..., 2] * duv[..., 1]
+    point_major[..., 1] = r[..., 2] * duv[..., 0] - r[..., 0] * duv[..., 2]
+    point_major[..., 2] = r[..., 0] * duv[..., 1] - r[..., 1] * duv[..., 0]
+    point_major[..., 3:] = duv
+    point_major[~live] = 0.0
+    jac = jac.reshape(len(pose), -1, 6)
+    res = np.ascontiguousarray(res.swapaxes(0, 1)).reshape(len(pose), -1, 1)
+    size = 2 * geometry.PNP_BLOCK_POINTS
+    hess = grad = 0.0
+    for lo in range(0, jac.shape[1], size):
+        jt = jac[:, lo : lo + size].transpose(0, 2, 1)
+        hess = hess + jt @ jac[:, lo : lo + size]
+        grad = grad + jt @ res[:, lo : lo + size]
+    return hess, grad[..., 0]
+
+
 def scene_points(rng, n=24, spread=2.0, center=(0.0, 0.0, 0.0)):
     return np.asarray(center) + rng.uniform(-spread, spread, size=(n, 3))
 
@@ -618,13 +664,15 @@ class TestSolvePnpPacked:
 class TestPoseKernel:
     """``_pose_kernel``, the objective and normal equations that Gauss-Newton
     uses, against central differences of its own objective along the steps
-    that ``_step_poses`` takes."""
+    that ``_step_poses`` takes, and against the point-major formula it
+    replaced, bit for bit."""
 
     @staticmethod
     def padded_problems(rng, k, noise):
-        """Four problems padded to 30 points, point-major as ``_refine_poses``
-        hands them to the kernel, with junk in the padding rows; problem 3's
-        camera sits inside its points, so some lie behind it."""
+        """Four problems padded to 30 points, point-major, x3 (point,
+        problem, 3) and x2 (point, problem, 2), with junk in the padding
+        rows; problem 3's camera sits inside its points, so some lie behind
+        it. ``kernel`` hands them to ``_pose_kernel`` in its layout."""
         counts = np.array([30, 22, 17, 9])
         width = counts.max()
         x3 = rng.uniform(-50.0, 50.0, size=(width, len(counts), 3))
@@ -646,7 +694,7 @@ class TestPoseKernel:
 
     @staticmethod
     def objective(k, x3, x2, valid, pose, delta):
-        return geometry._pose_kernel(k, x3, x2, valid, geometry._step_poses(pose, delta), False)
+        return kernel(k, x3, x2, valid, geometry._step_poses(pose, delta), False)
 
     def test_gradient_is_half_the_objectives_central_difference(self):
         rng = np.random.default_rng(137)
@@ -658,7 +706,7 @@ class TestPoseKernel:
         # below moves one across it.
         assert behind[:, 3].sum() >= 3 and not behind[:, :3].any()
         assert np.abs(depth[valid]).min() > 1e-2
-        hess, grad = geometry._pose_kernel(k, x3, x2, valid, pose, True)
+        hess, grad = kernel(k, x3, x2, valid, pose, True)
         h = 1e-6
         for j in range(6):
             delta = np.zeros((len(pose), 6))
@@ -676,7 +724,7 @@ class TestPoseKernel:
         k = make_intrinsics()
         x3, x2, valid, pose = self.padded_problems(rng, k, noise=0.0)
         # Points behind the camera add a constant; the others fit exactly.
-        hess = geometry._pose_kernel(k, x3, x2, valid, pose, True)[0]
+        hess = kernel(k, x3, x2, valid, pose, True)[0]
         h = 1e-5
         steps = np.eye(6) * h
         fd = np.empty_like(hess)
@@ -697,8 +745,7 @@ class TestPoseKernel:
         pts = scene_points(rng, n=40)
         obs = project(k, extr, pts) + rng.normal(0.0, 2.0, size=(40, 2))
         start = geometry._initial_poses(pts, obs, np.array([40]), k)[0]
-        f0 = geometry._pose_kernel(k, pts[:, None], obs[:, None], np.ones((40, 1), dtype=bool),
-                                   start[None], False)
+        f0 = kernel(k, pts[:, None], obs[:, None], np.ones((40, 1), dtype=bool), start[None], False)
         assert solve_pnp(pts, obs, k).objective_trace[0] == f0[0]
 
     def test_normal_equations_do_not_depend_on_padding(self):
@@ -714,9 +761,61 @@ class TestPoseKernel:
             valid = np.arange(width)[:, None] < counts
             pose = np.array([np.column_stack([e.rotation, e.translation])
                              for e in (random_camera(rng) for _ in counts)])
-            hess, grad = geometry._pose_kernel(k, x3, x2, valid, pose, True)
+            hess, grad = kernel(k, x3, x2, valid, pose, True)
             for i, n in enumerate(counts):
-                alone = geometry._pose_kernel(k, x3[:n, i : i + 1], x2[:n, i : i + 1],
-                                              valid[:n, i : i + 1], pose[i : i + 1], True)
+                alone = kernel(k, x3[:n, i : i + 1], x2[:n, i : i + 1],
+                               valid[:n, i : i + 1], pose[i : i + 1], True)
                 assert alone[0][0].tobytes() == hess[i].tobytes()
                 assert alone[1][0].tobytes() == grad[i].tobytes()
+
+    def test_equals_the_point_major_formula_bit_for_bit(self):
+        # Stacks at the keypoint search's sizes, 6-96 points and up to 170
+        # problems, with junk padding and, in every fourth problem from the
+        # first, a camera inside its points; and one stack with neither, as
+        # most runs are: the objective, JᵀJ and Jᵀr byte for byte.
+        rng = np.random.default_rng(157)
+        k = make_intrinsics()
+        for size, problems, mixed in ((6, 170, True), (24, 120, True), (40, 64, True),
+                                      (96, 21, True), (96, 1, True), (30, 40, False)):
+            counts = np.sort(rng.integers(6, size + 1, size=problems)) if mixed else [size] * problems
+            x3 = rng.uniform(-50.0, 50.0, size=(size, problems, 3))
+            x2 = rng.uniform(-1e4, 1e4, size=(size, problems, 2))
+            valid = np.arange(size)[:, None] < counts
+            poses = []
+            for i, n in enumerate(counts):
+                inside = mixed and i % 4 == 0
+                extr = random_camera(rng, distance=1.0 if inside else rng.uniform(6.0, 14.0))
+                x3[:n, i] = scene_points(rng, n=n, spread=3.0 if inside else 2.0)
+                x2[:n, i] = rng.uniform(0.0, 1500.0, size=(n, 2))
+                poses.append(np.column_stack([extr.rotation, extr.translation]))
+            pose = np.array(poses)
+            depth = (x3 * pose[:, 2, :3]).sum(axis=-1) + pose[:, 2, 3]
+            assert (valid & (depth <= 0.0)).any() == mixed
+            f = kernel(k, x3, x2, valid, pose, False)
+            assert f.tobytes() == point_major_kernel(k, x3, x2, valid, pose, False).tobytes()
+            hess, grad = kernel(k, x3, x2, valid, pose, True)
+            ref_hess, ref_grad = point_major_kernel(k, x3, x2, valid, pose, True)
+            assert hess.tobytes() == ref_hess.tobytes()
+            assert grad.tobytes() == ref_grad.tobytes()
+
+
+class TestRotvecMatrices:
+    def test_rodrigues_rotations(self):
+        # About each axis, the closed-form rotation by the vector's length.
+        c, s = np.cos(0.3), np.sin(0.3)
+        about_axes = [[[1, 0, 0], [0, c, -s], [0, s, c]],
+                      [[c, 0, s], [0, 1, 0], [-s, 0, c]],
+                      [[c, -s, 0], [s, c, 0], [0, 0, 1]]]
+        assert np.abs(geometry._rotvec_matrices(0.3 * np.eye(3)) - about_axes).max() < 1e-15
+        # In general, proper rotations that fix their own axis; the zero
+        # vector gives the identity exactly, and each member of a stack the
+        # matrix it gets alone, bit for bit.
+        rng = np.random.default_rng(163)
+        w = rng.normal(size=(40, 3)) * rng.uniform(1e-9, 2.0, size=(40, 1))
+        w[0] = 0.0
+        rot = geometry._rotvec_matrices(w)
+        assert np.array_equal(rot[0], np.eye(3))
+        check_rotation(rot)
+        assert np.abs((rot @ w[:, :, None])[..., 0] - w).max() < 1e-14
+        for i in range(len(w)):
+            assert geometry._rotvec_matrices(w[i : i + 1])[0].tobytes() == rot[i].tobytes()
