@@ -24,6 +24,7 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -145,6 +146,30 @@ class PersonTrack2D:
         return self.joints.shape[0]
 
 
+class _Side(NamedTuple):
+    """One sensor's tracks as (track, frame, ...) arrays, stacked once per call
+    by ``_side``: every matcher scale indexes them instead of the tracks."""
+
+    joints: np.ndarray  # (track, frame, 24, 3 or 2) zero-filled where not finite
+    weights: np.ndarray  # (track, frame, 24): 3D finite mask, 2D confidences zeroed there
+    poses: np.ndarray  # (track, frame, 24, 3, 3)
+    valid: np.ndarray  # (track, frame) bool
+
+
+def _side(tracks, frames: int, width: int, at=slice(None)) -> _Side:
+    """Stack the ``frames`` frames ``at`` of 3D (``width`` 3) or 2D (``width`` 2) tracks;
+    shaped, and validity bool (an empty list stacks as float), even without tracks."""
+
+    def stack(key, tail=()):
+        return np.array([getattr(t, key)[at] for t in tracks]).reshape((len(tracks), frames) + tail)
+
+    joints = stack("joints", (JOINTS, width))
+    finite = np.isfinite(joints).all(axis=-1)
+    weights = finite if width == 3 else np.where(finite, stack("confidence", (JOINTS,)), 0.0)
+    return _Side(np.where(finite[..., None], joints, 0.0), weights,
+                 stack("body_pose", (JOINTS, 3, 3)), stack("valid").astype(bool))
+
+
 @dataclass(frozen=True)
 class MatchSet:
     """Injective pairing between 3D and 2D person indices.
@@ -263,21 +288,21 @@ def flatten_body_pose(rotations: np.ndarray) -> np.ndarray:
     return rot[..., 1:, :, :].reshape(rot.shape[:-3] + (23 * 9,))
 
 
-def pose_similarity_matrix(tracks3d, tracks2d, frames=slice(None)) -> np.ndarray:
-    """Mean cosine similarity (n3d, n2d) of flattened body poses over the
-    co-valid ``frames`` of each pair; NO_OVERLAP_SIMILARITY without one."""
-    shape = (len(tracks3d), len(tracks2d))
+def pose_similarity_matrix(side3: _Side, side2: _Side, frames=slice(None)) -> np.ndarray:
+    """Mean cosine similarity (n3d, n2d) of the ``_side`` stacks' flattened body
+    poses over the co-valid ``frames`` of each pair; NO_OVERLAP_SIMILARITY without one."""
+    shape = (len(side3.valid), len(side2.valid))
     if 0 in shape:
         return np.full(shape, NO_OVERLAP_SIMILARITY)
 
-    def unit_poses(tracks):
-        valid = np.array([t.valid[frames] for t in tracks])
-        flat = flatten_body_pose(np.array([t.body_pose[frames] for t in tracks]))
+    def unit_poses(side):
+        valid = side.valid[:, frames]
+        flat = flatten_body_pose(side.poses[:, frames])
         norm = np.linalg.norm(flat, axis=-1, keepdims=True)
         return flat / np.where(valid[..., None], norm, 1.0), valid
 
-    a, valid3 = unit_poses(tracks3d)
-    b, valid2 = unit_poses(tracks2d)
+    a, valid3 = unit_poses(side3)
+    b, valid2 = unit_poses(side2)
     common = valid3[:, None, :] & valid2[None, :, :]
     cos = np.einsum("itk,jtk->ijt", a, b)
     counts = common.sum(axis=-1)
@@ -288,7 +313,8 @@ def pose_similarity_matrix(tracks3d, tracks2d, frames=slice(None)) -> np.ndarray
 
 def pose_similarity(track3d: PersonTrack3D, track2d: PersonTrack2D) -> float:
     """Mean cosine similarity of flattened body poses over co-valid frames."""
-    similarity = float(pose_similarity_matrix([track3d], [track2d])[0, 0])
+    sides = _side([track3d], track3d.frames, 3), _side([track2d], track2d.frames, 2)
+    similarity = float(pose_similarity_matrix(*sides)[0, 0])
     if similarity == NO_OVERLAP_SIMILARITY:
         raise NoCommonFrames(
             f"tracks {track3d.person_id!r} and {track2d.person_id!r} share no valid frame"
@@ -410,10 +436,10 @@ def reprojection_cost(
     """
     if not (track3d.valid[frame] and track2d.valid[frame]):
         raise ValueError("both tracks must be valid at the frame")
-    joints3d, mask3d = _usable3d(track3d.joints[frame])
-    joints2d, conf2d = _usable2d(track2d.joints[frame], track2d.confidence[frame])
-    cam = extrinsics.transform(joints3d)
-    return float(_reprojection_costs(cam, mask3d, joints2d, conf2d, intrinsics))
+    side3, side2 = _side([track3d], 1, 3, [frame]), _side([track2d], 1, 2, [frame])
+    cam = extrinsics.transform(side3.joints[0, 0])
+    return float(_reprojection_costs(cam, side3.weights[0, 0], side2.joints[0, 0],
+                                     side2.weights[0, 0], intrinsics))
 
 
 def body_pose_cost(
@@ -485,49 +511,20 @@ class FrameData:
         return len(self.idx3d) > 0 and len(self.idx2d) > 0
 
 
-def _usable3d(joints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """3D joints (..., 24, 3) zero-filled where not finite, and the finite mask."""
-    finite = np.isfinite(joints).all(axis=-1)
-    return np.where(finite[..., None], joints, 0.0), finite
-
-
-def _usable2d(joints: np.ndarray, confidence: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """2D joints (..., 24, 2) zero-filled where not finite, and the confidences
-    (..., 24), zeroed there."""
-    finite = np.isfinite(joints).all(axis=-1)
-    return np.where(finite[..., None], joints, 0.0), np.where(finite, confidence, 0.0)
-
-
-def frame_slice(tracks3d, tracks2d, frame: int) -> FrameData:
-    """Collect the persons that can take part in this frame's costs.
+def frame_slice(side3: _Side, side2: _Side, frame: int) -> FrameData:
+    """Collect the persons of the ``_side`` stacks that can take part in this
+    frame's costs.
 
     Persons with fewer than MIN_CORRESPONDENCES usable joints are excluded
     entirely (below the pose-estimation identifiability floor).
     """
 
-    def at_frame(tracks, name, shape):
-        values = [getattr(t, name)[frame] for t in tracks if t.valid[frame]]
-        return np.stack(values) if values else np.zeros((0,) + shape)
+    def persons(side):  # one side's FrameData fields, in field order
+        usable = (side.weights[:, frame] > 0).sum(axis=-1) >= MIN_CORRESPONDENCES
+        idx = np.flatnonzero(side.valid[:, frame] & usable)
+        return idx, side.joints[idx, frame], side.weights[idx, frame], side.poses[idx, frame]
 
-    joints3d, mask3d = _usable3d(at_frame(tracks3d, "joints", (JOINTS, 3)))
-    joints2d, conf2d = _usable2d(
-        at_frame(tracks2d, "joints", (JOINTS, 2)), at_frame(tracks2d, "confidence", (JOINTS,))
-    )
-    keep3 = mask3d.sum(axis=1) >= MIN_CORRESPONDENCES
-    keep2 = (conf2d > 0).sum(axis=1) >= MIN_CORRESPONDENCES
-    return FrameData(
-        frame=frame,
-        n3d=len(tracks3d),
-        n2d=len(tracks2d),
-        idx3d=np.flatnonzero([t.valid[frame] for t in tracks3d])[keep3],
-        joints3d=joints3d[keep3],
-        mask3d=mask3d[keep3],
-        pose3d=at_frame(tracks3d, "body_pose", (JOINTS, 3, 3))[keep3],
-        idx2d=np.flatnonzero([t.valid[frame] for t in tracks2d])[keep2],
-        joints2d=joints2d[keep2],
-        conf2d=conf2d[keep2],
-        pose2d=at_frame(tracks2d, "body_pose", (JOINTS, 3, 3))[keep2],
-    )
+    return FrameData(frame, len(side3.valid), len(side2.valid), *persons(side3), *persons(side2))
 
 
 def _camera_points(points: np.ndarray, rotations: np.ndarray, translations: np.ndarray):
@@ -806,23 +803,13 @@ def variance_of_translations(extrinsics) -> float:
     return float(ts.var(axis=0, ddof=1).sum())
 
 
-def _pair_frames(tracks3d, tracks2d, pairs, frames: int) -> tuple[np.ndarray, ...]:
-    """Every pair's joints over the whole ``frames``-long timeline: arrays
-    joints3d, mask3d, joints2d, conf2d of shape (pair, frame, 24, ...),
-    zero-filled and masked as in FrameData, and the (pair, frame) mask of where
-    both tracks are valid."""
-    tracks3, tracks2 = [tracks3d[i] for i, _ in pairs], [tracks2d[j] for _, j in pairs]
-
-    def gather(tracks, name, tail=()):
-        values = np.array([getattr(t, name) for t in tracks])
-        return values.reshape((len(pairs), frames) + tail)  # shaped even without pairs
-
-    joints3d, mask3d = _usable3d(gather(tracks3, "joints", (JOINTS, 3)))
-    joints2d, conf2d = _usable2d(
-        gather(tracks2, "joints", (JOINTS, 2)), gather(tracks2, "confidence", (JOINTS,))
-    )
-    valid = np.logical_and(gather(tracks3, "valid"), gather(tracks2, "valid"))
-    return joints3d, mask3d, joints2d, conf2d, valid
+def _pair_frames(side3: _Side, side2: _Side, pairs) -> tuple[np.ndarray, ...]:
+    """Every pair's rows of the ``_side`` stacks over the whole timeline:
+    arrays joints3d, mask3d, joints2d, conf2d of shape (pair, frame, 24, ...),
+    and the (pair, frame) mask of where both tracks are valid."""
+    rows, cols = [i for i, _ in pairs], [j for _, j in pairs]
+    return (side3.joints[rows], side3.weights[rows], side2.joints[cols], side2.weights[cols],
+            side3.valid[rows] & side2.valid[cols])
 
 
 def _poses_for_pairs(arrays, intrinsics, stats=None) -> list:
@@ -953,9 +940,9 @@ def match_sequences(
     if n3 == 0 or n2 == 0:
         return SequenceMatchResult(MatchSet.empty(n3, n2), [None] * frames, stats)
 
-    similarity = pose_similarity_matrix(tracks3d, tracks2d)
-    c_init = hungarian(CostMatrix(similarity, maximize=True))
-    arrays = _pair_frames(tracks3d, tracks2d, c_init.pairs, frames)
+    side3, side2 = _side(tracks3d, frames, 3), _side(tracks2d, frames, 2)
+    c_init = hungarian(CostMatrix(pose_similarity_matrix(side3, side2), maximize=True))
+    arrays = _pair_frames(side3, side2, c_init.pairs)
     m_init = _poses_for_pairs(arrays, intrinsics, stats)
     available = [e for e in m_init if e is not None]
     stats.gate_variance = variance_of_translations(available) if available else math.inf
@@ -968,7 +955,7 @@ def match_sequences(
             stats.gate_variance,
             config.delta,
         )
-        fds = [frame_slice(tracks3d, tracks2d, t) for t in range(frames)]
+        fds = [frame_slice(side3, side2, t) for t in range(frames)]
         outcomes = _search_frames(fds, intrinsics, config, stats=stats)
         c_final = _accumulated_match(n3, n2, [_frame_winner(o) for o in outcomes], stats)
         if c_final is None:
@@ -976,7 +963,7 @@ def match_sequences(
             stats.fallback_to_pose = True
             c_final, m_final = c_init, m_init
         else:
-            arrays = _pair_frames(tracks3d, tracks2d, c_final.pairs, frames)
+            arrays = _pair_frames(side3, side2, c_final.pairs)
             m_final = _poses_for_pairs(arrays, intrinsics, stats)
     else:
         c_final, m_final = c_init, m_init
@@ -996,7 +983,8 @@ def match_sequences(
 def extrinsics_for_match(tracks3d, tracks2d, pairs, intrinsics, smoothing_window: int):
     """Per-frame smoothed extrinsics implied by a fixed pairing, with each
     pair's mean reprojection residual under them."""
-    arrays = _pair_frames(tracks3d, tracks2d, pairs, _common_timeline(tracks3d, tracks2d))
+    frames = _common_timeline(tracks3d, tracks2d)
+    arrays = _pair_frames(_side(tracks3d, frames, 3), _side(tracks2d, frames, 2), pairs)
     smoothed = smooth_extrinsics(_poses_for_pairs(arrays, intrinsics), smoothing_window)
     return smoothed, _pair_residuals(arrays, smoothed, intrinsics)
 
@@ -1053,18 +1041,19 @@ def match_with_strategy(
 
     if strategy == "P&T&K":
         return match_sequences(tracks3d, tracks2d, intrinsics, config).match
+    side3, side2 = _side(tracks3d, frames, 3), _side(tracks2d, frames, 2)
     if strategy == "P&T":
-        return hungarian(CostMatrix(pose_similarity_matrix(tracks3d, tracks2d), maximize=True))
+        return hungarian(CostMatrix(pose_similarity_matrix(side3, side2), maximize=True))
     if strategy == "Pose":
-        sims = pose_similarity_matrix(tracks3d, tracks2d, slice(frames // 2, frames // 2 + 1))
+        sims = pose_similarity_matrix(side3, side2, slice(frames // 2, frames // 2 + 1))
         return hungarian(CostMatrix(sims, maximize=True))
     if strategy == "P&K":
-        fd = frame_slice(tracks3d, tracks2d, frames // 2)
+        fd = frame_slice(side3, side2, frames // 2)
         try:
             return optimize_frame_match(fd, intrinsics, config).match
         except NoViableProposal:
             return MatchSet.empty(n3, n2)
-    fds = [frame_slice(tracks3d, tracks2d, t) for t in range(frames)]
+    fds = [frame_slice(side3, side2, t) for t in range(frames)]
     if strategy == "KP":
         seed_rows = []
         for fd in fds:

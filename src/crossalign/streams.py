@@ -341,12 +341,13 @@ def resample_to_timeline(
 
     source_for_target = np.full(frames, -1, dtype=int)
     if len(source_times):
-        for t, time in enumerate(target_times):
-            s = int(np.argmin(np.abs(source_times - time)))
-            if abs(source_times[s] - time) <= half_period:
-                source_for_target[t] = s
-    used = set(source_for_target[source_for_target >= 0].tolist())
-    dropped = len(source_times) - len(used)
+        # Times increase: the nearer of the two sources around a target wins, the earlier on a tie.
+        after = np.minimum(np.searchsorted(source_times, target_times), len(source_times) - 1)
+        around = np.stack([np.maximum(after - 1, 0), after])  # (2, frame)
+        gaps = np.abs(source_times[around] - target_times)
+        near = gaps.min(axis=0) <= half_period
+        source_for_target[near] = around[gaps.argmin(axis=0), np.arange(frames)][near]
+    dropped = len(source_times) - len(np.unique(source_for_target[source_for_target >= 0]))
     if dropped > 0 and frames > 0:  # an empty timeline drops all, and is no misalignment
         logger.warning("%d camera frames have no timeline counterpart and were dropped", dropped)
 

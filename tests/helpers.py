@@ -1,12 +1,15 @@
 """Shared construction helpers for the test suite.
 
-Everything here is deliberately independent of the library's internals:
-rotations come from normalized Gaussian quaternions, cameras from an explicit
-look-at construction, so these helpers can serve as oracles.
+Everything here but ``sides`` is deliberately independent of the library's
+internals: rotations come from normalized Gaussian quaternions, cameras from
+an explicit look-at construction, so these helpers can serve as oracles.
+``sides`` builds the matcher's stacked inputs for tests that call its
+indexers directly.
 """
 
 import numpy as np
 
+from crossalign import matching
 from crossalign.geometry import Extrinsics, Intrinsics
 
 
@@ -74,3 +77,10 @@ def project_oracle(p_matrix, point):
     """Independent homogeneous multiply-then-divide projection."""
     h = p_matrix @ np.append(np.asarray(point, dtype=float), 1.0)
     return h[:2] / h[2]
+
+
+def sides(tracks3d, tracks2d):
+    """Both sensors' tracks stacked as the matcher's indexers take them
+    (``frame_slice``, ``_pair_frames``, ``pose_similarity_matrix``)."""
+    frames = matching._common_timeline(tracks3d, tracks2d)
+    return matching._side(tracks3d, frames, 3), matching._side(tracks2d, frames, 2)

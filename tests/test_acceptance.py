@@ -29,7 +29,7 @@ from crossalign.matching import (
 from crossalign.refiner import CameraObservation, RefineProblem, objective, objective_gradient, refine
 from crossalign.simulator import SceneConfig, accuracy, generate
 
-from helpers import make_intrinsics, random_camera
+from helpers import make_intrinsics, random_camera, sides
 from test_matching import brute_force_total, frame_brute_force
 
 BENCH_CONFIG = PcmConfig(delta=0.5)
@@ -95,7 +95,7 @@ def test_criterion_03_frame_search_matches_exhaustive():
         frame = 2
         if not all(t.valid[frame] for t in scene.tracks2d[0]):
             continue
-        fd = frame_slice(scene.tracks3d, scene.tracks2d[0], frame)
+        fd = frame_slice(*sides(scene.tracks3d, scene.tracks2d[0]), frame)
         result = optimize_frame_match(fd, scene.intrinsics, BENCH_CONFIG)
         oracle_pairs, _ = frame_brute_force(fd, scene.intrinsics, BENCH_CONFIG, scene.skeleton)
         scenes_used += 1
@@ -175,7 +175,9 @@ def test_criterion_06_variance_gate_boundary():
         )
         tracks3d, tracks2d, k = scene.tracks3d, scene.tracks2d[0], scene.intrinsics
         inf_result = match_sequences(tracks3d, tracks2d, k, PcmConfig(delta=math.inf))
-        pose_init = hungarian(CostMatrix(pose_similarity_matrix(tracks3d, tracks2d), maximize=True))
+        pose_init = hungarian(
+            CostMatrix(pose_similarity_matrix(*sides(tracks3d, tracks2d)), maximize=True)
+        )
         exact &= not inf_result.stats.keypoint_path
         exact &= inf_result.match.pairs == pose_init.pairs
 

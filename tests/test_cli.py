@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 import crossalign
-from crossalign import cli, geometry, harness
+from crossalign import cli, geometry, harness, simulator
 from crossalign.cli import load_run_config, main
 from crossalign.errors import InvalidConfig
 from crossalign.refiner import RefineResult
-from crossalign.streams import load_match_output, parse_stream
+from crossalign.streams import KIND_2D, KIND_3D, load_match_output, parse_stream, write_stream
 
 
 DROP = object()  # marks a key to delete in a document edit
@@ -749,6 +749,27 @@ class TestRefine:
         camera = str(tmp_path / "scene" / "camera_00.jsonl")
         assert run_cli("match", "--lidar", "scene/lidar.jsonl", "--camera", camera, "--out", "m3") == 0
         assert load_match_output("m3/match_00_camera_00.json").camera_stream == camera
+
+    def test_match_numbers_extrinsics_by_timeline_position(self, tmp_path):
+        # Records numbered 100-105: the document's extrinsics frames count
+        # positions on the LiDAR timeline, and refine reads them that way,
+        # writing the LiDAR records' own numbers back.
+        scene = simulator.generate(simulator.SceneConfig(person_count=3, duration_frames=6, seed=13))
+        numbers = list(range(100, 106))
+        lidar, camera = tmp_path / "lidar.jsonl", tmp_path / "camera.jsonl"
+        skeleton_hash = scene.skeleton.content_hash
+        write_stream(lidar, KIND_3D, scene.tracks3d, skeleton_hash, frame_indices=numbers)
+        write_stream(camera, KIND_2D, scene.tracks2d[0], skeleton_hash,
+                     intrinsics=scene.intrinsics, frame_indices=numbers)
+        out = tmp_path / "match"
+        assert run_cli("match", "--lidar", str(lidar), "--camera", str(camera), "--out", str(out)) == 0
+        (document,) = out.iterdir()
+        frames = [entry["frame"] for entry in json.loads(document.read_text())["extrinsics"]]
+        assert frames == list(range(6))
+        refined = tmp_path / "refined.jsonl"
+        assert run_cli("refine", "--lidar", str(lidar), "--match", str(document),
+                       "--out", str(refined)) == 0
+        assert parse_stream(refined).frame_indices == numbers
 
     def test_non_converged_refinements_are_counted(self, noisy_scene, tmp_path, monkeypatch, caplog):
         matches = self._run_match(noisy_scene, tmp_path / "match")

@@ -27,6 +27,7 @@ from helpers import (
     random_camera,
     random_rotation,
     rot_z,
+    sides,
 )
 
 
@@ -348,7 +349,7 @@ class TestSolvePnp:
             ))
             for camera, tracks2d in enumerate(scene.tracks2d):
                 pairs = sorted(scene.truth.correspondence[camera].items())
-                *arrays, valid = matching._pair_frames(scene.tracks3d, tracks2d, pairs, frames)
+                *arrays, valid = matching._pair_frames(*sides(scene.tracks3d, tracks2d), pairs)
                 problems = []
                 for t in range(frames):
                     joints3d, mask3d, joints2d, conf2d = (a[valid[:, t], t] for a in arrays)

@@ -39,7 +39,7 @@ from crossalign.matching import (
 from crossalign.simulator import SceneConfig, accuracy, generate
 from crossalign.skeleton import default_skeleton, fk_points, forward_kinematics
 
-from helpers import make_intrinsics, random_camera, random_rotation
+from helpers import make_intrinsics, random_camera, random_rotation, sides
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -611,14 +611,14 @@ class TestPairResiduals:
         k = scene.intrinsics
         pairs = list(itertools.product(range(len(tracks3d)), range(len(tracks2d))))
         expected = [pair_residual_loop(tracks3d[i], tracks2d[j], extrinsics, k) for i, j in pairs]
-        arrays = matching._pair_frames(tracks3d, tracks2d, pairs, frames)
+        arrays = matching._pair_frames(*sides(tracks3d, tracks2d), pairs)
         assert matching._pair_residuals(arrays, extrinsics, k) == expected
         # The zero-confidence 2D person costs the image diagonal at frame 0.
         assert reprojection_cost(tracks3d[0], tracks2d[1], extrinsics[0], k, 0) == k.diagonal
 
     def test_empty_pair_list(self):
         scene, tracks3d, tracks2d, extrinsics = self.edited_scene(31, 20)
-        arrays = matching._pair_frames(tracks3d, tracks2d, [], 20)
+        arrays = matching._pair_frames(*sides(tracks3d, tracks2d), [])
         assert matching._pair_residuals(arrays, extrinsics, scene.intrinsics) == []
 
     def test_pair_without_a_common_frame_is_inf_and_unmatched(self):
@@ -628,7 +628,7 @@ class TestPairResiduals:
         t2 = replace(scene.tracks2d[0][0], valid=scene.tracks2d[0][0].valid & ~early)
         extrinsics = scene.truth.extrinsics[0]
         k = scene.intrinsics
-        arrays = matching._pair_frames([t3], [t2], [(0, 0)], 6)
+        arrays = matching._pair_frames(*sides([t3], [t2]), [(0, 0)])
         assert matching._pair_residuals(arrays, extrinsics, k) == [math.inf]
         assert pair_residual_loop(t3, t2, extrinsics, k) == math.inf
         result = match_sequences([t3], [t2], k)
@@ -649,6 +649,15 @@ def packed(sets):
     return np.concatenate(points3d), np.concatenate(points2d), counts
 
 
+def usable_joints(joints, confidence=None):
+    """Reference masking: joints (..., 24, 3 or 2) zero-filled where not
+    finite, and their weights, the finite mask or, given 2D confidences,
+    the confidences zeroed there."""
+    finite = np.isfinite(joints).all(axis=-1)
+    weights = finite if confidence is None else np.where(finite, confidence, 0.0)
+    return np.where(finite[..., None], joints, 0.0), weights
+
+
 def poses_for_pairs_loop(tracks3d, tracks2d, pairs, intrinsics, frames, stats):
     """Reference for the per-frame pose fits: each frame's valid pairs stacked
     one frame at a time, then fit in one batch."""
@@ -658,8 +667,8 @@ def poses_for_pairs_loop(tracks3d, tracks2d, pairs, intrinsics, frames, stats):
         both = [(t3, t2) for t3, t2 in both if t3.valid[t] and t2.valid[t]]
         if not both:
             continue
-        joints3d, mask3d = matching._usable3d(np.stack([t3.joints[t] for t3, _ in both]))
-        joints2d, conf2d = matching._usable2d(
+        joints3d, mask3d = usable_joints(np.stack([t3.joints[t] for t3, _ in both]))
+        joints2d, conf2d = usable_joints(
             np.stack([t2.joints[t] for _, t2 in both]),
             np.stack([t2.confidence[t] for _, t2 in both]),
         )
@@ -714,7 +723,7 @@ class TestPosesForPairs:
         expected = poses_for_pairs_loop(
             tracks3d, tracks2d, pairs, scene.intrinsics, frames, expected_stats
         )
-        arrays = matching._pair_frames(tracks3d, tracks2d, pairs, frames)
+        arrays = matching._pair_frames(*sides(tracks3d, tracks2d), pairs)
         poses = matching._poses_for_pairs(arrays, scene.intrinsics, stats)
         assert [pose_bytes(p) for p in poses] == [pose_bytes(p) for p in expected]
         assert stats.pnp_attempted == expected_stats.pnp_attempted > 0
@@ -733,7 +742,7 @@ class TestPosesForPairs:
         monkeypatch.setattr(geometry, "PNP_MAX_ITERATIONS", 3)
         scene, tracks3d, tracks2d = self.dropout_scene(42, 12)
         pairs = sorted(scene.truth.correspondence[0].items())
-        *arrays, valid = matching._pair_frames(tracks3d, tracks2d, pairs, 12)
+        *arrays, valid = matching._pair_frames(*sides(tracks3d, tracks2d), pairs)
         sets = [tuple(a[valid[:, t], t] for a in arrays) for t in range(12)]
         outcomes = []
         solve = matching.solve_pnp_packed
@@ -757,10 +766,119 @@ class TestPosesForPairs:
     def test_empty_pair_list(self):
         scene, tracks3d, tracks2d = self.dropout_scene(41, 20)
         stats = matching.PcmStats()
-        arrays = matching._pair_frames(tracks3d, tracks2d, [], 20)
+        arrays = matching._pair_frames(*sides(tracks3d, tracks2d), [])
         poses = matching._poses_for_pairs(arrays, scene.intrinsics, stats)
         assert poses == [None] * 20
         assert stats.pnp_attempted == 0
+
+
+# ---------------------------------------------------------------------------
+# Per-frame slices
+
+
+def frame_slice_loop(tracks3d, tracks2d, frame):
+    """Reference for ``frame_slice``, one track at a time: a person takes part
+    when its track is valid and it has at least MIN_CORRESPONDENCES finite 3D
+    joints, or confident 2D joints with finite coordinates. Returns the
+    FrameData fields after ``frame``, n3d and n2d, in field order."""
+    fields = []
+    for tracks, width in ((tracks3d, 3), (tracks2d, 2)):
+        rows = []
+        for index, track in enumerate(tracks):
+            joints, weights = usable_joints(
+                track.joints[frame], track.confidence[frame] if width == 2 else None
+            )
+            if track.valid[frame] and (weights > 0).sum() >= geometry.MIN_CORRESPONDENCES:
+                rows.append((index, joints, weights, track.body_pose[frame]))
+        shapes = ((), (JOINTS, width), (JOINTS,), (JOINTS, 3, 3))
+        dtypes = (np.intp, float, bool if width == 3 else float, float)
+        fields.extend(
+            np.array([row[k] for row in rows], dtype=dtype).reshape((len(rows),) + shape)
+            for k, (shape, dtype) in enumerate(zip(shapes, dtypes))
+        )
+    return fields
+
+
+def frame_fields(fd):
+    return [fd.idx3d, fd.joints3d, fd.mask3d, fd.pose3d, fd.idx2d, fd.joints2d, fd.conf2d,
+            fd.pose2d]
+
+
+def assert_same_arrays(actual, expected):
+    for a, b in zip(actual, expected, strict=True):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+class TestFrameSlice:
+    """``frame_slice`` keeps the persons that can take part in a frame's costs."""
+
+    @staticmethod
+    def edited_scene(frames):
+        """Four persons seen by one camera, edited at frame ``min(1, frames - 1)``:
+        3D persons 0 and 1 keep exactly 5 and 6 finite joints, 2D persons 0 and
+        1 exactly 5 and 6 positive confidences, and 2D person 2 has a NaN joint
+        whose confidence stays positive; 2D person 3 keeps 6 positive
+        confidences, one of them at a NaN joint. In longer scenes 3D person 2
+        and 2D person 1 are invalid at frame 2."""
+        scene = generate(SceneConfig(person_count=4, duration_frames=frames, seed=7))
+        tracks3d, tracks2d = list(scene.tracks3d), list(scene.tracks2d[0])
+        assert len(tracks2d) == 4 and all(t.valid.all() for t in tracks2d)
+        at = min(1, frames - 1)
+        for p, kept in ((0, 5), (1, 6)):
+            joints = tracks3d[p].joints.copy()
+            joints[at, kept:] = np.nan
+            tracks3d[p] = replace(tracks3d[p], joints=joints)
+            confidence = tracks2d[p].confidence.copy()
+            confidence[at, kept:] = 0.0
+            assert (confidence[at] > 0).sum() == kept
+            tracks2d[p] = replace(tracks2d[p], confidence=confidence)
+        for p, confident in ((2, JOINTS), (3, 6)):
+            joints, confidence = tracks2d[p].joints.copy(), tracks2d[p].confidence.copy()
+            joints[at, 3] = np.nan
+            confidence[at, confident:] = 0.0
+            assert (confidence[at] > 0).sum() == confident
+            tracks2d[p] = replace(tracks2d[p], joints=joints, confidence=confidence)
+        if frames > 2:
+            gap = np.arange(frames) == 2
+            tracks3d[2] = replace(tracks3d[2], valid=tracks3d[2].valid & ~gap)
+            tracks2d[1] = replace(tracks2d[1], valid=tracks2d[1].valid & ~gap)
+        return tracks3d, tracks2d
+
+    @pytest.mark.parametrize("frames", [4, 1])
+    def test_equals_the_per_track_loop(self, frames):
+        tracks3d, tracks2d = self.edited_scene(frames)
+        both = sides(tracks3d, tracks2d)
+        for t in range(frames):
+            fd = frame_slice(*both, t)
+            assert (fd.frame, fd.n3d, fd.n2d) == (t, 4, 4)
+            assert_same_arrays(frame_fields(fd), frame_slice_loop(tracks3d, tracks2d, t))
+        at = frame_slice(*both, min(1, frames - 1))
+        assert at.idx3d.tolist() == [1, 2, 3]
+        assert at.idx2d.tolist() == [1, 2]
+        assert at.conf2d[1, 3] == 0.0 and at.joints2d[1, 3].tolist() == [0.0, 0.0]
+        if frames > 2:
+            gap = frame_slice(*both, 2)
+            assert gap.idx3d.tolist() == [0, 1, 3]
+            assert gap.idx2d.tolist() == [0, 2, 3]
+
+    def test_empty_side(self):
+        tracks3d, tracks2d = self.edited_scene(4)
+        for t in range(4):
+            for tracks in ((tracks3d, []), ([], tracks2d)):
+                fd = frame_slice(*sides(*tracks), t)
+                assert not fd.usable
+                assert_same_arrays(frame_fields(fd), frame_slice_loop(*tracks, t))
+
+    def test_pair_frames_keep_the_persons_frame_slice_drops(self):
+        # A valid 3D person with 5 finite joints takes part in the sequence
+        # pose fits, which need no per-person floor, but not in the frame's costs.
+        tracks3d, tracks2d = self.edited_scene(4)
+        both = sides(tracks3d, tracks2d)
+        joints3d, mask3d, _, conf2d, valid = matching._pair_frames(*both, [(0, 1)])
+        assert valid[0, 1] and mask3d[0, 1].sum() == 5
+        assert np.array_equal(joints3d[0, 1, :5], tracks3d[0].joints[1, :5])
+        assert (mask3d[0, 1] & (conf2d[0, 1] > 0)).sum() == 5
+        assert 0 not in frame_slice(*both, 1).idx3d
 
 
 # ---------------------------------------------------------------------------
@@ -811,7 +929,7 @@ def frame_brute_force(fd, intrinsics, config, skeleton):
 class TestOptimizeFrameMatch:
     def test_single_consistent_pair(self):
         scene = generate(SceneConfig(person_count=1, duration_frames=4, seed=3))
-        fd = frame_slice(scene.tracks3d, scene.tracks2d[0], 2)
+        fd = frame_slice(*sides(scene.tracks3d, scene.tracks2d[0]), 2)
         result = optimize_frame_match(fd, scene.intrinsics, PcmConfig())
         assert result.match.pairs == ((0, 0),)
         assert result.match.residuals[0] < 1e-6
@@ -823,7 +941,7 @@ class TestOptimizeFrameMatch:
             scene = generate(SceneConfig(person_count=3, duration_frames=4, seed=200 + seed))
             if len(scene.tracks2d[0]) < 3:
                 continue
-            fd = frame_slice(scene.tracks3d, scene.tracks2d[0], 2)
+            fd = frame_slice(*sides(scene.tracks3d, scene.tracks2d[0]), 2)
             result = optimize_frame_match(fd, scene.intrinsics, config)
             oracle_pairs, _ = frame_brute_force(fd, scene.intrinsics, config, scene.skeleton)
             assert set(result.match.pairs) == set(oracle_pairs)
@@ -841,7 +959,7 @@ class TestOptimizeFrameMatch:
                 vis = visible[:, t]
                 if vis.sum() != 2 or len(scene.tracks2d[0]) < 2:
                     continue
-                fd = frame_slice(scene.tracks3d, scene.tracks2d[0], t)
+                fd = frame_slice(*sides(scene.tracks3d, scene.tracks2d[0]), t)
                 try:
                     result = optimize_frame_match(fd, scene.intrinsics, PcmConfig())
                 except NoViableProposal:
@@ -862,7 +980,7 @@ class TestOptimizeFrameMatch:
         scene = generate(
             SceneConfig(person_count=4, duration_frames=4, seed=31, pixel_noise_sigma=2.0)
         )
-        fd = frame_slice(scene.tracks3d, scene.tracks2d[0], 2)
+        fd = frame_slice(*sides(scene.tracks3d, scene.tracks2d[0]), 2)
         scores = []
         for n_iter in (1, 2, 4):
             result = optimize_frame_match(
@@ -874,7 +992,7 @@ class TestOptimizeFrameMatch:
 
     def test_raises_when_unusable(self):
         scene = generate(SceneConfig(person_count=2, duration_frames=3, seed=5))
-        empty = frame_slice(scene.tracks3d, [], 0)
+        empty = frame_slice(*sides(scene.tracks3d, []), 0)
         with pytest.raises(NoViableProposal):
             optimize_frame_match(empty, scene.intrinsics, PcmConfig())
 
@@ -920,7 +1038,8 @@ class TestSearchFrames:
     ])
     def test_each_frame_gets_the_result_it_gets_alone(self, rows, n_iter, lambda0):
         scene, tracks3d, tracks2d = self.edited_scene()
-        fds = [frame_slice(tracks3d, tracks2d, t) for t in range(8)]
+        both = sides(tracks3d, tracks2d)
+        fds = [frame_slice(*both, t) for t in range(8)]
         assert fds[6].idx3d[0] == 0 and len(fds[6].idx3d) > 1
         if rows == "every person":
             seed_rows, alone_rows = None, [None] * len(fds)
@@ -948,7 +1067,8 @@ class TestSearchFrames:
             person_count=4, duration_frames=2, seed=1, pixel_noise_sigma=2.0,
             synchronized_pose_groups=((0, 1),), pose_noise_degrees=8.0,
         ))
-        fds = [frame_slice(scene.tracks3d, scene.tracks2d[0], t) for t in range(2)]
+        both = sides(scene.tracks3d, scene.tracks2d[0])
+        fds = [frame_slice(*both, t) for t in range(2)]
         behind = []
         for fd, truth in zip(fds, scene.truth.extrinsics[0]):
             point = -truth.rotation.T @ truth.translation - truth.rotation[2]
@@ -1000,7 +1120,8 @@ class TestSearchFrames:
         scene, tracks3d, tracks2d = self.edited_scene()
         tracks2d = [replace(t, body_pose=tracks2d[(j + 1) % len(tracks2d)].body_pose)
                     for j, t in enumerate(tracks2d)]
-        fds = [frame_slice(tracks3d, tracks2d, t) for t in range(8)]
+        both = sides(tracks3d, tracks2d)
+        fds = [frame_slice(*both, t) for t in range(8)]
         config = PcmConfig(lambda0=0.5)
         threshold = config.resolved_reject_threshold(scene.intrinsics)
         outcomes = matching._search_frames(fds, scene.intrinsics, config)
@@ -1018,7 +1139,8 @@ class TestSearchFrames:
 
     def test_slices_leave_the_search_unchanged(self, monkeypatch):
         scene, tracks3d, tracks2d = self.edited_scene()
-        fds = [frame_slice(tracks3d, tracks2d, t) for t in range(8)]
+        both = sides(tracks3d, tracks2d)
+        fds = [frame_slice(*both, t) for t in range(8)]
         whole = matching._search_frames(fds, scene.intrinsics, PcmConfig())
         monkeypatch.setattr(matching, "STACK_FLOATS", 1)  # one pose or matrix per slice
         sliced = matching._search_frames(fds, scene.intrinsics, PcmConfig())
@@ -1286,23 +1408,37 @@ class TestMatchSequences:
 
 
 class TestGatherCount:
-    """A match gathers each pairing's (pair, frame, joint) arrays once, for
-    its pose fits and its residual filter together."""
+    """A match stacks each sensor's tracks once (``_side``), and gathers each
+    pairing's (pair, frame, joint) arrays from those stacks once, for its pose
+    fits and its residual filter together."""
 
     @pytest.fixture
     def gathered(self, monkeypatch):
         pairings = []
         gather = matching._pair_frames
 
-        def counting(tracks3d, tracks2d, pairs, frames):
+        def counting(side3, side2, pairs):
             pairings.append(tuple(pairs))
-            return gather(tracks3d, tracks2d, pairs, frames)
+            return gather(side3, side2, pairs)
 
         monkeypatch.setattr(matching, "_pair_frames", counting)
         return pairings
 
+    @pytest.fixture
+    def stacked(self, monkeypatch):
+        """The (track count, width) of every ``_side`` call, in call order."""
+        calls = []
+        stack = matching._side
+
+        def counting(tracks, frames, width, *at):
+            calls.append((len(tracks), width))
+            return stack(tracks, frames, width, *at)
+
+        monkeypatch.setattr(matching, "_side", counting)
+        return calls
+
     @pytest.mark.parametrize("path", ["pose", "keypoint", "fallback"])
-    def test_match_sequences(self, path, gathered, monkeypatch):
+    def test_match_sequences(self, path, gathered, stacked, monkeypatch):
         scene = generate(SceneConfig(person_count=3, duration_frames=6, seed=9, pixel_noise_sigma=1.0))
         if path == "fallback":
 
@@ -1316,12 +1452,20 @@ class TestGatherCount:
         assert result.stats.fallback_to_pose == (path == "fallback")
         assert len(gathered) == (2 if path == "keypoint" else 1)
         assert result.match.pairs and set(result.match.pairs) <= set(gathered[-1])
+        assert stacked == [(3, 3), (3, 2)]
 
-    def test_extrinsics_for_match(self, gathered):
+    @pytest.mark.parametrize("strategy", matching.STRATEGIES)
+    def test_match_with_strategy(self, strategy, stacked):
+        scene = generate(SceneConfig(person_count=3, duration_frames=6, seed=9, pixel_noise_sigma=1.0))
+        match_with_strategy(strategy, scene.tracks3d, scene.tracks2d[0], scene.intrinsics)
+        assert stacked == [(3, 3), (3, 2)]
+
+    def test_extrinsics_for_match(self, gathered, stacked):
         scene = generate(SceneConfig(person_count=3, duration_frames=6, seed=9))
         pairs = sorted(scene.truth.correspondence[0].items())
         matching.extrinsics_for_match(scene.tracks3d, scene.tracks2d[0], pairs, scene.intrinsics, 3)
         assert gathered == [tuple(pairs)]
+        assert stacked == [(3, 3), (3, 2)]
 
 
 # ---------------------------------------------------------------------------

@@ -447,6 +447,54 @@ class TestResample:
             assert np.array_equal(resampled.joints[t], expected)
 
 
+    @staticmethod
+    def _nearest_source_scan(source_indices, source_rate, target_indices, target_rate):
+        """The per-target scan ``resample_to_timeline`` once ran: per target
+        frame, the first source frame at the least time gap (``np.argmin``), or
+        -1 beyond half a target period."""
+        source_times = np.asarray(source_indices, dtype=float) / source_rate
+        picks = np.full(len(target_indices), -1, dtype=int)
+        if len(source_times):
+            for t, time in enumerate(np.asarray(target_indices, dtype=float) / target_rate):
+                s = int(np.argmin(np.abs(source_times - time)))
+                if abs(source_times[s] - time) <= 0.5 / target_rate:
+                    picks[t] = s
+        return picks
+
+    # 8 and 16 Hz times are exact in binary, so neighbours tie exactly.
+    @pytest.mark.parametrize("source_rate,target_rate", [
+        (8.0, 16.0), (16.0, 8.0), (8.0, 8.0), (10.0, 20.0), (30.0, 15.0), (10.0, 10.0),
+    ])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_the_per_frame_scan(self, source_rate, target_rate, seed, caplog):
+        rng = np.random.default_rng(seed)
+        source = (rng.integers(0, 5) + np.cumsum(rng.integers(1, 4, size=300))).tolist()
+        target = np.cumsum(rng.integers(1, 4, size=300)).tolist()
+        frames = len(source)
+        joints = np.arange(frames * 24 * 2, dtype=float).reshape(frames, 24, 2) + 1.0
+        valid = rng.uniform(size=frames) < 0.9
+        pose = np.broadcast_to(np.eye(3), (frames, 24, 3, 3))
+        track = PersonTrack2D("p", joints, np.full((frames, 24), 0.5), pose, valid)
+        parsed = ParsedStream(KIND_2D, source_rate, "h", None, source, [track])
+        with caplog.at_level("WARNING"):
+            (resampled,) = resample_to_timeline(parsed, target, target_rate)
+        picks = self._nearest_source_scan(source, source_rate, target, target_rate)
+        expected_valid = (picks >= 0) & valid[picks]
+        assert resampled.valid.tolist() == expected_valid.tolist()
+        assert np.array_equal(resampled.joints[expected_valid], joints[picks[expected_valid]])
+        dropped = frames - len(set(picks[picks >= 0].tolist()))
+        assert dropped > 0
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{dropped} camera frames have no timeline counterpart and were dropped"
+        ]
+        if (source_rate, target_rate) == (16.0, 8.0):
+            # Some target lies exactly between two sources in reach: the earlier wins.
+            times = np.asarray(source) / source_rate
+            tied = [t for t, s in enumerate(picks) if s >= 0 and s + 1 < frames
+                    and times[s + 1] - target[t] / target_rate == target[t] / target_rate - times[s]]
+            assert tied
+
+
 DROP = object()  # marks a key to delete in a document edit
 
 
