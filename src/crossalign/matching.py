@@ -45,6 +45,7 @@ from .geometry import (  # noqa: F401
     MIN_CORRESPONDENCES,
     Extrinsics,
     Intrinsics,
+    camera_points,
     pinhole,
     solve_pnp,
     solve_pnp_packed,
@@ -527,15 +528,6 @@ def frame_slice(side3: _Side, side2: _Side, frame: int) -> FrameData:
     return FrameData(frame, len(side3.valid), len(side2.valid), *persons(side3), *persons(side2))
 
 
-def _camera_points(points: np.ndarray, rotations: np.ndarray, translations: np.ndarray):
-    """World points (pose, ..., 3) in the camera frame of their pose, given
-    by rotations (pose, 3, 3) and translations (pose, 3); each slice equals
-    that pose's ``Extrinsics.transform`` bit for bit."""
-    lead = (len(rotations),) + (1,) * (points.ndim - 3)
-    rotations = rotations.reshape(lead + (3, 3)).swapaxes(-1, -2)
-    return points @ rotations + translations.reshape(lead + (1, 3))
-
-
 def _reprojection_costs(cam, mask3d, joints2d, conf2d, intrinsics: Intrinsics) -> np.ndarray:
     """Confidence-weighted mean pixel distances (...) between camera-frame 3D
     joints ``cam`` (..., 24, 3) and observed 2D joints (..., 24, 2).
@@ -559,9 +551,9 @@ def _body_pose_costs(skeletons3d, fk2_origin, roots, rotations, translations, in
     posed at the origin (pose, p2, 24, 3), each pair rooted at the 3D
     person's root (pose, p3, 3); joints behind the camera cost the image
     diagonal."""
-    uv3, front3 = pinhole(intrinsics, _camera_points(skeletons3d, rotations, translations))
+    uv3, front3 = pinhole(intrinsics, camera_points(skeletons3d, rotations, translations))
     pts2 = fk2_origin[:, None] + roots[:, :, None, None, :]  # (pose, p3, p2, 24, 3)
-    uv2, front2 = pinhole(intrinsics, _camera_points(pts2, rotations, translations))
+    uv2, front2 = pinhole(intrinsics, camera_points(pts2, rotations, translations))
     dist = _pixel_distances(uv3[:, :, None], uv2)
     return np.where(front3[:, :, None] & front2, dist, intrinsics.diagonal).mean(axis=-1)
 
@@ -604,7 +596,7 @@ def _cost_stack(fds, at, poses, intrinsics, lambda0) -> tuple[np.ndarray, np.nda
     for lo in range(0, len(poses), step):
         take = functools.partial(np.take, indices=at[lo:lo + step], axis=0)
         r, t = rotations[lo:lo + step], translations[lo:lo + step]
-        cam = _camera_points(take(joints3d), r, t)[:, :, None]  # (pose, p3, 1, 24, 3)
+        cam = camera_points(take(joints3d), r, t)[:, :, None]  # (pose, p3, 1, 24, 3)
         run = _reprojection_costs(cam, take(mask3d)[:, :, None], take(joints2d)[:, None],
                                   take(conf2d)[:, None], intrinsics)
         keypoint[lo:lo + step] = run
@@ -639,8 +631,8 @@ def _fit_pairs(fds, poses: dict, requests, intrinsics, stats: PcmStats | None = 
     local to frame ``fds[k]``, that ``poses`` does not hold yet.
 
     ``poses`` maps ``(k, sorted pairs)`` to the fitted Extrinsics, or None
-    where the fit failed; each distinct key is fit once. The usable points of
-    a frame's pending pairings are masked and gathered together."""
+    where the fit failed; each distinct key is fit once. A frame's pending
+    pairings, which hold equally many pairs, are gathered together."""
     by_frame: dict = {}
     for k, pairs in requests:
         key = (k, tuple(sorted(pairs)))
@@ -648,22 +640,25 @@ def _fit_pairs(fds, poses: dict, requests, intrinsics, stats: PcmStats | None = 
             by_frame.setdefault(k, {})[key] = None
     if not by_frame:
         return
-    keys, points3d, points2d, counts = [], [], [], []
+    keys, packs = [], []
     for k, pending in by_frame.items():
         fd = fds[k]
-        rows = [a for _, pairs in pending for a, _ in pairs]
-        cols = [b for _, pairs in pending for _, b in pairs]
-        usable = fd.mask3d[rows] & (fd.conf2d[cols] > 0)  # (pair, 24)
-        points3d.append(fd.joints3d[rows][usable])
-        points2d.append(fd.joints2d[cols][usable])
-        # Usable points up to each pair, then up to the end of each pairing.
-        through = np.concatenate([[0], np.cumsum(usable.sum(axis=1))])
-        ends = through[np.cumsum([len(pairs) for _, pairs in pending])]
-        counts.append(np.diff(ends, prepend=0))
+        rows, cols = np.moveaxis(np.array([pairs for _, pairs in pending], dtype=int), -1, 0)
+        packs.append(_packed(fd.joints3d[rows], fd.mask3d[rows], fd.joints2d[cols], fd.conf2d[cols]))
         keys.extend(pending)
-    fits = _fit_packed(np.concatenate(points3d), np.concatenate(points2d),
-                       np.concatenate(counts), intrinsics, stats)
-    poses.update(zip(keys, fits))
+    poses.update(zip(keys, _fit_packed(*map(np.concatenate, zip(*packs)), intrinsics, stats)))
+
+
+def _usable(mask3d, conf2d) -> np.ndarray:
+    """The joints a pose fit uses: a finite 3D joint whose 2D joint is confident."""
+    return mask3d & (conf2d > 0)
+
+
+def _packed(joints3d, mask3d, joints2d, conf2d) -> tuple[np.ndarray, ...]:
+    """The usable points of (problem, pair, joint) arrays masked as in FrameData,
+    in that order, and each problem's count: a pack for ``_fit_packed``."""
+    usable = _usable(mask3d, conf2d)
+    return joints3d[usable], joints2d[usable], usable.sum(axis=(1, 2))
 
 
 def _fit_packed(points3d, points2d, counts, intrinsics, stats: PcmStats | None = None) -> list:
@@ -732,11 +727,9 @@ def _search_frames(fds, intrinsics, config, seed_rows=None, stats=None) -> list:
     for k, fd in enumerate(fds):
         if fd.usable:
             rows = range(len(fd.idx3d)) if seed_rows is None else seed_rows[k]
+            seeds = _usable(fd.mask3d[:, None], fd.conf2d).sum(axis=-1) >= MIN_CORRESPONDENCES
             live[k] = list(enumerate(
-                ((a, b),)
-                for a in rows
-                for b in range(len(fd.idx2d))
-                if (fd.mask3d[a] & (fd.conf2d[b] > 0)).sum() >= MIN_CORRESPONDENCES
+                ((a, b),) for a in rows for b in np.flatnonzero(seeds[a]).tolist()
             ))
     # Frame position -> the sweeps' (proposal, sweep, score, pairs, pose,
     # keypoint matrix); a frame enters once a seed fit gives it a pose.
@@ -819,13 +812,11 @@ def _poses_for_pairs(arrays, intrinsics, stats=None) -> list:
     joints3d, mask3d, joints2d, conf2d, valid = arrays
     slots = np.flatnonzero(valid.any(axis=0))
     # Frame-major (frame, pair, joint) order gives each frame's points in a
-    # block, pair by pair.
-    usable = (valid[..., None] & mask3d & (conf2d > 0)).transpose(1, 0, 2)
-    points3d = joints3d.transpose(1, 0, 2, 3)[usable]
-    points2d = joints2d.transpose(1, 0, 2, 3)[usable]
-    counts = usable.sum(axis=(1, 2))[slots]
+    # block, pair by pair; frames without a valid pair add no point.
+    points3d, points2d, counts = _packed(*(a.swapaxes(0, 1) for a in (
+        joints3d, valid[..., None] & mask3d, joints2d, conf2d)))
     poses = [None] * valid.shape[1]
-    for t, pose in zip(slots, _fit_packed(points3d, points2d, counts, intrinsics, stats)):
+    for t, pose in zip(slots, _fit_packed(points3d, points2d, counts[slots], intrinsics, stats)):
         poses[t] = pose
     return poses
 
@@ -1002,7 +993,7 @@ def _pair_residuals(arrays, extrinsics_seq, intrinsics) -> list[float]:
     rotations = np.array([extrinsics_seq[t].rotation for t in posed])  # (f, 3, 3)
     translations = np.array([extrinsics_seq[t].translation for t in posed])  # (f, 3)
     joints3d, mask3d, joints2d, conf2d, measured = (np.take(a, posed, axis=1) for a in arrays)
-    cam = joints3d @ rotations.transpose(0, 2, 1) + translations[:, None, :]
+    cam = camera_points(joints3d.swapaxes(0, 1), rotations, translations).swapaxes(0, 1)
     costs = _reprojection_costs(cam, mask3d, joints2d, conf2d, intrinsics)  # (pair, f)
     # Each pair's measured frames are compacted before the mean: a masked row
     # sum would group the terms differently and change the last bits.

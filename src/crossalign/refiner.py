@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidConfig
-from .geometry import Extrinsics, Intrinsics, pinhole, pinhole_jacobian
+from .geometry import Extrinsics, Intrinsics, camera_points, pinhole, pinhole_jacobian
 # ``damped_least_squares`` stays bound here for perfbench's tracer.
 from .leastsq import damped_least_squares, damped_least_squares_batch  # noqa: F401
 from .skeleton import JOINT_COUNT
@@ -149,7 +149,7 @@ class _Batch:
         a joint is unobserved or behind the camera; the mask of the others;
         camera-frame points (n, 24, 3); the in-front mask. The behind-camera
         penalty carries no gradient and is added by ``objective`` alone."""
-        cam = x @ self.rotation[rows, c].swapaxes(-1, -2) + self.translation[rows, c, None]
+        cam = camera_points(x, self.rotation[rows, c], self.translation[rows, c])
         uv, front = pinhole(self._lens(c, rows), cam)
         live = self.seen[rows, c] & front
         return np.where(live[..., None], uv - self.joints2d[rows, c], 0.0), live, cam, front

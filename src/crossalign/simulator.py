@@ -13,6 +13,7 @@ parallelized per entity without changing the output.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +21,7 @@ from scipy.interpolate import CubicSpline
 from scipy.spatial.transform import Rotation
 
 from .errors import InvalidConfig
-from .geometry import Extrinsics, Intrinsics, pinhole
+from .geometry import Extrinsics, Intrinsics, camera_points, pinhole
 from .matching import JOINTS, MatchSet, PersonTrack2D, PersonTrack3D
 from .skeleton import CanonicalSkeleton, default_skeleton, fk_points
 
@@ -77,8 +78,8 @@ class SceneConfig:
             raise InvalidConfig("fov_degrees must lie in [10, 170]")
         if not self.frame_rate > 0:
             raise InvalidConfig("frame_rate must be positive")
-        if self.image_width < 2 or self.image_height < 2:
-            raise InvalidConfig("image size is too small")
+        if not all(2 <= s <= sys.float_info.max for s in (self.image_width, self.image_height)):
+            raise InvalidConfig("image width and height must be at least 2 and fit in a float")
         if self.seed < 0:
             raise InvalidConfig("seed must be a non-negative integer")
         if not self.arena_radius > 0:
@@ -233,22 +234,14 @@ def generate(config: SceneConfig) -> Scene:
     cameras = [_camera_track(_rng(seed, _CAMERA, c), t, config.frame_rate) for c in range(config.camera_count)]
 
     # Frustum visibility per camera.
-    width, height = config.image_width, config.image_height
+    size = (config.image_width, config.image_height)
     visible = np.zeros((config.camera_count, p, t), dtype=bool)
     projections = []
-    for c in range(config.camera_count):
-        uv = np.empty((p, t, JOINTS, 2))
-        front = np.empty((p, t, JOINTS), dtype=bool)
-        for frame in range(t):
-            cam = cameras[c][frame].transform(joints[:, frame])
-            uv[:, frame], front[:, frame] = pinhole(intrinsics, cam)
-        in_frame = (
-            front
-            & (uv[..., 0] >= 0.0)
-            & (uv[..., 0] < width)
-            & (uv[..., 1] >= 0.0)
-            & (uv[..., 1] < height)
-        )
+    for c, track in enumerate(cameras):
+        cam = camera_points(joints.swapaxes(0, 1), np.array([e.rotation for e in track]),
+                            np.array([e.translation for e in track]))
+        uv, front = pinhole(intrinsics, cam.swapaxes(0, 1))  # (person, frame, joint, ...)
+        in_frame = front & (uv >= 0.0).all(axis=-1) & (uv < size).all(axis=-1)
         visible[c] = in_frame.sum(axis=-1) >= MIN_VISIBLE_JOINTS
         projections.append((uv, front))
 

@@ -64,16 +64,16 @@ def _dump(obj) -> str:
 
 def _intrinsics_from(payload: dict, line_number: int) -> Intrinsics:
     """Header intrinsics: fx, fy, cx, cy finite JSON numbers, width and height
-    JSON integers; nothing is coerced."""
+    JSON integers that a float holds; nothing is coerced."""
     values = {name: _finite_number(payload.get(name)) for name in ("fx", "fy", "cx", "cy")}
     for name in ("width", "height"):
         value = payload.get(name)
-        values[name] = value if isinstance(value, int) and not isinstance(value, bool) else None
+        values[name] = value if type(value) is int and _finite_number(value) is not None else None
     bad = [name for name, value in values.items() if value is None]
     if bad:
         raise MalformedHeader(
             f"bad intrinsics: {', '.join(bad)} missing or mistyped (fx, fy, cx, cy are finite "
-            f"numbers, width and height integers)",
+            f"numbers, width and height integers a float holds)",
             line_number,
         )
     try:
@@ -216,6 +216,12 @@ def _parse_lines(path: str | Path, lines: list[str]) -> ParsedStream:
             raise StreamFormatError(f"frame must be an integer, got {frame!r}", line)
         if frame_indices and frame <= frame_indices[-1]:
             raise FrameOrderViolation(f"frame {frame} follows frame {frame_indices[-1]}", line)
+        # Streams are aligned by frame time, index / frame_rate as a float.
+        time = frame / frame_rate if _finite_number(frame) is not None else math.inf
+        if not math.isfinite(time):
+            raise StreamFormatError(f"frame {frame} has no finite time at {frame_rate} Hz", line)
+        if frame_indices and time <= frame_indices[-1] / frame_rate:
+            raise FrameOrderViolation(f"frame {frame} has frame {frame_indices[-1]}'s time", line)
         frame_indices.append(frame)
         persons = record.get("persons", [])
         if not isinstance(persons, list):
@@ -236,7 +242,7 @@ def _parse_lines(path: str | Path, lines: list[str]) -> ParsedStream:
                 q = np.asarray(person.get("body_pose", []), dtype=float)
                 if kind == KIND_2D:
                     c = np.asarray(person.get("confidence", []), dtype=float)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise StreamFormatError(f"person {pid!r} carries non-numeric data: {exc}",
                                         line) from None
             shapes = [("joint", j, (JOINTS, width)), ("body-pose quaternion", q, (JOINTS, 4))]
@@ -455,7 +461,7 @@ def load_match_output(path: str | Path) -> MatchDocument:
         extrinsics = dict(zip(frames, poses))
     except KeyError as exc:
         raise StreamFormatError(f"{path}: match output entry lacks field {exc}") from None
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise StreamFormatError(f"{path}: malformed match output: {exc}") from None
     if len({i for i, _ in pairs}) != len(pairs) or len({j for _, j in pairs}) != len(pairs):
         raise StreamFormatError(f"{path}: match pairs are not injective")

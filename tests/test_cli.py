@@ -90,6 +90,15 @@ class TestSimulate:
         config.write_text(json.dumps(scene_config_payload(**{field: value})))
         assert run_cli("simulate", "--config", str(config), "--out", str(tmp_path / "x")) == 2
 
+    def test_image_size_a_float_cannot_hold_exits_2(self, tmp_path, caplog):
+        config = tmp_path / "scene.json"
+        config.write_text(json.dumps(scene_config_payload(image_width=10**400)))
+        out = tmp_path / "x"
+        assert run_cli("simulate", "--config", str(config), "--out", str(out)) == 2
+        assert not out.exists()
+        message = " ".join(r.getMessage() for r in caplog.records if r.levelname == "ERROR")
+        assert f"{config}: image width and height must be at least 2 and fit in a float" in message
+
     def test_truth_header_config_reproduces_the_streams(self, tmp_path):
         config = tmp_path / "scene.json"
         config.write_text(json.dumps(
@@ -472,6 +481,56 @@ class TestMatch:
         assert f"{second}: line 4: frame 1 follows frame 1" in message
         assert str(first) not in message
 
+    @pytest.mark.parametrize("field", [
+        "frame", "width", "height", "joints", "confidence", "body_pose",
+    ])
+    def test_number_a_float_cannot_hold_exits_2(self, scene_dir, tmp_path, field, caplog):
+        # The LiDAR stream's last frame index, a camera header's image size or
+        # a camera person's first value is 10**400.
+        name = "lidar.jsonl" if field == "frame" else "camera_00.jsonl"
+        stream = scene_dir / name
+        lines = stream.read_text().splitlines()
+        index = {"frame": len(lines) - 1, "width": 0, "height": 0}.get(field, 2)
+        document = json.loads(lines[index])
+        if field == "frame":
+            document["frame"] = 10**400
+        elif index == 0:
+            document["intrinsics"][field] = 10**400
+        else:
+            values = document["persons"][0][field]
+            values[0] = 10**400 if field == "confidence" else [10**400] + values[0][1:]
+        lines[index] = json.dumps(document)
+        stream.write_text("\n".join(lines) + "\n")
+        caplog.clear()
+        code = run_cli(
+            "match", "--lidar", str(scene_dir / "lidar.jsonl"),
+            "--camera", str(scene_dir / "camera_00.jsonl"), "--out", str(tmp_path / "match"),
+        )
+        assert code == 2
+        message = " ".join(r.getMessage() for r in caplog.records if r.levelname == "ERROR")
+        assert f"{stream}: line {index + 1}: " in message
+
+    def test_frame_times_that_are_one_float_exit_2(self, scene_dir, tmp_path, caplog):
+        # Indices 2**53 ... 2**53 + 5 increase, but at 10 Hz 2**53 and 2**53 + 1
+        # give one float time: the camera frames would collapse onto one slot.
+        for name in ("lidar.jsonl", "camera_00.jsonl"):
+            lines = (scene_dir / name).read_text().splitlines()[:7]
+            records = [json.loads(line) for line in lines[1:]]
+            for k, record in enumerate(records):
+                record["frame"] = 2**53 + k
+            (scene_dir / name).write_text(
+                "\n".join(lines[:1] + [json.dumps(r) for r in records]) + "\n"
+            )
+        caplog.clear()
+        code = run_cli(
+            "match", "--lidar", str(scene_dir / "lidar.jsonl"),
+            "--camera", str(scene_dir / "camera_00.jsonl"), "--out", str(tmp_path / "match"),
+        )
+        assert code == 2
+        message = " ".join(r.getMessage() for r in caplog.records if r.levelname == "ERROR")
+        lidar = scene_dir / "lidar.jsonl"
+        assert f"{lidar}: line 3: frame {2**53 + 1} has frame {2**53}'s time" in message
+
     @pytest.mark.parametrize("rate", [0, -10.0])
     def test_non_positive_lidar_frame_rate_is_a_header_error(
         self, scene_dir, tmp_path, rate, caplog
@@ -601,6 +660,28 @@ class TestRefine:
         )
         assert code == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("field", ["translation_m", "quat_wxyz", "residual_px"])
+    def test_number_a_float_cannot_hold_exits_2_before_writing(
+        self, noisy_scene, tmp_path, field, caplog
+    ):
+        matches = self._run_match(noisy_scene, tmp_path / "match")
+        doc = json.loads(matches[0].read_text())
+        if field == "residual_px":
+            doc["pairs"][0][field] = 10**400
+        else:
+            doc["extrinsics"][0][field][0] = 10**400
+        matches[0].write_text(json.dumps(doc))
+        out = tmp_path / "never.jsonl"
+        caplog.clear()
+        code = run_cli(
+            "refine", "--lidar", str(noisy_scene / "lidar.jsonl"), "--match", str(matches[0]),
+            "--out", str(out),
+        )
+        assert code == 2
+        assert not out.exists()
+        message = " ".join(r.getMessage() for r in caplog.records if r.levelname == "ERROR")
+        assert f"{matches[0]}: malformed match output" in message
 
     def test_repeated_extrinsics_frame_exits_2_before_writing(self, noisy_scene, tmp_path):
         matches = self._run_match(noisy_scene, tmp_path / "match")

@@ -175,6 +175,29 @@ class TestExtrinsics:
         assert np.array_equal(pose.translation, np.zeros(3))
         assert not pose.rotation.flags.writeable and not pose.translation.flags.writeable
 
+    # Each caller's layout, pose axis first: the cost stack's (pose, p3) and
+    # body-pose (pose, p3, p2) points, the pair residuals' (frame, pair) view
+    # of (pair, frame) arrays, the refiner's (n) and the simulator's (frame,
+    # person) view of (person, frame) joints.
+    @pytest.mark.parametrize("shape, swapped", [
+        pytest.param((6, 4), False, id="pose, p3"),
+        pytest.param((6, 4, 3), False, id="pose, p3, p2"),
+        pytest.param((3, 6), True, id="frame, pair view"),
+        pytest.param((6,), False, id="n"),
+        pytest.param((4, 6), True, id="frame, person view"),
+    ])
+    def test_camera_points_equal_each_poses_transform(self, shape, swapped):
+        rng = np.random.default_rng(97)
+        rotations, translations = self.poses(rng, 6)
+        points = rng.normal(scale=4.0, size=shape + (24, 3))
+        if swapped:
+            points = points.swapaxes(0, 1)
+        cam = geometry.camera_points(points, rotations, translations)
+        assert cam.shape == points.shape
+        for k, pose in enumerate(Extrinsics.from_stack(rotations, translations)):
+            expected = pose.transform(points[k])
+            assert (cam[k].dtype, cam[k].tobytes()) == (expected.dtype, expected.tobytes())
+
 
 class TestProject:
     def test_axis_aligned_pinhole(self):

@@ -1004,6 +1004,31 @@ def search_outcome(outcome):
     return outcome.match, pose_bytes(outcome.extrinsics), outcome.score
 
 
+def pose_fit_pack_loop(fds, poses, requests):
+    """Reference for the points ``_fit_pairs`` hands ``_fit_packed``: every
+    requested (k, pairs) that ``poses`` lacks, once and in request order, and
+    its sorted pairs one at a time, keeping the joints where mask3d &
+    (conf2d > 0). Returns points3d, points2d and counts, or None when every
+    request is held."""
+    pending = {}
+    for k, pairs in requests:
+        key = (k, tuple(sorted(pairs)))
+        if key not in poses:
+            pending.setdefault(key, None)
+    if not pending:
+        return None
+    points3d, points2d, counts = [np.zeros((0, 3))], [np.zeros((0, 2))], []
+    for k, pairs in pending:
+        fd, count = fds[k], 0
+        for a, b in pairs:
+            usable = fd.mask3d[a] & (fd.conf2d[b] > 0)
+            points3d.append(fd.joints3d[a][usable])
+            points2d.append(fd.joints2d[b][usable])
+            count += int(usable.sum())
+        counts.append(count)
+    return np.concatenate(points3d), np.concatenate(points2d), np.array(counts)
+
+
 class TestSearchFrames:
     @staticmethod
     def edited_scene():
@@ -1136,6 +1161,50 @@ class TestSearchFrames:
                 for i, j in match.pairs
             )
             assert max(match.residuals) <= threshold
+
+    def test_pose_fits_pack_the_usable_points_of_each_pairing(self, monkeypatch):
+        # Seeds (one pair), sweeps (four), frames without a usable side (2
+        # and 5) and frame 6's masked joints; then one frame's exhaustive
+        # search. Each batch of pose fits gets the reference loop's points.
+        scene, tracks3d, tracks2d = self.edited_scene()
+        both = sides(tracks3d, tracks2d)
+        fds = [frame_slice(*both, t) for t in range(8)]
+        expected, packs = [], []
+        fit_pairs, fit_packed = matching._fit_pairs, matching._fit_packed
+
+        def spy_pairs(fds, poses, requests, *args):
+            expected.append(pose_fit_pack_loop(fds, poses, requests))
+            return fit_pairs(fds, poses, requests, *args)
+
+        def spy_packed(points3d, points2d, counts, *args):
+            packs.append((points3d, points2d, counts))
+            return fit_packed(points3d, points2d, counts, *args)
+
+        monkeypatch.setattr(matching, "_fit_pairs", spy_pairs)
+        monkeypatch.setattr(matching, "_fit_packed", spy_packed)
+        matching._search_frames(fds, scene.intrinsics, PcmConfig(n_iter=2))
+        assert len(expected) == 3
+        assert matching._kps_frame(fds[6], scene.intrinsics, PcmConfig()) is not None
+        expected = [e for e in expected if e is not None]  # a call with nothing pending fits nothing
+        assert len(packs) == len(expected) == 4
+        for actual, reference in zip(packs, expected):
+            for a, e in zip(actual, reference):
+                a = np.asarray(a)
+                assert (a.dtype, a.shape, a.tobytes()) == (e.dtype, e.shape, e.tobytes())
+        # Frame 6's 2D persons miss joint 0, and its first 3D person keeps
+        # six finite joints: five usable, too few to seed, so only sweeps fit it.
+        seeds, sweeps = expected[0][2], expected[1][2]
+        assert len(seeds) > 32 and seeds.min() == JOINTS - 1 and seeds.max() == JOINTS
+        assert sweeps.max() == 4 * JOINTS and 3 * (JOINTS - 1) + 5 in sweeps
+        assert len(expected[3][2]) == math.perm(4, 4)
+
+    def test_pairings_of_one_frame_with_unequal_pair_counts_raise(self):
+        # A frame's pending pairings are gathered as rectangular index arrays.
+        scene, tracks3d, tracks2d = self.edited_scene()
+        fd = frame_slice(*sides(tracks3d, tracks2d), 0)
+        with pytest.raises(ValueError):
+            matching._fit_pairs([fd], {}, [(0, ((0, 0),)), (0, ((0, 0), (1, 1)))],
+                                scene.intrinsics)
 
     def test_slices_leave_the_search_unchanged(self, monkeypatch):
         scene, tracks3d, tracks2d = self.edited_scene()
