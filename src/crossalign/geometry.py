@@ -93,7 +93,12 @@ def orthonormalize(matrix: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Intrinsics:
-    """Zero-skew pinhole intrinsics plus the image size they refer to."""
+    """Zero-skew pinhole intrinsics plus the image size they refer to.
+
+    Width and height are at most 2**53 pixels, so that every squared-pixel
+    penalty (the squared diagonal) and every sum of them over a stream stay
+    finite: at 10**300 pixels the penalty alone overflows.
+    """
 
     fx: float
     fy: float
@@ -105,8 +110,8 @@ class Intrinsics:
     def __post_init__(self):
         if not (self.fx > 0 and self.fy > 0):
             raise ValueError("focal lengths must be positive")
-        if not (self.width >= 1 and self.height >= 1):
-            raise ValueError("image width and height must be at least 1")
+        if not (1 <= self.width <= 2**53 and 1 <= self.height <= 2**53):
+            raise ValueError("image width and height must be at least 1 and at most 2**53")
         if not (0 <= self.cx <= self.width and 0 <= self.cy <= self.height):
             raise ValueError("principal point must lie inside the image")
 
@@ -275,7 +280,9 @@ def solve_pnp_packed(points3d, points2d, counts, intrinsics: Intrinsics) -> list
 
     The finite-pair filter, the pair counts and InsufficientCorrespondences
     run once over the whole pack, and one gather keeps the problems' finite
-    points, stably ordered by point count.
+    points in pack order. The linear starts take runs of consecutive
+    problems, as many as PNP_BATCH_POINTS holds of the largest (at least
+    one); ``_refine_poses`` orders the problems it pads.
     """
     x3 = np.asarray(points3d, dtype=float).reshape(-1, 3)
     x2 = np.asarray(points2d, dtype=float).reshape(-1, 2)
@@ -296,39 +303,22 @@ def solve_pnp_packed(points3d, points2d, counts, intrinsics: Intrinsics) -> list
     if not enough.any():
         return outcomes
 
-    # One copy of the kept points, problems stably ordered by point count: the
-    # linear starts and Gauss-Newton take them in runs of consecutive problems,
-    # so little of a run is padding.
     kept = np.flatnonzero(enough)
-    sizes = found[kept]
-    order = np.argsort(sizes, kind="stable")
-    indices = kept[order].tolist()
-    counts = sizes[order]
-    ends = np.cumsum(counts)
-    offsets = ends - counts
-    # Kept problem j's finite rows start at ``first[j]`` among all kept rows.
-    first = np.cumsum(sizes) - sizes
+    counts = found[kept]
+    offsets = np.cumsum(counts) - counts
     rows = np.flatnonzero(keep & enough[problem])
-    rows = np.take(rows, np.repeat(first[order] - offsets, counts) + np.arange(ends[-1]))
     x3, x2 = np.take(x3, rows, axis=0), np.take(x2, rows, axis=0)
 
-    step = max(1, PNP_BATCH_POINTS // counts[-1])
-    posed, pose0 = [], []
+    step = max(1, PNP_BATCH_POINTS // counts.max())
+    starts = []
     for lo in range(0, len(counts), step):
-        hi = min(lo + step, len(counts))
-        rows = slice(offsets[lo], ends[hi - 1])
-        inits = _initial_poses(x3[rows], x2[rows], counts[lo:hi], intrinsics)
-        for k, init in zip(range(lo, hi), inits):
-            if isinstance(init, GeometryError):
-                outcomes[indices[k]] = init
-            else:
-                posed.append(k)
-                pose0.append(init)
-    if posed:
-        pose0 = np.stack(pose0)
-        fits = _refine_poses(x3, x2, offsets[posed], counts[posed], pose0, intrinsics)
-        for k, outcome in zip(posed, fits):
-            outcomes[indices[k]] = outcome
+        run = slice(offsets[lo], offsets[lo] + counts[lo : lo + step].sum())
+        starts += _initial_poses(x3[run], x2[run], counts[lo : lo + step], intrinsics)
+    posed = [j for j, start in enumerate(starts) if not isinstance(start, GeometryError)]
+    fits = iter(_refine_poses(x3, x2, offsets[posed], counts[posed],
+                              np.stack([starts[j] for j in posed]), intrinsics) if posed else ())
+    for i, start in zip(kept.tolist(), starts):
+        outcomes[i] = start if isinstance(start, GeometryError) else next(fits)
     return outcomes
 
 
@@ -428,20 +418,23 @@ def _refine_poses(points3d, points2d, offsets, counts, pose0, intrinsics: Intrin
     a batch of problems, each minimizing its summed squared pixel
     reprojection error; PnpResult or NoConvergence per problem.
 
-    Problem i owns the ``counts[i]`` points from ``offsets[i]`` on; counts
-    ascend. Each evaluation pads the problems it covers to their largest
-    count, in runs of at most PNP_BATCH_POINTS padded points, and hands each
-    run to ``_pose_kernel`` in coordinate planes: the 3D points are copied
-    once per call into one contiguous (3, N) array, one row per coordinate,
-    and each run gathers its padded points from it. The objective's run is
-    point-major, planes (3, point, problem), so its sums over points run in
-    point order and the padding adds exact zeros last. The normal equations'
-    run is problem-major, planes (3, problem, point), so each problem's
-    Jacobian rows are one BLAS operand; JᵀJ and Jᵀr are summed in blocks of
-    PNP_BLOCK_POINTS points, aligned at point 0 and in block order, so
-    padding adds exact zeros there too: no problem's steps depend on the
-    rest of the pack.
+    Problem i owns the ``counts[i]`` points from ``offsets[i]`` on, in any
+    order; outcomes come back in that order. The problems run stably ordered
+    by point count, so little of a run is padding: each evaluation pads those
+    it covers to their largest count, in runs of at most PNP_BATCH_POINTS
+    padded points, and hands each run to ``_pose_kernel`` in coordinate
+    planes: the 3D points are copied once per call into one contiguous (3, N)
+    array, one row per coordinate, and each run gathers its padded points
+    from it. The objective's run is point-major, planes (3, point, problem),
+    so its sums over points run in point order and the padding adds exact
+    zeros last. The normal equations' run is problem-major, planes (3,
+    problem, point), so each problem's Jacobian rows are one BLAS operand;
+    JᵀJ and Jᵀr are summed in blocks of PNP_BLOCK_POINTS points, aligned at
+    point 0 and in block order, so padding adds exact zeros there too: no
+    problem's steps depend on the rest of the pack.
     """
+    order = np.argsort(counts, kind="stable")
+    offsets, counts = offsets[order], counts[order]
     planes = np.ascontiguousarray(points3d.T)
 
     def padded(pose, rows, linearize):
@@ -467,7 +460,7 @@ def _refine_poses(points3d, points2d, offsets, counts, pose0, intrinsics: Intrin
         return tuple(map(np.concatenate, zip(*pieces))) if linearize else np.concatenate(pieces)
 
     fits = damped_least_squares_batch(
-        pose0,
+        pose0[order],
         lambda pose, rows: padded(pose, rows, True),
         lambda pose, delta, rows: _step_poses(pose, delta),
         lambda pose, rows: padded(pose, rows, False),
@@ -475,15 +468,14 @@ def _refine_poses(points3d, points2d, offsets, counts, pose0, intrinsics: Intrin
     )
     solved = np.array([fit.x for fit in fits if fit.converged]).reshape(-1, 3, 4)
     poses = iter(Extrinsics.from_stack(orthonormalize(solved[..., :3]), solved[..., 3]))
-    out = []
-    for fit, n in zip(fits, counts):
-        if not fit.converged:
-            out.append(NoConvergence(
-                f"pose refinement still improving after {fit.iterations} iterations"
-            ))
-            continue
-        rms = float(np.sqrt(fit.objective_trace[-1] / n))
-        out.append(PnpResult(next(poses), rms, fit.iterations, fit.converged, fit.objective_trace))
+    out: list = [None] * len(order)
+    for i, fit, n in zip(order.tolist(), fits, counts):
+        out[i] = (
+            PnpResult(next(poses), float(np.sqrt(fit.objective_trace[-1] / n)), fit.iterations,
+                      fit.converged, fit.objective_trace)
+            if fit.converged
+            else NoConvergence(f"pose refinement still improving after {fit.iterations} iterations")
+        )
     return out
 
 

@@ -80,6 +80,10 @@ class SceneConfig:
             raise InvalidConfig("frame_rate must be positive")
         if not all(2 <= s <= sys.float_info.max for s in (self.image_width, self.image_height)):
             raise InvalidConfig("image width and height must be at least 2 and fit in a float")
+        try:
+            self.intrinsics()  # the image-size bound of Intrinsics
+        except ValueError as exc:
+            raise InvalidConfig(str(exc)) from None
         if self.seed < 0:
             raise InvalidConfig("seed must be a non-negative integer")
         if not self.arena_radius > 0:

@@ -17,6 +17,7 @@ from crossalign.streams import KIND_2D, KIND_3D, load_match_output, parse_stream
 
 
 DROP = object()  # marks a key to delete in a document edit
+IMAGE_SIZE_BOUND = "image width and height must be at least 1 and at most 2**53"
 
 
 def run_cli(*argv) -> int:
@@ -34,6 +35,14 @@ def scene_config_payload(**overrides):
     }
     payload.update(overrides)
     return payload
+
+
+def edit_header(stream, field, value):
+    """Set one intrinsics field of a camera stream's header, in place."""
+    lines = stream.read_text().splitlines()
+    header = json.loads(lines[0])
+    header["intrinsics"][field] = value
+    stream.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
 
 
 @pytest.fixture()
@@ -98,6 +107,16 @@ class TestSimulate:
         assert not out.exists()
         message = " ".join(r.getMessage() for r in caplog.records if r.levelname == "ERROR")
         assert f"{config}: image width and height must be at least 2 and fit in a float" in message
+
+    def test_image_size_past_the_intrinsics_bound_exits_2(self, tmp_path, caplog):
+        # A float holds 10**300, but the squared image diagonal overflows.
+        config = tmp_path / "scene.json"
+        config.write_text(json.dumps(scene_config_payload(image_width=10**300)))
+        out = tmp_path / "x"
+        assert run_cli("simulate", "--config", str(config), "--out", str(out)) == 2
+        assert not out.exists()
+        message = " ".join(r.getMessage() for r in caplog.records if r.levelname == "ERROR")
+        assert f"{config}: {IMAGE_SIZE_BOUND}" in message
 
     def test_truth_header_config_reproduces_the_streams(self, tmp_path):
         config = tmp_path / "scene.json"
@@ -510,6 +529,22 @@ class TestMatch:
         message = " ".join(r.getMessage() for r in caplog.records if r.levelname == "ERROR")
         assert f"{stream}: line {index + 1}: " in message
 
+    @pytest.mark.parametrize("field", ["width", "height"])
+    def test_image_size_past_the_intrinsics_bound_exits_2(self, scene_dir, tmp_path, field, caplog):
+        # A float holds 10**300, but the squared image diagonal overflows.
+        stream = scene_dir / "camera_00.jsonl"
+        edit_header(stream, field, 10**300)
+        out = tmp_path / "match"
+        caplog.clear()
+        code = run_cli(
+            "match", "--lidar", str(scene_dir / "lidar.jsonl"), "--camera", str(stream),
+            "--out", str(out),
+        )
+        assert code == 2
+        assert not out.exists()
+        message = " ".join(r.getMessage() for r in caplog.records if r.levelname == "ERROR")
+        assert f"{stream}: line 1: bad intrinsics: {IMAGE_SIZE_BOUND}" in message
+
     def test_frame_times_that_are_one_float_exit_2(self, scene_dir, tmp_path, caplog):
         # Indices 2**53 ... 2**53 + 5 increase, but at 10 Hz 2**53 and 2**53 + 1
         # give one float time: the camera frames would collapse onto one slot.
@@ -682,6 +717,23 @@ class TestRefine:
         assert not out.exists()
         message = " ".join(r.getMessage() for r in caplog.records if r.levelname == "ERROR")
         assert f"{matches[0]}: malformed match output" in message
+
+    def test_camera_image_size_past_the_intrinsics_bound_exits_2_before_writing(
+        self, noisy_scene, tmp_path, caplog
+    ):
+        # The camera stream a match document names is edited after the match.
+        matches = self._run_match(noisy_scene, tmp_path / "match")
+        camera = noisy_scene / "camera_00.jsonl"
+        edit_header(camera, "width", 10**300)
+        out = tmp_path / "never.jsonl"
+        args = ["refine", "--lidar", str(noisy_scene / "lidar.jsonl"), "--out", str(out)]
+        for m in matches:
+            args += ["--match", str(m)]
+        caplog.clear()
+        assert run_cli(*args) == 2
+        assert not out.exists()
+        message = " ".join(r.getMessage() for r in caplog.records if r.levelname == "ERROR")
+        assert f"{camera}: line 1: bad intrinsics: {IMAGE_SIZE_BOUND}" in message
 
     def test_repeated_extrinsics_frame_exits_2_before_writing(self, noisy_scene, tmp_path):
         matches = self._run_match(noisy_scene, tmp_path / "match")

@@ -105,6 +105,13 @@ class TestIntrinsics:
                 make_intrinsics(cx=0.0, cy=0.0, width=width, height=height)
         assert make_intrinsics(cx=0.0, cy=0.0, width=1, height=1).diagonal > 0
 
+    def test_image_size_is_bounded_so_squared_pixels_stay_finite(self):
+        big = make_intrinsics(cx=0.0, cy=0.0, width=2**53, height=2**53)
+        assert np.isfinite(big.diagonal**2 * 2**64)
+        for width, height in ((2**53 + 1, 1080), (1920, 10**300)):
+            with pytest.raises(ValueError, match="at most 2\\*\\*53"):
+                make_intrinsics(cx=0.0, cy=0.0, width=width, height=height)
+
 
 class TestExtrinsics:
     def test_rejects_non_rotation(self):
@@ -683,6 +690,48 @@ class TestSolvePnpPacked:
         # Runs of two problems, each padded to its larger count.
         monkeypatch.setattr(geometry, "PNP_BATCH_POINTS", 600)
         assert [key(o) for o in solve_pnp_list(problems, k)] == alone
+
+
+    def test_gauss_newton_pads_problems_in_point_count_order(self, monkeypatch):
+        # Every outcome is order-invariant (pack independence), so only the
+        # padded runs show the order: within each kernel call the problems'
+        # point counts, read from its mask, never decrease.
+        rng = np.random.default_rng(137)
+        k = make_intrinsics()
+        problems = []
+        for n, nan_rows in ((20, 0), (12, 0), (20, 0), (12, 0), (9, 0), (9, 0), (5, 0),
+                            (26, 6), (14, 2), (30, 0), (8, 3), (24, 0)):
+            extr = random_camera(rng, distance=rng.uniform(6.0, 14.0))
+            pts = scene_points(rng, n=n)
+            obs = project(k, extr, pts) + rng.normal(0.0, 2.0, size=(n, 2))
+            obs[rng.choice(n, size=nan_rows, replace=False), 0] = np.nan
+            problems.append((pts, obs))
+        order = np.random.default_rng(139).permutation(len(problems))
+        problems = [problems[i] for i in order]
+        starts, calls = [], []
+        initial_poses, pose_kernel = geometry._initial_poses, geometry._pose_kernel
+
+        def counted(x3, x2, counts, intrinsics):
+            starts.append(len(counts))
+            return initial_poses(x3, x2, counts, intrinsics)
+
+        def spied(intrinsics, x3, x2, valid, pose, linearize):
+            calls.append(valid.sum(axis=1 if linearize else 0))
+            return pose_kernel(intrinsics, x3, x2, valid, pose, linearize)
+
+        monkeypatch.setattr(geometry, "_initial_poses", counted)
+        monkeypatch.setattr(geometry, "_pose_kernel", spied)
+        # Four 30-point problems per linear start; Gauss-Newton runs of at
+        # most 120 padded points.
+        monkeypatch.setattr(geometry, "PNP_BATCH_POINTS", 120)
+        outcomes = solve_pnp_list(problems, k)
+        assert [type(o).__name__ for o in outcomes].count("InsufficientCorrespondences") == 2
+        posed = sum(isinstance(o, PnpResult) for o in outcomes)
+        assert posed == 10 and starts == [4, 4, 2]
+        assert 2 < max(map(len, calls)) < posed
+        assert any((np.diff(sizes) == 0).any() for sizes in calls)  # tied counts share runs
+        for sizes in calls:
+            assert (np.diff(sizes) >= 0).all(), sizes
 
 
 class TestPoseKernel:

@@ -1475,6 +1475,39 @@ class TestMatchSequences:
         with pytest.raises(ValueError, match="timeline"):
             matching.extrinsics_for_match(tracks3d, tracks2d, [(0, 0)], k, 9)
 
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_coplanar_crowd_goes_through_the_planar_start(self, seed, monkeypatch):
+        # Every 3D joint on the floor plane and every 2D joint re-projected
+        # through the true camera: each pose fit, a seed's one person included,
+        # sees coplanar points, so its linear start is the homography's.
+        scene = generate(SceneConfig(person_count=4, duration_frames=8, seed=seed))
+        k, truth = scene.intrinsics, scene.truth.extrinsics[0]
+        tracks3d, tracks2d = [], list(scene.tracks2d[0])
+        for track in scene.tracks3d:
+            joints = track.joints.copy()
+            joints[..., 2] = 0.0
+            tracks3d.append(replace(track, joints=joints))
+        for person, index in scene.truth.correspondence[0].items():
+            joints = np.stack([project(k, truth[t], tracks3d[person].joints[t]) for t in range(8)])
+            tracks2d[index] = replace(tracks2d[index], joints=joints)
+        dims = set()
+        dlt = geometry._dlt
+
+        def recorded(src, dst, counts):
+            dims.add(src.shape[1])
+            return dlt(src, dst, counts)
+
+        monkeypatch.setattr(geometry, "_dlt", recorded)
+        for delta, keypoint_path in ((0.5, False), (0.0, True)):
+            result = match_sequences(tracks3d, tracks2d, k,
+                                     PcmConfig(delta=delta, smoothing_window=1))
+            assert result.stats.keypoint_path == keypoint_path
+            assert set(result.match.pairs) == scene.truth.sequence_pairs(0)
+            for fit, true in zip(result.extrinsics, truth, strict=True):
+                assert geometry.geodesic_rotation_error(fit.rotation, true.rotation) < 1e-6
+                assert np.abs(fit.translation - true.translation).max() < 1e-6
+        assert dims == {2}
+
 
 class TestGatherCount:
     """A match stacks each sensor's tracks once (``_side``), and gathers each
