@@ -331,8 +331,7 @@ def cmd_refine(args) -> int:
             )
 
     frames = len(lidar.frame_indices)
-    # Per LiDAR person, its matched (doc, intrinsics, resampled 2D track), in document order.
-    matched = [[] for _ in lidar.tracks]
+    views = {}  # (LiDAR track, frame) -> its camera views, in --match order
     documents_of = {}  # resolved camera stream -> the match document naming it
     for match_path in args.match:
         doc = load_match_output(match_path)
@@ -370,7 +369,12 @@ def cmd_refine(args) -> int:
                     f"{match_path}: pair ({i}, {j}) names persons {ids[0]!r} and {ids[1]!r}, "
                     f"but the streams hold {held[0]!r} and {held[1]!r} there"
                 )
-            matched[i].append((doc, cam.intrinsics, tracks2d[j]))
+            track2d = tracks2d[j]
+            for t in np.flatnonzero(lidar.tracks[i].valid & track2d.valid).tolist():
+                if t in doc.extrinsics:
+                    views.setdefault((i, t), []).append(CameraObservation(
+                        cam.intrinsics, doc.extrinsics[t], track2d.joints[t], track2d.confidence[t]
+                    ))
         beyond = [t for t in doc.extrinsics if t >= frames]
         if beyond:
             raise StreamFormatError(
@@ -378,29 +382,12 @@ def cmd_refine(args) -> int:
                 "LiDAR timeline"
             )
 
-    problems, slots = [], []  # every person-frame with a camera view, and its (track, frame)
-    for idx3, track in enumerate(lidar.tracks):
-        for t in range(frames):
-            if not track.valid[t]:
-                continue
-            observations = []
-            for doc, intrinsics, track2d in matched[idx3]:
-                extr = doc.extrinsics.get(t)
-                if extr is None or not track2d.valid[t]:
-                    continue
-                observations.append(
-                    CameraObservation(intrinsics, extr, track2d.joints[t], track2d.confidence[t])
-                )
-            if not observations:
-                continue
-            problems.append(RefineProblem(
-                track.joints[t],
-                tuple(observations),
-                lambda1=run_config.lambda1,
-                lambda2=run_config.lambda2,
-                lambda3=run_config.lambda3,
-            ))
-            slots.append((idx3, t))
+    slots = sorted(views)  # every person-frame with a camera view, as (track, frame)
+    problems = [
+        RefineProblem(lidar.tracks[i].joints[t], tuple(views[i, t]), lambda1=run_config.lambda1,
+                      lambda2=run_config.lambda2, lambda3=run_config.lambda3)
+        for i, t in slots
+    ]
 
     new_joints = [track.joints.copy() for track in lidar.tracks]
     results = refine_batch(problems)

@@ -230,11 +230,13 @@ def pinhole_jacobian(intrinsics: Intrinsics, cam: np.ndarray, front: np.ndarray)
 
 
 def geodesic_rotation_error(rot_a: np.ndarray, rot_b: np.ndarray) -> float:
-    """Angle in radians of the relative rotation between two rotation matrices."""
-    ra = np.asarray(rot_a, dtype=float)
-    rb = np.asarray(rot_b, dtype=float)
-    cos = (np.trace(ra.T @ rb) - 1.0) / 2.0
-    return float(np.arccos(np.clip(cos, -1.0, 1.0)))
+    """Angle in radians of the relative rotation R = Ra^T Rb: atan2 of its sine,
+    half the norm of vee(R - R^T), and its cosine, (trace - 1) / 2. Accurate to
+    a few ulps at every angle, where arccos of the cosine alone cannot resolve
+    angles below about 2e-8 rad."""
+    rel = np.asarray(rot_a, dtype=float).T @ np.asarray(rot_b, dtype=float)
+    vee = rel[[2, 0, 1], [1, 2, 0]] - rel[[1, 2, 0], [2, 0, 1]]
+    return float(np.arctan2(np.linalg.norm(vee) / 2.0, (np.trace(rel) - 1.0) / 2.0))
 
 
 @dataclass

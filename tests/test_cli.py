@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +13,15 @@ import crossalign
 from crossalign import cli, geometry, harness, simulator
 from crossalign.cli import load_run_config, main
 from crossalign.errors import InvalidConfig
-from crossalign.refiner import RefineResult
-from crossalign.streams import KIND_2D, KIND_3D, load_match_output, parse_stream, write_stream
+from crossalign.refiner import CameraObservation, RefineProblem, RefineResult, refine_batch
+from crossalign.streams import (
+    KIND_2D,
+    KIND_3D,
+    load_match_output,
+    parse_stream,
+    resample_to_timeline,
+    write_stream,
+)
 
 
 DROP = object()  # marks a key to delete in a document edit
@@ -903,6 +911,61 @@ class TestRefine:
         assert run_cli("refine", "--lidar", str(lidar), "--match", str(document),
                        "--out", str(refined)) == 0
         assert parse_stream(refined).frame_indices == numbers
+
+    def test_views_follow_the_match_order(self, tmp_path):
+        # Each person-frame's camera views reach the refiner in --match order,
+        # and that order fixes the refined bits: whatever the order, the output
+        # equals a reference built here, problem by problem in (track, frame)
+        # order.
+        config = tmp_path / "scene.json"
+        config.write_text(json.dumps(scene_config_payload(
+            person_count=3, camera_count=3, duration_frames=6, joint3d_noise_sigma=0.05,
+            pixel_noise_sigma=1.0, seed=13,
+        )))
+        scene = tmp_path / "scene"
+        assert run_cli("simulate", "--config", str(config), "--out", str(scene)) == 0
+        matches = self._run_match(scene, tmp_path / "match")
+        assert len(matches) == 3
+        lidar = parse_stream(scene / "lidar.jsonl")
+        for name, order in (("given", matches), ("reversed", matches[::-1])):
+            out = tmp_path / f"{name}.jsonl"
+            args = ["refine", "--lidar", str(scene / "lidar.jsonl"), "--out", str(out)]
+            for m in order:
+                args += ["--match", str(m)]
+            assert run_cli(*args) == 0
+
+            cameras = []  # (document, camera intrinsics, resampled tracks), in --match order
+            for m in order:
+                doc = load_match_output(m)
+                cam = parse_stream(m.parent / doc.camera_stream)
+                cameras.append((doc, cam.intrinsics, resample_to_timeline(
+                    cam, lidar.frame_indices, lidar.frame_rate)))
+            problems, slots = [], []
+            for i, track in enumerate(lidar.tracks):
+                for t in range(len(lidar.frame_indices)):
+                    views = tuple(
+                        CameraObservation(k, doc.extrinsics[t], tracks2d[j].joints[t],
+                                          tracks2d[j].confidence[t])
+                        for doc, k, tracks2d in cameras
+                        for i3, j in doc.pairs
+                        if i3 == i and track.valid[t] and tracks2d[j].valid[t]
+                        and t in doc.extrinsics
+                    )
+                    if views:
+                        problems.append(RefineProblem(track.joints[t], views))
+                        slots.append((i, t))
+            assert max(len(p.observations) for p in problems) == 3
+            joints = [track.joints.copy() for track in lidar.tracks]
+            for (i, t), result in zip(slots, refine_batch(problems)):
+                joints[i][t] = result.refined3d
+            reference = tmp_path / f"{name}_reference.jsonl"
+            write_stream(
+                reference, KIND_3D,
+                [replace(track, joints=j) for track, j in zip(lidar.tracks, joints)],
+                lidar.skeleton_hash, frame_rate=lidar.frame_rate,
+                frame_indices=lidar.frame_indices,
+            )
+            assert out.read_bytes() == reference.read_bytes()
 
     def test_non_converged_refinements_are_counted(self, noisy_scene, tmp_path, monkeypatch, caplog):
         matches = self._run_match(noisy_scene, tmp_path / "match")

@@ -268,6 +268,22 @@ class TestGeodesicRotationError:
             oracle = 2.0 * np.arccos(np.clip(abs(qa @ qb), -1.0, 1.0))
             assert geodesic_rotation_error(ra, rb) == pytest.approx(oracle, abs=1e-9)
 
+    @pytest.mark.parametrize("angle", [1e-12, 1e-8, 1e-4, 1.0, 3.0, np.pi - 1e-9, np.pi])
+    def test_resolves_every_angle_to_a_few_ulps(self, angle):
+        # arccos((trace - 1) / 2) reads 0 at the two smallest angles and is off
+        # by about 4e-8 rad at and near pi.
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            axis = rng.normal(size=3)
+            axis /= np.linalg.norm(axis)
+            skew = np.array(
+                [[0.0, -axis[2], axis[1]], [axis[2], 0.0, -axis[0]], [-axis[1], axis[0], 0.0]]
+            )
+            # Rodrigues' formula, from the identity.
+            rot = np.eye(3) + np.sin(angle) * skew + (1.0 - np.cos(angle)) * (skew @ skew)
+            error = geodesic_rotation_error(np.eye(3), rot)
+            assert abs(error - angle) <= 4 * np.spacing(angle)
+
 
 class TestSolvePnp:
     def test_identity_recovery(self):
