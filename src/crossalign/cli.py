@@ -36,7 +36,6 @@ from .harness import BenchSpec, export_report, run_bench
 from .matching import (
     STRATEGIES,
     PcmConfig,
-    build_match_set,
     extrinsics_for_match,
     match_sequences,
     match_with_strategy,
@@ -265,23 +264,12 @@ def cmd_match(args) -> int:
             result = match_sequences(lidar.tracks, tracks2d, cam.intrinsics, run_config.pcm)
             match, extrinsics = result.match, result.extrinsics
             stats = asdict(result.stats)
-            if not math.isfinite(stats["gate_variance"]):
-                stats["gate_variance"] = None
         else:
             raw = match_with_strategy(
                 args.mode, lidar.tracks, tracks2d, cam.intrinsics, run_config.pcm, seed=args.seed
             )
-            extrinsics, residuals = extrinsics_for_match(
-                lidar.tracks,
-                tracks2d,
-                raw.pairs,
-                cam.intrinsics,
-                run_config.pcm.smoothing_window,
-            )
-            # A pair never measurable on a common frame has no finite residual: unmatched.
-            kept = [(pair, r) for pair, r in zip(raw.pairs, residuals) if math.isfinite(r)]
-            match = build_match_set(
-                [pair for pair, _ in kept], [r for _, r in kept], len(lidar.tracks), len(tracks2d)
+            match, extrinsics = extrinsics_for_match(
+                lidar.tracks, tracks2d, raw.pairs, cam.intrinsics, run_config.pcm.smoothing_window
             )
             stats = {"strategy": args.mode}
         return match_output_payload(

@@ -938,6 +938,7 @@ def match_sequences(
     available = [e for e in m_init if e is not None]
     stats.gate_variance = variance_of_translations(available) if available else math.inf
 
+    c_final, m_final = c_init, m_init  # the pose-only result, unless the keypoint search wins
     use_keypoints = config.delta == 0 or stats.gate_variance > config.delta
     stats.keypoint_path = use_keypoints
     if use_keypoints:
@@ -948,16 +949,13 @@ def match_sequences(
         )
         fds = [frame_slice(side3, side2, t) for t in range(frames)]
         outcomes = _search_frames(fds, intrinsics, config, stats=stats)
-        c_final = _accumulated_match(n3, n2, [_frame_winner(o) for o in outcomes], stats)
-        if c_final is None:
+        accumulated = _accumulated_match(n3, n2, [_frame_winner(o) for o in outcomes], stats)
+        if accumulated is None:
             logger.warning("keypoint search failed on every frame; keeping pose-only match")
             stats.fallback_to_pose = True
-            c_final, m_final = c_init, m_init
         else:
-            arrays = _pair_frames(side3, side2, c_final.pairs)
+            c_final, arrays = accumulated, _pair_frames(side3, side2, accumulated.pairs)
             m_final = _poses_for_pairs(arrays, intrinsics, stats)
-    else:
-        c_final, m_final = c_init, m_init
 
     smoothed = smooth_extrinsics(m_final, config.smoothing_window)
     threshold = config.resolved_reject_threshold(intrinsics)
@@ -972,12 +970,18 @@ def match_sequences(
 
 
 def extrinsics_for_match(tracks3d, tracks2d, pairs, intrinsics, smoothing_window: int):
-    """Per-frame smoothed extrinsics implied by a fixed pairing, with each
-    pair's mean reprojection residual under them."""
+    """The match a fixed pairing implies, and the per-frame smoothed
+    extrinsics its pairs give. A pair keeps its mean reprojection residual
+    under those extrinsics; a pair without one (never measurable on a common
+    frame) goes to the unmatched lists, as ``match_sequences`` drops it."""
     frames = _common_timeline(tracks3d, tracks2d)
     arrays = _pair_frames(_side(tracks3d, frames, 3), _side(tracks2d, frames, 2), pairs)
     smoothed = smooth_extrinsics(_poses_for_pairs(arrays, intrinsics), smoothing_window)
-    return smoothed, _pair_residuals(arrays, smoothed, intrinsics)
+    kept = [(pair, r) for pair, r in zip(pairs, _pair_residuals(arrays, smoothed, intrinsics))
+            if math.isfinite(r)]
+    match = build_match_set([pair for pair, _ in kept], [r for _, r in kept],
+                            len(tracks3d), len(tracks2d))
+    return match, smoothed
 
 
 def _pair_residuals(arrays, extrinsics_seq, intrinsics) -> list[float]:

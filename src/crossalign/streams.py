@@ -227,6 +227,9 @@ def _parse_lines(path: str | Path, lines: list[str]) -> ParsedStream:
         if not isinstance(persons, list):
             raise StreamFormatError("'persons' must be a list", line)
         in_record = set()
+        # numpy reads a JSON boolean among numbers as a number, so the values of a
+        # line that may hold one are walked: true holds a "u", false an "l".
+        walk = "u" in raw or "l" in raw
         for person in persons:
             if not isinstance(person, dict) or "id" not in person:
                 raise StreamFormatError("person record must be an object with an 'id' field", line)
@@ -238,10 +241,10 @@ def _parse_lines(path: str | Path, lines: list[str]) -> ParsedStream:
                 raise StreamFormatError(f"person {pid!r} appears twice in one frame", line)
             in_record.add(pid)
             try:
-                j = np.asarray(person.get("joints", []), dtype=float)
-                q = np.asarray(person.get("body_pose", []), dtype=float)
+                j = _numbers(person.get("joints", []), walk)
+                q = _numbers(person.get("body_pose", []), walk)
                 if kind == KIND_2D:
-                    c = np.asarray(person.get("confidence", []), dtype=float)
+                    c = _numbers(person.get("confidence", []), walk)
             except (TypeError, ValueError, OverflowError) as exc:
                 raise StreamFormatError(f"person {pid!r} carries non-numeric data: {exc}",
                                         line) from None
@@ -254,16 +257,18 @@ def _parse_lines(path: str | Path, lines: list[str]) -> ParsedStream:
                         f"person {pid!r} carries {name} array of shape {array.shape}", line
                     )
             if kind == KIND_2D:
-                if not ((c >= 0) & (c <= 1)).all():
+                if not (c.min() >= 0 and c.max() <= 1):  # a NaN fails both
                     raise StreamFormatError(
                         f"person {pid!r} confidence not finite or outside [0, 1]", line
                     )
                 # A joint with a non-finite coordinate is unobserved; every other is boxed.
-                seen = j[np.isfinite(j).all(axis=1)]
-                if seen.size and (seen.min() < box[0] or seen.max() > box[1]):
-                    raise StreamFormatError(
-                        f"person {pid!r} pixel coordinates outside the allowed box", line
-                    )
+                # Only a record with a coordinate off the box or not finite needs the mask.
+                if not (j.min() >= box[0] and j.max() <= box[1]):
+                    seen = j[np.isfinite(j).all(axis=1)]
+                    if seen.size and (seen.min() < box[0] or seen.max() > box[1]):
+                        raise StreamFormatError(
+                            f"person {pid!r} pixel coordinates outside the allowed box", line
+                        )
                 confs.append(c)
             owners.append((pid, len(frame_indices) - 1, line))
             joints.append(j)
@@ -290,6 +295,36 @@ def _parse_lines(path: str | Path, lines: list[str]) -> ParsedStream:
         for pid, rows in rows_of.items()
     ]
     return ParsedStream(kind, frame_rate, skeleton_hash, intrinsics, frame_indices, tracks)
+
+
+def _numbers(value, walk: bool = True) -> np.ndarray:
+    """``value``, nested lists of JSON numbers, as a float array; ``null``
+    reads as NaN. Any other entry (a string, true or false) raises ValueError.
+    Entries are checked one by one only where numpy's own reading leaves a
+    doubt: it did not read numbers alone, or ``walk`` says a boolean may hide
+    among them."""
+    array = np.asarray(value)
+    if walk or array.dtype.kind not in "iuf":
+        _require_numbers(value)
+        if array.dtype.kind not in "iuf":
+            array = np.asarray(value, dtype=float)
+    return array.astype(float, copy=False)
+
+
+def _require_numbers(value) -> None:
+    """Raise ValueError unless every entry of nested lists ``value`` is a JSON number or null."""
+    if isinstance(value, list):
+        for item in value:
+            _require_numbers(item)
+    elif value is not None:
+        _number(value)
+
+
+def _number(value):
+    """``value`` if it is a JSON number (an int or a float, not a boolean); else ValueError."""
+    if type(value) not in (int, float):
+        raise ValueError(f"expected a number, got {value!r}")
+    return value
 
 
 def _finite_number(value) -> float | None:
@@ -412,7 +447,9 @@ def match_output_payload(
         "unmatched3d": list(match.unmatched3d),
         "unmatched2d": list(match.unmatched2d),
         "extrinsics": frames,
-        "stats": stats or {},
+        # JSON has no non-finite number: such a stat (a gate variance with no pose) is null.
+        "stats": {key: None if isinstance(value, float) and not math.isfinite(value) else value
+                  for key, value in (stats or {}).items()},
     }
 
 
@@ -442,21 +479,19 @@ def load_match_output(path: str | Path) -> MatchDocument:
         entries = payload.get("pairs", [])
         pairs = [(_index(p["idx3d"]), _index(p["idx2d"])) for p in entries]
         ids = [(p["id3d"], p["id2d"]) for p in entries]
-        residuals = [float(p["residual_px"]) for p in entries]
+        residuals = [float(_number(p["residual_px"])) for p in entries]
         records = payload.get("extrinsics", [])
         frames = [_index(record["frame"]) for record in records]
         if len(set(frames)) != len(frames):
             repeated = next(f for i, f in enumerate(frames) if f in frames[:i])
             raise StreamFormatError(f"{path}: extrinsics list frame {repeated} twice")
-        quats = np.array([record["quat_wxyz"] for record in records], dtype=float)
-        quats = quats.reshape(len(frames), 4)
+        quats = _numbers([record["quat_wxyz"] for record in records]).reshape(len(frames), 4)
         off_unit = np.abs(np.linalg.norm(quats, axis=1) - 1.0) > 1e-9
         if off_unit.any():
             raise StreamFormatError(
                 f"{path}: non-unit quaternion in frame {frames[np.argmax(off_unit)]}"
             )
-        translations = [np.asarray(record["translation_m"], dtype=float).reshape(3)
-                        for record in records]
+        translations = [_numbers(record["translation_m"]).reshape(3) for record in records]
         poses = Extrinsics.from_stack(batch_matrices_from_quat_wxyz(quats), translations)
         extrinsics = dict(zip(frames, poses))
     except KeyError as exc:

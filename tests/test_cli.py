@@ -477,6 +477,24 @@ class TestMatch:
         assert doc["pairs"] == []
         assert doc["unmatched3d"] == [0, 1, 2]
 
+    def test_string_and_boolean_lidar_entries_exit_2(self, scene_dir, tmp_path, caplog):
+        lidar = scene_dir / "lidar.jsonl"
+        lines = lidar.read_text().splitlines()
+        record = json.loads(lines[1])
+        record["persons"][0]["joints"][0] = ["1.5", True, "nan"]
+        record["persons"][0]["body_pose"][0] = [True, False, False, False]
+        lines[1] = json.dumps(record)
+        lidar.write_text("\n".join(lines) + "\n")
+        caplog.clear()
+        code = run_cli(
+            "match", "--lidar", str(lidar), "--camera", str(scene_dir / "camera_00.jsonl"),
+            "--out", str(tmp_path / "match"),
+        )
+        assert code == 2
+        pid = record["persons"][0]["id"]
+        message = " ".join(r.getMessage() for r in caplog.records if r.levelname == "ERROR")
+        assert f"{lidar}: line 2: person {pid!r} carries non-numeric data" in message
+
     def test_joint_outside_the_pixel_box_beside_an_unobserved_one_exits_2(
         self, scene_dir, tmp_path, caplog
     ):
@@ -714,6 +732,25 @@ class TestRefine:
             doc["pairs"][0][field] = 10**400
         else:
             doc["extrinsics"][0][field][0] = 10**400
+        matches[0].write_text(json.dumps(doc))
+        out = tmp_path / "never.jsonl"
+        caplog.clear()
+        code = run_cli(
+            "refine", "--lidar", str(noisy_scene / "lidar.jsonl"), "--match", str(matches[0]),
+            "--out", str(out),
+        )
+        assert code == 2
+        assert not out.exists()
+        message = " ".join(r.getMessage() for r in caplog.records if r.levelname == "ERROR")
+        assert f"{matches[0]}: malformed match output" in message
+
+    def test_string_translation_and_boolean_residual_exit_2_before_writing(
+        self, noisy_scene, tmp_path, caplog
+    ):
+        matches = self._run_match(noisy_scene, tmp_path / "match")
+        doc = json.loads(matches[0].read_text())
+        doc["extrinsics"][0]["translation_m"][0] = str(doc["extrinsics"][0]["translation_m"][0])
+        doc["pairs"][0]["residual_px"] = True
         matches[0].write_text(json.dumps(doc))
         out = tmp_path / "never.jsonl"
         caplog.clear()

@@ -1420,8 +1420,26 @@ class TestMatchSequences:
             for strategy in matching.STRATEGIES:
                 assert match_with_strategy(strategy, tracks3d, tracks2d, k) == empty
             assert matching.extrinsics_for_match(tracks3d, tracks2d, [], k, 9) == (
-                [None] * frames, []
+                empty, [None] * frames
             )
+
+    def test_extrinsics_for_match_leaves_a_pair_without_a_common_frame_unmatched(self):
+        scene = generate(SceneConfig(person_count=4, duration_frames=8, seed=7, pixel_noise_sigma=1.0))
+        k = scene.intrinsics
+        pairs = sorted(scene.truth.correspondence[0].items())
+        lonely3, lonely2 = pairs[1]
+        tracks3d, tracks2d = list(scene.tracks3d), list(scene.tracks2d[0])
+        early = np.arange(8) < 4
+        tracks3d[lonely3] = replace(tracks3d[lonely3], valid=tracks3d[lonely3].valid & early)
+        tracks2d[lonely2] = replace(tracks2d[lonely2], valid=tracks2d[lonely2].valid & ~early)
+        match, extrinsics = matching.extrinsics_for_match(tracks3d, tracks2d, pairs, k, 3)
+        residuals = matching._pair_residuals(
+            matching._pair_frames(*sides(tracks3d, tracks2d), pairs), extrinsics, k
+        )
+        assert math.isinf(residuals[1]) and np.isfinite(np.delete(residuals, 1)).all()
+        others = [n for n in range(len(pairs)) if n != 1]
+        assert match == MatchSet(tuple(pairs[n] for n in others),
+                                 tuple(residuals[n] for n in others), (lonely3,), (lonely2,))
 
     def test_extrinsics_track_true_camera(self):
         scene = generate(SceneConfig(person_count=5, duration_frames=16, seed=17))

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -307,6 +308,45 @@ class TestParseErrors:
             parse_stream(path)
         assert err.value.line_number == 2
 
+    @pytest.mark.parametrize("value", ["0.5", True], ids=["string", "boolean"])
+    @pytest.mark.parametrize(
+        "kind, field",
+        [(KIND_3D, "joints"), (KIND_3D, "body_pose"),
+         (KIND_2D, "joints"), (KIND_2D, "confidence"), (KIND_2D, "body_pose")],
+    )
+    def test_numeric_string_or_boolean_among_numbers_names_person_and_line(
+        self, tmp_path, kind, field, value
+    ):
+        # numpy would read "0.5" and true as numbers; the stream format does not.
+        header = json.loads(self._header(kind))
+        person = self._person()
+        if kind == KIND_2D:
+            header["intrinsics"] = {
+                "fx": 500.0, "fy": 500.0, "cx": 320.0, "cy": 240.0, "width": 640, "height": 480
+            }
+            person = dict(person, joints=[[100.0, 100.0]] * 24, confidence=[1.0] * 24)
+        bad = json.loads(json.dumps(dict(person, id="q")))
+        if field == "confidence":
+            bad[field][3] = value
+        else:
+            bad[field][3][0] = value
+        records = [json.dumps(header), json.dumps({"frame": 0, "persons": [person]}),
+                   json.dumps({"frame": 1, "persons": [person, bad]})]
+        path = tmp_path / "s.jsonl"
+        path.write_text("\n".join(records) + "\n")
+        with pytest.raises(StreamFormatError, match="person 'q' carries non-numeric data") as err:
+            parse_stream(path)
+        assert err.value.line_number == 3
+
+    def test_null_entries_read_as_nan(self, tmp_path):
+        person = self._person()
+        person["joints"] = [[None, 0.0, 2.0]] + person["joints"][1:]
+        path = tmp_path / "s.jsonl"
+        path.write_text(self._header() + "\n" + json.dumps({"frame": 0, "persons": [person]}) + "\n")
+        joints = parse_stream(path).tracks[0].joints[0]
+        assert np.isnan(joints[0, 0]) and np.isfinite(joints[0, 1:]).all()
+        assert np.isfinite(joints[1:]).all()
+
     def test_bad_quaternion_rejected(self, tmp_path):
         path = tmp_path / "s.jsonl"
         person = self._person()
@@ -343,6 +383,31 @@ class TestParseErrors:
         with pytest.raises(StreamFormatError) as err:
             parse_stream(path)
         assert err.value.line_number == 4
+
+    @pytest.mark.parametrize("value", [-0.1, 1.5, float("inf")])
+    def test_confidence_outside_the_unit_interval_names_line(self, scene, tmp_path, value):
+        path = tmp_path / "cam.jsonl"
+        write_stream(path, KIND_2D, scene.tracks2d[0], "h", intrinsics=scene.intrinsics)
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[3])
+        record["persons"][0]["confidence"][4] = value
+        lines[3] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(StreamFormatError, match=r"outside \[0, 1\]") as err:
+            parse_stream(path)
+        assert err.value.line_number == 4
+
+    def test_infinite_pixel_coordinate_is_unobserved_not_boxed(self, scene, tmp_path):
+        path = tmp_path / "cam.jsonl"
+        write_stream(path, KIND_2D, scene.tracks2d[0], "h", intrinsics=scene.intrinsics)
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[2])
+        record["persons"][0]["joints"][0] = [float("inf"), 100.0]
+        lines[2] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        pid = record["persons"][0]["id"]
+        track = next(t for t in parse_stream(path).tracks if t.person_id == pid)
+        assert np.isinf(track.joints[1, 0, 0])
 
     def test_pixel_coordinates_outside_loose_box_rejected(self, scene, tmp_path):
         header = json.dumps(
@@ -576,6 +641,46 @@ class TestMatchOutput:
         path.write_text(json.dumps(doc))
         with pytest.raises(StreamFormatError):
             load_match_output(path)
+
+    @pytest.mark.parametrize("value", ["string", "boolean"])
+    @pytest.mark.parametrize("field", ["translation_m", "quat_wxyz", "residual_px"])
+    def test_numeric_string_or_boolean_is_malformed(self, tmp_path, field, value):
+        # numpy and float() would read "0.5" and true as numbers; the document format does not.
+        doc = self._payload()
+        if field == "residual_px":
+            doc["pairs"][1][field] = "0.5" if value == "string" else True
+        elif field == "translation_m":
+            doc["extrinsics"][0][field][1] = "0.5" if value == "string" else True
+        else:  # still a unit quaternion, were it read as numbers
+            w = doc["extrinsics"][0][field][0]
+            doc["extrinsics"][0][field] = ([repr(w)] + doc["extrinsics"][0][field][1:]
+                                           if value == "string" else [True, 0.0, 0.0, 0.0])
+        path = tmp_path / "match.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(StreamFormatError) as err:
+            load_match_output(path)
+        assert str(err.value).startswith(f"{path}: malformed match output: expected a number")
+
+    def test_non_finite_stats_are_written_as_null(self, tmp_path):
+        rng = np.random.default_rng(3)
+        payload = match_output_payload(
+            MatchSet((), (), (0,), (0,)),
+            [Extrinsics(random_rotation(rng), rng.normal(size=3))],
+            PcmConfig(),
+            "P&T&K",
+            "skhash",
+            "lidar.jsonl",
+            "cam.jsonl",
+            ["a"],
+            ["x"],
+            {"gate_variance": math.inf, "other": math.nan, "frames_total": 1, "ratio": 0.5},
+        )
+        assert payload["stats"] == {
+            "gate_variance": None, "other": None, "frames_total": 1, "ratio": 0.5
+        }
+        path = tmp_path / "match.json"
+        write_match_output(path, payload)
+        assert load_match_output(path).payload["stats"] == payload["stats"]
 
     def test_rejects_non_injective_pairs(self, tmp_path):
         path = tmp_path / "match.json"
