@@ -157,12 +157,12 @@ class _Side(NamedTuple):
     valid: np.ndarray  # (track, frame) bool
 
 
-def _side(tracks, frames: int, width: int, at=slice(None)) -> _Side:
-    """Stack the ``frames`` frames ``at`` of 3D (``width`` 3) or 2D (``width`` 2) tracks;
+def _side(tracks, frames: int, width: int) -> _Side:
+    """Stack the ``frames`` frames of 3D (``width`` 3) or 2D (``width`` 2) tracks;
     shaped, and validity bool (an empty list stacks as float), even without tracks."""
 
     def stack(key, tail=()):
-        return np.array([getattr(t, key)[at] for t in tracks]).reshape((len(tracks), frames) + tail)
+        return np.array([getattr(t, key) for t in tracks]).reshape((len(tracks), frames) + tail)
 
     joints = stack("joints", (JOINTS, width))
     finite = np.isfinite(joints).all(axis=-1)
@@ -437,10 +437,10 @@ def reprojection_cost(
     """
     if not (track3d.valid[frame] and track2d.valid[frame]):
         raise ValueError("both tracks must be valid at the frame")
-    side3, side2 = _side([track3d], 1, 3, [frame]), _side([track2d], 1, 2, [frame])
-    cam = extrinsics.transform(side3.joints[0, 0])
-    return float(_reprojection_costs(cam, side3.weights[0, 0], side2.joints[0, 0],
-                                     side2.weights[0, 0], intrinsics))
+    side3, side2 = _side([track3d], track3d.frames, 3), _side([track2d], track2d.frames, 2)
+    cam = extrinsics.transform(side3.joints[0, frame])
+    return float(_reprojection_costs(cam, side3.weights[0, frame], side2.joints[0, frame],
+                                     side2.weights[0, frame], intrinsics))
 
 
 def body_pose_cost(
@@ -690,9 +690,9 @@ def optimize_frame_match(
     a proposal. Stages 0 ... ``n_iter`` - 1 are the refinement sweeps: each
     re-fits every distinct proposal's pose on all its pairs, scores it under
     the combined keypoint + body-pose matrix and assigns that matrix into its
-    next pairs. The first best-scoring (proposal, sweep) wins; its pairs whose
-    reprojection residual exceeds the reject threshold are moved to the
-    unmatched lists.
+    next pairs. The first best-scoring (proposal, sweep) wins; ``_kept_match``
+    moves its pairs whose reprojection residual exceeds the reject threshold
+    to the unmatched lists.
 
     The one-frame case of ``_search_frames``.
     """
@@ -766,9 +766,8 @@ def _search_frames(fds, intrinsics, config, seed_rows=None, stats=None) -> list:
         best = max(ordered, key=lambda e: e[2], default=None)  # the first best entry
         if best is not None:
             _, _, score, pairs, extr, residuals = best
-            kept = [(a, b) for a, b in pairs if residuals[a, b] <= threshold]
-            match = build_match_set([(fd.idx3d[a], fd.idx2d[b]) for a, b in kept],
-                                    [residuals[ab] for ab in kept], fd.n3d, fd.n2d)
+            match = _kept_match([(fd.idx3d[a], fd.idx2d[b]) for a, b in pairs],
+                                [residuals[ab] for ab in pairs], threshold, fd.n3d, fd.n2d)
             outcomes.append(FrameMatchResult(match, extr, score))
             continue
         if not fd.usable:
@@ -870,9 +869,9 @@ class PcmStats:
     Gauss-Newton iterations of the fits that returned a pose.
     ``frames_failed`` counts the keypoint-search frames without a winner and
     ``frames_skipped`` splits them by NoViableProposal reason.
-    ``pairs_rejected`` counts the assigned pairs that the residual filter
-    drops: their mean reprojection residual exceeds the reject threshold, or
-    no frame can measure it.
+    ``pairs_rejected`` counts the assigned pairs that the one reject rule
+    (``_kept_match``) drops: their mean reprojection residual is not finite
+    (no frame can measure it) or exceeds the reject threshold.
     """
 
     gate_variance: float = math.nan
@@ -921,8 +920,8 @@ def match_sequences(
     gate, the per-frame keypoint search runs instead, each frame's winning
     score accumulating onto its winning pairs, and the final assignment
     maximizes the accumulated evidence. Per-frame extrinsics of the returned
-    match are median-smoothed, and pairs with large mean reprojection
-    residuals are excluded.
+    match are median-smoothed, and ``_kept_match`` drops the pairs whose mean
+    reprojection residual is not finite or exceeds the reject threshold.
     """
     config = config if config is not None else PcmConfig()
     frames = _common_timeline(tracks3d, tracks2d)
@@ -932,21 +931,16 @@ def match_sequences(
         return SequenceMatchResult(MatchSet.empty(n3, n2), [None] * frames, stats)
 
     side3, side2 = _side(tracks3d, frames, 3), _side(tracks2d, frames, 2)
-    c_init = hungarian(CostMatrix(pose_similarity_matrix(side3, side2), maximize=True))
-    arrays = _pair_frames(side3, side2, c_init.pairs)
-    m_init = _poses_for_pairs(arrays, intrinsics, stats)
-    available = [e for e in m_init if e is not None]
+    # The pose-only pairing, its arrays and poses, unless the keypoint search wins.
+    pairs = hungarian(CostMatrix(pose_similarity_matrix(side3, side2), maximize=True)).pairs
+    arrays = _pair_frames(side3, side2, pairs)
+    poses = _poses_for_pairs(arrays, intrinsics, stats)
+    available = [e for e in poses if e is not None]
     stats.gate_variance = variance_of_translations(available) if available else math.inf
-
-    c_final, m_final = c_init, m_init  # the pose-only result, unless the keypoint search wins
-    use_keypoints = config.delta == 0 or stats.gate_variance > config.delta
-    stats.keypoint_path = use_keypoints
-    if use_keypoints:
-        logger.info(
-            "translation variance %.3g exceeds gate %.3g: running keypoint search",
-            stats.gate_variance,
-            config.delta,
-        )
+    stats.keypoint_path = config.delta == 0 or stats.gate_variance > config.delta
+    if stats.keypoint_path:
+        logger.info("translation variance %.3g exceeds gate %.3g: running keypoint search",
+                    stats.gate_variance, config.delta)
         fds = [frame_slice(side3, side2, t) for t in range(frames)]
         outcomes = _search_frames(fds, intrinsics, config, stats=stats)
         accumulated = _accumulated_match(n3, n2, [_frame_winner(o) for o in outcomes], stats)
@@ -954,34 +948,34 @@ def match_sequences(
             logger.warning("keypoint search failed on every frame; keeping pose-only match")
             stats.fallback_to_pose = True
         else:
-            c_final, arrays = accumulated, _pair_frames(side3, side2, accumulated.pairs)
-            m_final = _poses_for_pairs(arrays, intrinsics, stats)
+            pairs, arrays = accumulated.pairs, _pair_frames(side3, side2, accumulated.pairs)
+            poses = _poses_for_pairs(arrays, intrinsics, stats)
 
-    smoothed = smooth_extrinsics(m_final, config.smoothing_window)
-    threshold = config.resolved_reject_threshold(intrinsics)
-    kept, residuals = [], []
-    for pair, res in zip(c_final.pairs, _pair_residuals(arrays, smoothed, intrinsics)):
-        if res <= threshold:
-            kept.append(pair)
-            residuals.append(res)
-    stats.pairs_rejected = len(c_final.pairs) - len(kept)
-    match = build_match_set(kept, residuals, n3, n2)
+    smoothed = smooth_extrinsics(poses, config.smoothing_window)
+    match = _kept_match(pairs, _pair_residuals(arrays, smoothed, intrinsics),
+                        config.resolved_reject_threshold(intrinsics), n3, n2)
+    stats.pairs_rejected = len(pairs) - len(match.pairs)
     return SequenceMatchResult(match, smoothed, stats)
 
 
 def extrinsics_for_match(tracks3d, tracks2d, pairs, intrinsics, smoothing_window: int):
     """The match a fixed pairing implies, and the per-frame smoothed
     extrinsics its pairs give. A pair keeps its mean reprojection residual
-    under those extrinsics; a pair without one (never measurable on a common
-    frame) goes to the unmatched lists, as ``match_sequences`` drops it."""
+    under those extrinsics; ``_kept_match`` at limit inf moves a pair without
+    one (never measurable on a common frame) to the unmatched lists."""
     frames = _common_timeline(tracks3d, tracks2d)
     arrays = _pair_frames(_side(tracks3d, frames, 3), _side(tracks2d, frames, 2), pairs)
     smoothed = smooth_extrinsics(_poses_for_pairs(arrays, intrinsics), smoothing_window)
-    kept = [(pair, r) for pair, r in zip(pairs, _pair_residuals(arrays, smoothed, intrinsics))
-            if math.isfinite(r)]
-    match = build_match_set([pair for pair, _ in kept], [r for _, r in kept],
-                            len(tracks3d), len(tracks2d))
+    match = _kept_match(pairs, _pair_residuals(arrays, smoothed, intrinsics), math.inf,
+                        len(tracks3d), len(tracks2d))
     return match, smoothed
+
+
+def _kept_match(pairs, residuals, limit: float, n3d: int, n2d: int) -> MatchSet:
+    """The one reject rule: a pair stays matched when its residual is finite
+    and at most ``limit``; every other pair goes to the unmatched lists."""
+    kept = [k for k, r in enumerate(residuals) if math.isfinite(r) and r <= limit]
+    return build_match_set([pairs[k] for k in kept], [residuals[k] for k in kept], n3d, n2d)
 
 
 def _pair_residuals(arrays, extrinsics_seq, intrinsics) -> list[float]:

@@ -486,12 +486,15 @@ def load_match_output(path: str | Path) -> MatchDocument:
             repeated = next(f for i, f in enumerate(frames) if f in frames[:i])
             raise StreamFormatError(f"{path}: extrinsics list frame {repeated} twice")
         quats = _numbers([record["quat_wxyz"] for record in records]).reshape(len(frames), 4)
-        off_unit = np.abs(np.linalg.norm(quats, axis=1) - 1.0) > 1e-9
-        if off_unit.any():
-            raise StreamFormatError(
-                f"{path}: non-unit quaternion in frame {frames[np.argmax(off_unit)]}"
-            )
-        translations = [_numbers(record["translation_m"]).reshape(3) for record in records]
+        translations = np.array([_numbers(record["translation_m"]).reshape(3)
+                                 for record in records]).reshape(len(frames), 3)
+        # Written so that a NaN (a null entry) fails each check too.
+        for fault, bad in (
+            ("non-unit quaternion", ~(np.abs(np.linalg.norm(quats, axis=1) - 1.0) <= 1e-9)),
+            ("non-finite translation", ~np.isfinite(translations).all(axis=1)),
+        ):
+            if bad.any():
+                raise StreamFormatError(f"{path}: {fault} in frame {frames[np.argmax(bad)]}")
         poses = Extrinsics.from_stack(batch_matrices_from_quat_wxyz(quats), translations)
         extrinsics = dict(zip(frames, poses))
     except KeyError as exc:

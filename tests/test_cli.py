@@ -763,6 +763,29 @@ class TestRefine:
         message = " ".join(r.getMessage() for r in caplog.records if r.levelname == "ERROR")
         assert f"{matches[0]}: malformed match output" in message
 
+    @pytest.mark.parametrize("field, fault", [
+        ("quat_wxyz", "non-unit quaternion"),
+        ("translation_m", "non-finite translation"),
+    ])
+    def test_null_pose_entry_exits_2_naming_its_frame(
+        self, noisy_scene, tmp_path, field, fault, caplog
+    ):
+        matches = self._run_match(noisy_scene, tmp_path / "match")
+        doc = json.loads(matches[0].read_text())
+        record = doc["extrinsics"][1]
+        record[field][1] = None
+        matches[0].write_text(json.dumps(doc))
+        out = tmp_path / "never.jsonl"
+        caplog.clear()
+        code = run_cli(
+            "refine", "--lidar", str(noisy_scene / "lidar.jsonl"), "--match", str(matches[0]),
+            "--out", str(out),
+        )
+        assert code == 2
+        assert not out.exists()
+        message = " ".join(r.getMessage() for r in caplog.records if r.levelname == "ERROR")
+        assert f"{matches[0]}: {fault} in frame {record['frame']}" in message
+
     def test_camera_image_size_past_the_intrinsics_bound_exits_2_before_writing(
         self, noisy_scene, tmp_path, caplog
     ):

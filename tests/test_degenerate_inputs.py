@@ -18,6 +18,8 @@ deltas and then ``crossalign refine``. Only documented outcomes are asserted:
   DegenerateConfiguration and the match is empty;
 - single-frame streams, and a camera stream numbered at 20 Hz on the LiDAR's
   10 Hz times: the pairs equal the truth;
+- a camera stream at 5 Hz, one record per even LiDAR frame: the pairs equal
+  the truth, with a (smoothed) pose on every LiDAR frame;
 - cameras standing inside the crowd, with joints behind camera 0 and persons
   straddling its image plane: the pairs equal the truth, with a pose on every
   frame, within 2 degrees and 0.05 m of the true one.
@@ -104,6 +106,19 @@ def build_five_joints(out):
     return truths
 
 
+def build_camera_at_5_hz(out):
+    """``FOUR_PERSONS`` with its camera stream at 5 Hz: the record of each even
+    LiDAR frame t, numbered t / 2, so it keeps its time on the 10 Hz timeline."""
+    truths = write_scene(out, FOUR_PERSONS)
+    camera = out / "camera_00.jsonl"
+    header, *records = map(json.loads, camera.read_text().splitlines())
+    header["frame_rate"] = FOUR_PERSONS.frame_rate / 2
+    kept = [dict(record, frame=record["frame"] // 2) for record in records
+            if record["frame"] % 2 == 0]
+    camera.write_text("\n".join(json.dumps(line) for line in [header] + kept) + "\n")
+    return truths
+
+
 def is_subset(r):
     assert r.pairs <= r.truth
 
@@ -151,6 +166,7 @@ CASES = {
         equals_truth, 0),
     "camera at 20 Hz": (
         lambda out: write_scene(out, FOUR_PERSONS, camera_rate_factor=2), equals_truth, 0),
+    "camera at 5 Hz": (build_camera_at_5_hz, posed_truth, 0),
     "cameras inside the crowd": (lambda out: write_scene(out, CROWD), posed_truth, 0),
 }
 

@@ -1389,6 +1389,38 @@ class TestMatchSequences:
         assert strict.match.pairs == ()
         assert strict.stats.pairs_rejected == 4
 
+    def test_a_residual_equal_to_the_threshold_stays_and_one_above_goes(self):
+        scene = generate(SceneConfig(person_count=4, duration_frames=8, seed=41, pixel_noise_sigma=1.0))
+        tracks3d, tracks2d, k = scene.tracks3d, scene.tracks2d[0], scene.intrinsics
+        first = match_sequences(tracks3d, tracks2d, k)
+        assert not first.stats.keypoint_path  # the threshold only filters, on this path
+        pair, r = max(zip(first.match.pairs, first.match.residuals), key=lambda pr: pr[1])
+        at = match_sequences(tracks3d, tracks2d, k, PcmConfig(reject_threshold=r))
+        assert at.match == first.match
+        assert at.stats.pairs_rejected == 0
+        under = match_sequences(tracks3d, tracks2d, k,
+                                PcmConfig(reject_threshold=math.nextafter(r, 0)))
+        assert under.match.pairs == tuple(p for p in first.match.pairs if p != pair)
+        assert under.match.unmatched3d == (pair[0],) and under.match.unmatched2d == (pair[1],)
+        assert under.stats.pairs_rejected == 1
+
+    def test_pose_only_match_and_extrinsics_for_match_keep_pairs_by_one_rule(self):
+        scene = generate(SceneConfig(person_count=5, duration_frames=10, seed=13,
+                                     pixel_noise_sigma=2.0))
+        tracks3d, tracks2d, k = scene.tracks3d, scene.tracks2d[0], scene.intrinsics
+        pairing = match_with_strategy("P&T", tracks3d, tracks2d, k).pairs
+        fixed, extrinsics = matching.extrinsics_for_match(tracks3d, tracks2d, pairing, k, 9)
+        assert fixed.pairs == pairing  # every pair is measurable, so none goes at limit inf
+        # A threshold between the residuals: match_sequences drops the pairs above it.
+        threshold = float(np.median(fixed.residuals))
+        result = match_sequences(tracks3d, tracks2d, k,
+                                 PcmConfig(delta=math.inf, reject_threshold=threshold))
+        assert [pose_bytes(e) for e in result.extrinsics] == [pose_bytes(e) for e in extrinsics]
+        kept = [(p, r) for p, r in zip(fixed.pairs, fixed.residuals) if r <= threshold]
+        assert 0 < len(kept) < len(pairing)
+        assert list(zip(result.match.pairs, result.match.residuals)) == kept
+        assert result.stats.pairs_rejected == len(pairing) - len(kept)
+
     def test_infinite_gate_returns_pose_only_match(self):
         scene = generate(
             SceneConfig(person_count=3, duration_frames=8, seed=13, pixel_noise_sigma=1.0)

@@ -711,6 +711,27 @@ class TestMatchOutput:
             load_match_output(path)
         assert str(err.value).startswith(f"{path}: ")
 
+    @pytest.mark.parametrize("field, fault", [
+        ("quat_wxyz", "non-unit quaternion"),
+        ("translation_m", "non-finite translation"),
+    ])
+    def test_null_pose_entry_names_its_frame(self, tmp_path, field, fault):
+        # A null reads as NaN; the error names its frame of a two-frame document.
+        rng = np.random.default_rng(5)
+        doc = match_output_payload(
+            MatchSet(((0, 0),), (0.5,), (), ()),
+            [Extrinsics(random_rotation(rng), rng.normal(size=3)) for _ in range(2)],
+            PcmConfig(), "P&T&K", "skhash", "lidar.jsonl", "cam.jsonl", ["a"], ["x"],
+        )
+        path = tmp_path / "match.json"
+        path.write_text(json.dumps(doc))
+        assert sorted(load_match_output(path).extrinsics) == [0, 1]
+        doc["extrinsics"][1][field][1] = None
+        path.write_text(json.dumps(doc))
+        with pytest.raises(StreamFormatError) as err:
+            load_match_output(path)
+        assert str(err.value) == f"{path}: {fault} in frame 1"
+
     def test_missing_document_is_an_io_failure(self, tmp_path):
         with pytest.raises(IoFailure, match="absent.json"):
             load_match_output(tmp_path / "absent.json")
